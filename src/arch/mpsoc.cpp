@@ -129,9 +129,13 @@ std::vector<double> Mpsoc3D::leakage_consistent_steady(
   require(iterations >= 1, "leakage_consistent_steady: need >= 1 iteration");
   std::vector<double> temps(model_->node_count(),
                             model_->grid().spec().ambient);
+  // Only the power changes between iterations, never G: one solver
+  // (one factorization and schedule) serves every iteration.
+  const auto solver =
+      model_->steady_solver(sparse::SolverKind::kBicgstabIlu0, cache);
   for (int i = 0; i < iterations; ++i) {
     model_->set_element_powers(element_powers(cores, temps));
-    temps = model_->steady_state(sparse::SolverKind::kBicgstabIlu0, cache);
+    temps = model_->steady_state(*solver);
   }
   return temps;
 }

@@ -59,47 +59,51 @@ ServiceServer::ServiceServer(ServerOptions opts) : opts_(std::move(opts)) {}
 ServiceServer::~ServiceServer() { stop(); }
 
 void ServiceServer::start() {
-  require(listen_fd_ < 0, "ServiceServer::start: already started");
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    require(listen_fd_ < 0, "ServiceServer::start: already started");
+  }
   service_ = std::make_unique<SweepService>(opts_.service);
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw Error("socket() failed");
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) throw Error("socket() failed");
   const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<std::uint16_t>(opts_.port));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) < 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    const int err = errno;
+    ::close(fd);
     throw Error("bind() failed on 127.0.0.1:" + std::to_string(opts_.port) +
-                ": " + std::strerror(errno));
+                ": " + std::strerror(err));
   }
-  if (::listen(listen_fd_, opts_.backlog) < 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  if (::listen(fd, opts_.backlog) < 0) {
+    ::close(fd);
     throw Error("listen() failed");
   }
   socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
 
   {
     std::lock_guard<std::mutex> lk(mu_);
+    listen_fd_ = fd;
     accepting_ = true;
   }
-  acceptor_ = std::thread([this] { accept_loop(); });
+  // The acceptor works on its own copy of the descriptor: listen_fd_ is
+  // reset at teardown, and only after the acceptor has been joined.
+  acceptor_ = std::thread([this, fd] { accept_loop(fd); });
 }
 
-void ServiceServer::accept_loop() {
+void ServiceServer::accept_loop(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listening socket closed: shutting down
+      return;  // listening socket shut down: stopping
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -425,18 +429,23 @@ bool ServiceServer::running() const {
 }
 
 void ServiceServer::close_all_sockets() {
-  // Shut the listening socket first so accept_loop exits, then unblock
-  // every connection reader.
+  // Shut the listening socket down so accept_loop's accept() fails and
+  // the acceptor exits; close the descriptor only once the acceptor is
+  // joined, so its number cannot be reused under a pending accept().
+  // Then unblock every connection reader.
+  int listen_fd = -1;
   {
     std::lock_guard<std::mutex> lk(mu_);
     accepting_ = false;
+    listen_fd = listen_fd_;
   }
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
+  if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
+  if (listen_fd >= 0) {
+    ::close(listen_fd);
+    std::lock_guard<std::mutex> lk(mu_);
     listen_fd_ = -1;
   }
-  if (acceptor_.joinable()) acceptor_.join();
 
   std::vector<std::shared_ptr<Connection>> conns;
   {

@@ -73,7 +73,9 @@ class ServiceServer {
  private:
   struct Connection;
 
-  void accept_loop();
+  /// Accept connections on \p listen_fd (a copy of listen_fd_ taken at
+  /// start()) until it is shut down.
+  void accept_loop(int listen_fd);
   void connection_loop(const std::shared_ptr<Connection>& conn);
   void handle_message(const std::shared_ptr<Connection>& conn,
                       const protocol::Message& msg);
@@ -91,7 +93,7 @@ class ServiceServer {
 
   ServerOptions opts_;
   std::unique_ptr<SweepService> service_;
-  int listen_fd_ = -1;
+  int listen_fd_ = -1;  ///< guarded by mu_
   int port_ = 0;
   std::thread acceptor_;
   std::thread drainer_;

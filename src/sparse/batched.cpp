@@ -6,6 +6,8 @@
 #include <type_traits>
 
 #include "common/error.hpp"
+#include "sparse/ilu_schedule.hpp"
+#include "sparse/structure_cache.hpp"
 
 namespace tac3d::sparse {
 
@@ -416,62 +418,19 @@ void b_final_update(std::size_t n, int lanes, const double* alpha,
   });
 }
 
-/// ILU(0) forward/backward substitution across lanes (the row-
-/// sequential dependency is within a lane; every row's update runs
-/// lane-wide, in the serial solver's exact entry order per lane).
-template <int CL, int W, int OFF>
-void t_ilu_apply_part(std::int32_t rows, int lanes,
-                      const std::int32_t* __restrict rp,
-                      const std::int32_t* __restrict ci,
-                      const double* __restrict v, const double* __restrict rs,
-                      double* __restrict zs) {
-  const int L = CL > 0 ? CL : lanes;
-  const int Wr = W > 0 ? W : lanes;
-  double acc[kMaxBatchLanes];
-  double dii[kMaxBatchLanes];
-  // Forward solve L z = r (unit diagonal).
-  for (std::int32_t i = 0; i < rows; ++i) {
-    const std::int64_t ik = static_cast<std::int64_t>(i) * L + OFF;
-    for (int l = 0; l < Wr; ++l) acc[l] = rs[ik + l];
-    for (std::int32_t k = rp[i]; k < rp[i + 1] && ci[k] < i; ++k) {
-      const std::int64_t vk = static_cast<std::int64_t>(k) * L + OFF;
-      const std::int64_t zk = static_cast<std::int64_t>(ci[k]) * L + OFF;
-      for (int l = 0; l < Wr; ++l) acc[l] -= v[vk + l] * zs[zk + l];
-    }
-    for (int l = 0; l < Wr; ++l) zs[ik + l] = acc[l];
-  }
-  // Backward solve U z = z (entry walk in the serial solver's reverse
-  // order, so the per-lane subtraction chains match bitwise).
-  for (std::int32_t i = rows - 1; i >= 0; --i) {
-    const std::int64_t ik = static_cast<std::int64_t>(i) * L + OFF;
-    for (int l = 0; l < Wr; ++l) {
-      acc[l] = zs[ik + l];
-      dii[l] = 0.0;
-    }
-    for (std::int32_t k = rp[i + 1] - 1; k >= rp[i] && ci[k] >= i; --k) {
-      const std::int64_t vk = static_cast<std::int64_t>(k) * L + OFF;
-      if (ci[k] == i) {
-        for (int l = 0; l < Wr; ++l) dii[l] = v[vk + l];
-      } else {
-        const std::int64_t zk = static_cast<std::int64_t>(ci[k]) * L + OFF;
-        for (int l = 0; l < Wr; ++l) acc[l] -= v[vk + l] * zs[zk + l];
-      }
-    }
-    for (int l = 0; l < Wr; ++l) zs[ik + l] = acc[l] / dii[l];
-  }
-}
+static_assert(kMaxBatchLanes <= kMaxIluLanes,
+              "the ILU(0) kernel's accumulators must hold a whole batch");
 
+/// ILU(0) solve over all lanes of a stride; width 16 runs as two
+/// cache-blocked halves like the SpMV kernels above.
 template <int CL>
-void t_ilu_apply(std::int32_t rows, int lanes,
-                 const std::int32_t* __restrict rp,
-                 const std::int32_t* __restrict ci,
-                 const double* __restrict v, const double* __restrict rs,
-                 double* __restrict zs) {
+void t_ilu_apply(const IluSchedule& s, int lanes, const double* f,
+                 const double* r, double* z) {
   if constexpr (CL == 16) {
-    t_ilu_apply_part<16, 8, 0>(rows, lanes, rp, ci, v, rs, zs);
-    t_ilu_apply_part<16, 8, 8>(rows, lanes, rp, ci, v, rs, zs);
+    ilu0_apply_lanes<16, 8, 0>(s, lanes, f, r, z);
+    ilu0_apply_lanes<16, 8, 8>(s, lanes, f, r, z);
   } else {
-    t_ilu_apply_part<CL, CL, 0>(rows, lanes, rp, ci, v, rs, zs);
+    ilu0_apply_lanes<CL, CL, 0>(s, lanes, f, r, z);
   }
 }
 
@@ -568,57 +527,30 @@ void BatchedJacobiPreconditioner::apply(std::span<const double> r,
   for (std::size_t i = 0; i < total; ++i) zs[i] = rs[i] * ds[i];
 }
 
-BatchedIlu0Preconditioner::BatchedIlu0Preconditioner(const BatchedCsr& a)
+BatchedIlu0Preconditioner::BatchedIlu0Preconditioner(
+    const BatchedCsr& a, const SymbolicStructure* structure)
     : lanes_(a.lanes()), rows_(a.rows()) {
-  row_ptr_.assign(a.row_ptr().begin(), a.row_ptr().end());
-  col_idx_.assign(a.col_idx().begin(), a.col_idx().end());
+  if (structure != nullptr) {
+    require(structure->matches(a.row_ptr(), a.col_idx()),
+            "BatchedIlu0Preconditioner: structure does not match the matrix");
+    require(structure->ilu_schedule != nullptr,
+            "BatchedIlu0Preconditioner: missing diagonal entry");
+    schedule_ = structure->ilu_schedule;
+  } else {
+    schedule_ = build_ilu_schedule(a.row_ptr(), a.col_idx());
+  }
   lu_.assign(static_cast<std::size_t>(a.nnz()) * lanes_, 0.0);
   clu_.assign(lu_.size(), 0.0);  // compaction scratch, preallocated
-  diag_.assign(static_cast<std::size_t>(rows_), -1);
-  for (std::int32_t r = 0; r < rows_; ++r) {
-    for (std::int32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      if (col_idx_[k] == r) diag_[r] = k;
-    }
-    require(diag_[r] >= 0,
-            "BatchedIlu0Preconditioner: missing diagonal entry");
-  }
   for (int l = 0; l < lanes_; ++l) refactor_lane(l, a);
 }
 
 void BatchedIlu0Preconditioner::refactor_lane(int lane, const BatchedCsr& a) {
-  require(a.nnz() * lanes_ == static_cast<std::int64_t>(lu_.size()) &&
-              a.rows() == rows_,
-          "BatchedIlu0Preconditioner::refactor_lane: pattern mismatch");
-  const std::int32_t* __restrict rp = row_ptr_.data();
-  const std::int32_t* __restrict ci = col_idx_.data();
-  const double* __restrict av = a.values().data();
-  double* __restrict v = lu_.data();
-  const int L = lanes_;
-  const std::int64_t nnz = a.nnz();
-  for (std::int64_t k = 0; k < nnz; ++k) v[k * L + lane] = av[k * L + lane];
-
-  // IKJ-variant ILU(0), identical per-lane arithmetic to the serial
-  // Ilu0Preconditioner::refactor (the lane stride is the only change).
-  for (std::int32_t i = 0; i < rows_; ++i) {
-    for (std::int32_t kk = rp[i]; kk < rp[i + 1]; ++kk) {
-      const std::int32_t k = ci[kk];
-      if (k >= i) break;
-      const double pivot = v[static_cast<std::int64_t>(diag_[k]) * L + lane];
-      require(pivot != 0.0 && std::isfinite(pivot),
-              "BatchedIlu0Preconditioner: zero pivot");
-      const double lij = v[static_cast<std::int64_t>(kk) * L + lane] / pivot;
-      v[static_cast<std::int64_t>(kk) * L + lane] = lij;
-      std::int32_t pi = kk + 1;
-      for (std::int32_t pk = diag_[k] + 1; pk < rp[k + 1]; ++pk) {
-        const std::int32_t col = ci[pk];
-        while (pi < rp[i + 1] && ci[pi] < col) ++pi;
-        if (pi < rp[i + 1] && ci[pi] == col) {
-          v[static_cast<std::int64_t>(pi) * L + lane] -=
-              lij * v[static_cast<std::int64_t>(pk) * L + lane];
-        }
-      }
-    }
-  }
+  require(a.lanes() == lanes_,
+          "BatchedIlu0Preconditioner::refactor_lane: lane count mismatch");
+  // Identical per-lane arithmetic to the scalar Ilu0Preconditioner
+  // (the lane stride is the only change).
+  ilu0_factor_lane(*schedule_, a.row_ptr(), a.col_idx(), a.values().data(),
+                   lu_.data(), lanes_, lane);
 }
 
 void BatchedIlu0Preconditioner::apply(std::span<const double> r,
@@ -627,8 +559,7 @@ void BatchedIlu0Preconditioner::apply(std::span<const double> r,
               z.size() == r.size(),
           "BatchedIlu0Preconditioner: size mismatch");
   dispatch_lanes(lanes_, [&](auto cl) {
-    t_ilu_apply<cl.value>(rows_, lanes_, row_ptr_.data(), col_idx_.data(),
-                          lu_.data(), r.data(), z.data());
+    t_ilu_apply<cl.value>(*schedule_, lanes_, lu_.data(), r.data(), z.data());
   });
 }
 
@@ -649,8 +580,7 @@ void BatchedIlu0Preconditioner::compact_lanes(
 void BatchedIlu0Preconditioner::apply_compacted(const double* r,
                                                 double* z) const {
   dispatch_lanes(cwidth_, [&](auto cl) {
-    t_ilu_apply<cl.value>(rows_, cwidth_, row_ptr_.data(), col_idx_.data(),
-                          clu_.data(), r, z);
+    t_ilu_apply<cl.value>(*schedule_, cwidth_, clu_.data(), r, z);
   });
 }
 
@@ -976,12 +906,12 @@ int batched_bicgstab(const BatchedCsr& a, std::span<const double> b,
 // BatchedBicgstabSolver
 // ---------------------------------------------------------------------------
 
-BatchedBicgstabSolver::BatchedBicgstabSolver(SolverKind kind,
-                                             const BatchedCsr& a)
+BatchedBicgstabSolver::BatchedBicgstabSolver(
+    SolverKind kind, const BatchedCsr& a, const SymbolicStructure* structure)
     : kind_(kind) {
   switch (kind) {
     case SolverKind::kBicgstabIlu0:
-      precond_ = std::make_unique<BatchedIlu0Preconditioner>(a);
+      precond_ = std::make_unique<BatchedIlu0Preconditioner>(a, structure);
       name_ = "batched-bicgstab+ilu0";
       break;
     case SolverKind::kBicgstabJacobi:

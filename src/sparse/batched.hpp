@@ -185,21 +185,29 @@ class BatchedJacobiPreconditioner final : public BatchedPreconditioner {
 };
 
 /// Lane-interleaved ILU(0): factors on the shared pattern, triangular
-/// solves batched across lanes (the row-sequential dependency is within
-/// a lane; lanes are independent, so each row's update runs lane-wide).
+/// solves batched across lanes (the row dependencies are within a lane;
+/// lanes are independent, so each row's update runs lane-wide). The
+/// solves walk the pattern's level schedule (ilu_schedule.hpp), so lane
+/// l stays bitwise equal to a scalar Ilu0Preconditioner on its values.
 class BatchedIlu0Preconditioner final : public BatchedPreconditioner {
  public:
-  explicit BatchedIlu0Preconditioner(const BatchedCsr& a);
+  /// \p structure optionally supplies the shared level schedule (see
+  /// StructureCache); without it the pattern is analyzed here.
+  explicit BatchedIlu0Preconditioner(
+      const BatchedCsr& a, const SymbolicStructure* structure = nullptr);
   void apply(std::span<const double> r, std::span<double> z) const override;
   void refactor_lane(int lane, const BatchedCsr& a) override;
   void compact_lanes(std::span<const int> lanes) const override;
   void apply_compacted(const double* r, double* z) const override;
 
+  /// The level schedule the solves walk.
+  const IluSchedule& schedule() const { return *schedule_; }
+
  private:
   int lanes_;
   std::int32_t rows_;
-  std::vector<std::int32_t> row_ptr_, col_idx_, diag_;
-  std::vector<double> lu_;  ///< interleaved factors [k*lanes + lane]
+  std::shared_ptr<const IluSchedule> schedule_;
+  std::vector<double> lu_;  ///< interleaved factors [slot*lanes + lane]
   mutable std::vector<double> clu_;  ///< compacted-view scratch
   mutable int cwidth_ = 0;
 };
@@ -243,8 +251,11 @@ class BatchedBicgstabSolver {
  public:
   /// \p kind selects the preconditioner (kBicgstabIlu0 or
   /// kBicgstabJacobi; anything else throws). Factors are built from the
-  /// lane values currently loaded in \p a.
-  BatchedBicgstabSolver(SolverKind kind, const BatchedCsr& a);
+  /// lane values currently loaded in \p a. A non-null \p structure
+  /// (the lanes' shared StructureCache entry) supplies the ILU(0) level
+  /// schedule.
+  BatchedBicgstabSolver(SolverKind kind, const BatchedCsr& a,
+                        const SymbolicStructure* structure = nullptr);
 
   int lanes() const { return static_cast<int>(lanes_.size()); }
 

@@ -1,7 +1,6 @@
 #include "sparse/preconditioner.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "sparse/structure_cache.hpp"
@@ -60,93 +59,33 @@ void JacobiPreconditioner::apply(std::span<const double> r,
 }
 
 Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a,
-                                       const SymbolicStructure* structure)
-    : lu_(a) {
-  const std::int32_t n = a.rows();
-  require(n == a.cols(), "Ilu0Preconditioner: matrix must be square");
+                                       const SymbolicStructure* structure) {
+  require(a.rows() == a.cols(), "Ilu0Preconditioner: matrix must be square");
   if (structure != nullptr) {
     require(structure->matches(a),
             "Ilu0Preconditioner: structure does not match the matrix");
-    diag_ = structure->ilu_diag;
+    require(structure->ilu_schedule != nullptr,
+            "Ilu0Preconditioner: missing diagonal entry");
+    schedule_ = structure->ilu_schedule;
   } else {
-    diag_.assign(static_cast<std::size_t>(n), -1);
-    const auto rp = lu_.row_ptr();
-    const auto ci = lu_.col_idx();
-    for (std::int32_t r = 0; r < n; ++r) {
-      for (std::int32_t k = rp[r]; k < rp[r + 1]; ++k) {
-        if (ci[k] == r) diag_[r] = k;
-      }
-    }
+    schedule_ = build_ilu_schedule(a.row_ptr(), a.col_idx());
   }
-  for (std::int32_t r = 0; r < n; ++r) {
-    require(diag_[r] >= 0, "Ilu0Preconditioner: missing diagonal entry");
-  }
+  lu_.assign(static_cast<std::size_t>(a.nnz()), 0.0);
   refactor(a);
 }
 
 void Ilu0Preconditioner::refactor(const CsrMatrix& a) {
-  require(a.nnz() == lu_.nnz() && a.rows() == lu_.rows(),
-          "Ilu0Preconditioner::refactor: pattern mismatch");
-  std::copy(a.values().begin(), a.values().end(), lu_.values_mut().begin());
-
-  const std::int32_t n = lu_.rows();
-  const auto rp = lu_.row_ptr();
-  const auto ci = lu_.col_idx();
-  auto v = lu_.values_mut();
-
-  // IKJ-variant ILU(0): for each row i, eliminate with previous rows k
-  // that appear in row i's pattern.
-  for (std::int32_t i = 0; i < n; ++i) {
-    for (std::int32_t kk = rp[i]; kk < rp[i + 1]; ++kk) {
-      const std::int32_t k = ci[kk];
-      if (k >= i) break;
-      const double pivot = v[diag_[k]];
-      require(pivot != 0.0 && std::isfinite(pivot),
-              "Ilu0Preconditioner: zero pivot");
-      const double l = v[kk] / pivot;
-      v[kk] = l;
-      // Subtract l * row_k from row_i, restricted to row_i's pattern.
-      std::int32_t pi = kk + 1;
-      for (std::int32_t pk = diag_[k] + 1; pk < rp[k + 1]; ++pk) {
-        const std::int32_t col = ci[pk];
-        while (pi < rp[i + 1] && ci[pi] < col) ++pi;
-        if (pi < rp[i + 1] && ci[pi] == col) v[pi] -= l * v[pk];
-      }
-    }
-  }
+  ilu0_factor_lane(*schedule_, a.row_ptr(), a.col_idx(), a.values().data(),
+                   lu_.data(), 1, 0);
 }
 
 void Ilu0Preconditioner::apply(std::span<const double> r,
                                std::span<double> z) const {
-  const std::int32_t n = lu_.rows();
+  const std::int32_t n = schedule_->rows;
   require(static_cast<std::int32_t>(r.size()) == n &&
               static_cast<std::int32_t>(z.size()) == n,
           "Ilu0Preconditioner: size mismatch");
-  const auto rp = lu_.row_ptr();
-  const auto ci = lu_.col_idx();
-  const auto v = lu_.values();
-
-  // Forward solve L z = r (unit diagonal).
-  for (std::int32_t i = 0; i < n; ++i) {
-    double acc = r[i];
-    for (std::int32_t k = rp[i]; k < rp[i + 1] && ci[k] < i; ++k) {
-      acc -= v[k] * z[ci[k]];
-    }
-    z[i] = acc;
-  }
-  // Backward solve U z = z.
-  for (std::int32_t i = n - 1; i >= 0; --i) {
-    double acc = z[i];
-    double dii = 0.0;
-    for (std::int32_t k = rp[i + 1] - 1; k >= rp[i] && ci[k] >= i; --k) {
-      if (ci[k] == i) {
-        dii = v[k];
-      } else {
-        acc -= v[k] * z[ci[k]];
-      }
-    }
-    z[i] = acc / dii;
-  }
+  ilu0_apply_lanes<1, 1, 0>(*schedule_, 1, lu_.data(), r.data(), z.data());
 }
 
 }  // namespace tac3d::sparse

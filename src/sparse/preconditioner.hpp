@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "sparse/csr.hpp"
+#include "sparse/ilu_schedule.hpp"
 
 namespace tac3d::sparse {
 
@@ -54,10 +55,13 @@ class JacobiPreconditioner final : public Preconditioner {
 
 /// Zero-fill incomplete LU factorization; the factors live on the
 /// sparsity pattern of A. Stable for the diagonally dominant RC systems.
+/// The triangular solves walk the pattern's level schedule
+/// (ilu_schedule.hpp): bitwise the natural-order substitution, without
+/// its row-after-row dependency chain.
 class Ilu0Preconditioner final : public Preconditioner {
  public:
-  /// \p structure optionally supplies the precomputed diagonal index map
-  /// (see StructureCache); without it the pattern is scanned here.
+  /// \p structure optionally supplies the precomputed level schedule
+  /// (see StructureCache); without it the pattern is analyzed here.
   explicit Ilu0Preconditioner(const CsrMatrix& a,
                               const SymbolicStructure* structure = nullptr);
 
@@ -67,16 +71,19 @@ class Ilu0Preconditioner final : public Preconditioner {
 
   void apply(std::span<const double> r, std::span<double> z) const override;
 
-  /// The current factor values (A's pattern order). Exposed so the
+  /// The current factor values (schedule slot order). Exposed so the
   /// solver facade can fold possibly-stale factors into a replay
   /// fingerprint (LinearSolver::fold_replay_state) — unlike Jacobi, the
   /// ILU(0) factors are deliberately left stale under lazy refresh and
   /// therefore carry history.
-  std::span<const double> factor_values() const { return lu_.values(); }
+  std::span<const double> factor_values() const { return lu_; }
+
+  /// The level schedule the solves walk.
+  const IluSchedule& schedule() const { return *schedule_; }
 
  private:
-  CsrMatrix lu_;                     ///< combined factors on A's pattern
-  std::vector<std::int32_t> diag_;   ///< index of diagonal entry per row
+  std::shared_ptr<const IluSchedule> schedule_;
+  std::vector<double> lu_;  ///< combined factors in schedule slot order
 };
 
 }  // namespace tac3d::sparse

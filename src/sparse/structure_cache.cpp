@@ -30,10 +30,13 @@ std::uint64_t pattern_hash(const CsrMatrix& a) {
 }  // namespace
 
 bool SymbolicStructure::matches(const CsrMatrix& a) const {
-  return a.rows() == rows && a.cols() == rows &&
-         static_cast<std::size_t>(a.nnz()) == col_idx.size() &&
-         std::equal(row_ptr.begin(), row_ptr.end(), a.row_ptr().begin()) &&
-         std::equal(col_idx.begin(), col_idx.end(), a.col_idx().begin());
+  return a.cols() == rows && matches(a.row_ptr(), a.col_idx());
+}
+
+bool SymbolicStructure::matches(std::span<const std::int32_t> rp,
+                                std::span<const std::int32_t> ci) const {
+  return std::equal(row_ptr.begin(), row_ptr.end(), rp.begin(), rp.end()) &&
+         std::equal(col_idx.begin(), col_idx.end(), ci.begin(), ci.end());
 }
 
 std::shared_ptr<const SymbolicStructure> analyze_structure(
@@ -61,12 +64,17 @@ std::shared_ptr<const SymbolicStructure> analyze_structure(
     }
   }
 
-  // Diagonal entry index per row (ILU(0) pivot map).
+  // Diagonal entry index per row (ILU(0) pivot map) and, when every
+  // row has one, the level schedule of the ILU(0) solves.
   s->ilu_diag.assign(static_cast<std::size_t>(n), -1);
   for (std::int32_t r = 0; r < n; ++r) {
     for (std::int32_t k = rp[r]; k < rp[r + 1]; ++k) {
       if (ci[k] == r) s->ilu_diag[r] = k;
     }
+  }
+  if (std::find(s->ilu_diag.begin(), s->ilu_diag.end(), -1) ==
+      s->ilu_diag.end()) {
+    s->ilu_schedule = build_ilu_schedule(rp, ci);
   }
   return s;
 }

@@ -6,20 +6,23 @@
 /// A design-space sweep instantiates one RC model per scenario, but
 /// scenarios with the same stack geometry produce bit-identical CSR
 /// patterns. The expensive symbolic work — RCM ordering, banded-LU band
-/// extents, the ILU(0) diagonal index map — depends only on the pattern,
-/// so a StructureCache computes it once and hands out a shared immutable
-/// SymbolicStructure to every solver. Symbolic analysis is a pure
-/// function of the pattern, so a solver built from a cached structure is
-/// bitwise identical to one that analyzed the matrix itself; sweeps stay
-/// deterministic with the cache on or off, serial or parallel.
+/// extents, the ILU(0) diagonal index map and level schedule — depends
+/// only on the pattern, so a StructureCache computes it once and hands
+/// out a shared immutable SymbolicStructure to every solver. Symbolic
+/// analysis is a pure function of the pattern, so a solver built from a
+/// cached structure is bitwise identical to one that analyzed the matrix
+/// itself; sweeps stay deterministic with the cache on or off, serial or
+/// parallel.
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "sparse/csr.hpp"
+#include "sparse/ilu_schedule.hpp"
 
 namespace tac3d::sparse {
 
@@ -35,12 +38,18 @@ struct SymbolicStructure {
   std::int32_t band_upper = 0;
   /// Index into values() of the diagonal entry of each row (ILU(0)).
   std::vector<std::int32_t> ilu_diag;
+  /// Level schedule of the ILU(0) triangular solves, shared by the
+  /// scalar and batched preconditioners of every solver on this pattern
+  /// (null when a diagonal entry is missing: no ILU(0) exists).
+  std::shared_ptr<const IluSchedule> ilu_schedule;
   /// Pattern copy for exact identity checks on hash-bucket collisions.
   std::vector<std::int32_t> row_ptr;
   std::vector<std::int32_t> col_idx;
 
   /// True if \p a has exactly this sparsity pattern.
   bool matches(const CsrMatrix& a) const;
+  bool matches(std::span<const std::int32_t> row_ptr,
+               std::span<const std::int32_t> col_idx) const;
 };
 
 /// Run the symbolic analysis of \p a directly (no cache).

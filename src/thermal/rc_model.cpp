@@ -436,14 +436,22 @@ void RcModel::rhs_plus_scaled_into(std::span<double> out,
 
 std::vector<double> RcModel::steady_state(sparse::SolverKind kind,
                                           sparse::StructureCache* cache) const {
+  return steady_state(*steady_solver(kind, cache));
+}
+
+std::unique_ptr<sparse::LinearSolver> RcModel::steady_solver(
+    sparse::SolverKind kind, sparse::StructureCache* cache) const {
+  return sparse::make_solver(kind, g_,
+                             cache != nullptr ? cache->get(g_) : nullptr);
+}
+
+std::vector<double> RcModel::steady_state(sparse::LinearSolver& solver) const {
   std::vector<double> b(power_rhs_.size());
   rhs_into(b);
   std::vector<double> x(b.size(),
                         std::max(grid_.spec().ambient,
                                  grid_.spec().coolant_inlet));
-  auto solver = sparse::make_solver(
-      kind, g_, cache != nullptr ? cache->get(g_) : nullptr);
-  solver->solve(b, x);
+  solver.solve(b, x);
   return x;
 }
 

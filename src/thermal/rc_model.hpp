@@ -15,6 +15,7 @@
 /// flow-independent), so a flow change is an in-place value update.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -167,6 +168,19 @@ class RcModel {
   std::vector<double> steady_state(
       sparse::SolverKind kind = sparse::SolverKind::kBicgstabIlu0,
       sparse::StructureCache* cache = nullptr) const;
+
+  /// A solver bound to conductance(), for callers that solve several
+  /// steady states while only the power changes (G must not change in
+  /// between): factor and schedule once, then steady_state(solver).
+  std::unique_ptr<sparse::LinearSolver> steady_solver(
+      sparse::SolverKind kind = sparse::SolverKind::kBicgstabIlu0,
+      sparse::StructureCache* cache = nullptr) const;
+
+  /// Steady-state temperatures [K] for the current power and flows,
+  /// solved with \p solver (from steady_solver(), values unchanged since)
+  /// from the same flat initial guess as steady_state(kind, cache), so
+  /// the result is bitwise that overload's.
+  std::vector<double> steady_state(sparse::LinearSolver& solver) const;
 
   // --- sensors / diagnostics -------------------------------------------
   /// Power-weighted maximum cell temperature of an element [K].

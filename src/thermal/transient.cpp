@@ -43,10 +43,9 @@ TransientSolver::TransientSolver(RcModel& model, double dt,
     }
     std::sort(flow_tail.begin(), flow_tail.end());
   }
-  solver_ = sparse::make_solver(
-      opts.kind, op_.matrix(),
-      opts.cache != nullptr ? opts.cache->get(op_.matrix()) : nullptr,
-      flow_tail);
+  if (opts.cache != nullptr) structure_ = opts.cache->get(op_.matrix());
+  solver_ = sparse::make_solver(opts.kind, op_.matrix(), structure_,
+                                flow_tail);
   solver_->set_refresh_policy(opts.refresh);
   rel_tolerance_ = opts.rel_tolerance;
   solver_->set_tolerance(rel_tolerance_);

@@ -200,6 +200,12 @@ class TransientSolver {
   /// telemetry: dirty fractions, update counts).
   const ThermalOperator& system_operator() const { return op_; }
 
+  /// Shared symbolic analysis of the operator's pattern (null without a
+  /// StructureCache); batched drivers reuse its ILU(0) level schedule.
+  const sparse::SymbolicStructure* structure() const {
+    return structure_.get();
+  }
+
   /// Refresh/solve counters of the bound linear solver.
   const sparse::SolverStats& solver_stats() const {
     return solver_->stats();
@@ -260,6 +266,7 @@ class TransientSolver {
   double dt_;
   ThermalOperator op_;
   sparse::StructureCache* cache_ = nullptr;
+  std::shared_ptr<const sparse::SymbolicStructure> structure_;
   std::vector<double> c_over_dt_;  ///< C_i / dt, precomputed
   std::unique_ptr<sparse::LinearSolver> solver_;
   std::vector<double> state_;

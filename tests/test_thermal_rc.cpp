@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <sstream>
@@ -144,6 +145,28 @@ TEST(RcModel, LinearInPower) {
   // Temperature *rise* doubles when power doubles (linear network).
   for (std::size_t i = 0; i < t1.size(); i += 37) {
     EXPECT_NEAR(t2[i] - in, 2.0 * (t1[i] - in), 2e-3);
+  }
+}
+
+TEST(RcModel, ReusedSteadySolverIsBitwiseAFreshOne) {
+  // A solver bound once and reused across power changes (the leakage
+  // fixed point's pattern) gives exactly a fresh solver's result.
+  RcModel model(cavity_spec(), GridOptions{12, 8});
+  model.set_all_flows(ml_per_min(20.0));
+  for (const sparse::SolverKind kind :
+       {sparse::SolverKind::kBicgstabIlu0, sparse::SolverKind::kBicgstabJacobi,
+        sparse::SolverKind::kBandedLu}) {
+    const auto solver = model.steady_solver(kind);
+    for (const double watts : {10.0, 35.0, 5.0}) {
+      model.set_element_power(0, watts);
+      const std::vector<double> fresh = model.steady_state(kind);
+      const std::vector<double> reused = model.steady_state(*solver);
+      ASSERT_EQ(fresh.size(), reused.size());
+      EXPECT_EQ(std::memcmp(fresh.data(), reused.data(),
+                            fresh.size() * sizeof(double)),
+                0)
+          << solver->name() << " at " << watts << " W";
+    }
   }
 }
 
