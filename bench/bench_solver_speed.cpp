@@ -118,8 +118,7 @@ void throughput_report() {
   double nodes = 0.0;
   double dirty_fraction = 0.0;
   for (const auto kind :
-       {sparse::SolverKind::kBandedLu, sparse::SolverKind::kBicgstabIlu0,
-        sparse::SolverKind::kBicgstabJacobi}) {
+       {sparse::SolverKind::kBandedLu, sparse::SolverKind::kBicgstabIlu0}) {
     auto soc = make_soc(compact_grid());
     load_max_power(soc);
     nodes = soc.model().node_count();
@@ -154,8 +153,8 @@ void throughput_report() {
         static_cast<double>(sim.solver_stats().iterations - iters0) /
         mod_steps;
     // Kept separate: a full refactor is the expensive rebuild the lazy
-    // policy avoids; a partial refresh (Jacobi dirty rows, banded tail)
-    // is the cheap exact one it embraces.
+    // policy avoids; a partial refresh (banded tail) is the cheap exact
+    // one it embraces.
     const std::uint64_t mod_full = sim.solver_stats().refactors - full0;
     const std::uint64_t mod_partial =
         sim.solver_stats().partial_refactors - part0;
@@ -181,9 +180,7 @@ void throughput_report() {
 
     const char* name = kind == sparse::SolverKind::kBandedLu
                            ? "banded-lu(rcm)"
-                           : kind == sparse::SolverKind::kBicgstabIlu0
-                                 ? "bicgstab+ilu0"
-                                 : "bicgstab+jacobi";
+                           : "bicgstab+ilu0";
 
     // Aperiodic-flow leg (Krylov kinds only): each transition drives
     // every cavity to a fresh per-cavity flow from an irrational-

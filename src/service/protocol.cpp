@@ -182,7 +182,7 @@ sim::Scenario decode_scenario(Reader& r) {
       has_cooling > 1 ||
       cooling > static_cast<std::uint8_t>(arch::CoolingKind::kLiquidCooled) ||
       workload > static_cast<std::uint8_t>(power::WorkloadKind::kPeriodic) ||
-      solver > static_cast<std::uint8_t>(sparse::SolverKind::kBicgstabJacobi)) {
+      solver > static_cast<std::uint8_t>(sparse::SolverKind::kBicgstabIlu0)) {
     r.fail(DecodeError::kBadValue);
     return s;
   }

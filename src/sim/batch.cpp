@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <span>
 
@@ -21,11 +20,19 @@ double seconds_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double>(b - a).count();
 }
 
-/// Same floorplan partitioning (element areas and element->cell weight
-/// lists, bitwise)? The ScenarioBank's deep clones guarantee this for
-/// sweep batches; direct BatchSession users get a runtime check.
-bool same_floorplan(const thermal::ThermalGrid& a,
-                    const thermal::ThermalGrid& b) {
+/// Same floorplan partitioning (core sensor elements, element areas and
+/// element->cell weight lists, bitwise)? The ScenarioBank's model key
+/// guarantees this for sweep batches; direct BatchSession users get a
+/// runtime check.
+bool same_floorplan(const arch::Mpsoc3D& sa, const arch::Mpsoc3D& sb) {
+  const std::span<const int> ca = sa.core_element_ids();
+  const std::span<const int> cb = sb.core_element_ids();
+  if (sa.n_cores() != sb.n_cores() ||
+      !std::equal(ca.begin(), ca.end(), cb.begin(), cb.end())) {
+    return false;
+  }
+  const thermal::ThermalGrid& a = sa.model().grid();
+  const thermal::ThermalGrid& b = sb.model().grid();
   if (a.element_count() != b.element_count()) return false;
   for (int e = 0; e < a.element_count(); ++e) {
     if (a.element(e).rect.area() != b.element(e).rect.area()) return false;
@@ -87,10 +94,11 @@ BatchSession::BatchSession(std::vector<PreparedScenario> prepared)
     }
   }
 
-  // Batch the thermal solves when every live lane runs the same
-  // iterative solver kind on the same sparsity pattern; otherwise fall
-  // back to scalar lockstep (bitwise the same results, one solve at a
-  // time). The sweep runner groups scenarios so this normally holds.
+  // Batch the thermal solves and fuse the control tail when every live
+  // lane runs BiCGSTAB+ILU(0) on the same sparsity pattern and the same
+  // floorplan; otherwise fall back to scalar lockstep (bitwise the same
+  // results, one solve at a time). The sweep runner groups scenarios by
+  // model key, so this normally holds.
   std::vector<int> live;
   for (std::size_t l = 0; l < n; ++l) {
     if (sessions_[l].has_value()) live.push_back(static_cast<int>(l));
@@ -102,29 +110,23 @@ BatchSession::BatchSession(std::vector<PreparedScenario> prepared)
       live.size() > static_cast<std::size_t>(sparse::kMaxBatchLanes)) {
     return;
   }
-  const sparse::SolverKind kind =
-      prepared_[static_cast<std::size_t>(live.front())].sim.solver;
-  if (kind != sparse::SolverKind::kBicgstabIlu0 &&
-      kind != sparse::SolverKind::kBicgstabJacobi) {
-    return;
-  }
-  thermal::TransientSolver& first =
-      sessions_[static_cast<std::size_t>(live.front())]->thermal_solver();
+  SimulationSession& first = *sessions_[static_cast<std::size_t>(live.front())];
   std::vector<thermal::BatchedTransientSolver::LaneSpec> specs;
   specs.reserve(n);
   for (const int l : live) {
     PreparedScenario& p = prepared_[static_cast<std::size_t>(l)];
-    thermal::TransientSolver& ts =
-        sessions_[static_cast<std::size_t>(l)]->thermal_solver();
-    if (p.sim.solver != kind ||
-        !thermal::BatchedTransientSolver::compatible(first, ts)) {
+    SimulationSession& s = *sessions_[static_cast<std::size_t>(l)];
+    if (p.sim.solver != sparse::SolverKind::kBicgstabIlu0 ||
+        !thermal::BatchedTransientSolver::compatible(first.thermal_solver(),
+                                                     s.thermal_solver()) ||
+        !same_floorplan(first.soc(), s.soc())) {
       return;  // heterogeneous batch — scalar fallback
     }
-    specs.push_back({&ts, p.sim.refresh});
+    specs.push_back({&s.thermal_solver(), p.sim.refresh});
   }
   // Lane indices in the batched solver == indices into `live`.
   lane_of_ = std::move(live);
-  batched_ = std::make_unique<thermal::BatchedTransientSolver>(kind, specs);
+  batched_ = std::make_unique<thermal::BatchedTransientSolver>(specs);
   // Batched lanes' per-step solver state lives in the shared batched
   // solver, outside the session's replay fingerprint: restrict their
   // limit-cycle replay to quiescent cycles (sim/replay.hpp).
@@ -137,29 +139,16 @@ BatchSession::BatchSession(std::vector<PreparedScenario> prepared)
 BatchSession::~BatchSession() = default;
 BatchSession::BatchSession(BatchSession&&) noexcept = default;
 
+static_assert(sparse::kMaxBatchLanes <= power::kMaxPowerLanes,
+              "the fused tail kernels must hold a whole batch");
+
 void BatchSession::build_tail_plan() {
-  // A/B escape hatch: with TAC3D_SCALAR_TAIL set, batches keep the
-  // batched thermal solves but run the per-lane scalar control tail —
-  // for benchmarking the fused tail against its baseline on one host.
-  if (std::getenv("TAC3D_SCALAR_TAIL") != nullptr) return;
   const int L = batched_->lanes();
-  if (L > power::kMaxPowerLanes) return;
   SimulationSession& s0 =
       *sessions_[static_cast<std::size_t>(lane_of_.front())];
   const arch::Mpsoc3D& soc0 = s0.soc();
   const thermal::ThermalGrid& g0 = soc0.model().grid();
   const std::span<const int> cores0 = soc0.core_element_ids();
-  for (int b = 1; b < L; ++b) {
-    const arch::Mpsoc3D& soc =
-        sessions_[static_cast<std::size_t>(lane_of_[b])]->soc();
-    const std::span<const int> cores = soc.core_element_ids();
-    if (soc.n_cores() != soc0.n_cores() ||
-        !std::equal(cores.begin(), cores.end(), cores0.begin(),
-                    cores0.end()) ||
-        !same_floorplan(g0, soc.model().grid())) {
-      return;  // mismatched floorplans — per-lane tail, batched solves
-    }
-  }
 
   auto plan = std::make_unique<TailPlan>();
   plan->geom.cell_offset.push_back(0);
@@ -207,6 +196,13 @@ bool BatchSession::done() const {
 int BatchSession::lane_steps(int lane) const {
   const std::size_t l = static_cast<std::size_t>(lane);
   return sessions_[l].has_value() ? sessions_[l]->steps_done() : 0;
+}
+
+const sparse::SolverStats& BatchSession::solver_stats(int lane) const {
+  for (std::size_t b = 0; batched_ != nullptr && b < lane_of_.size(); ++b) {
+    if (lane_of_[b] == lane) return batched_->lane_stats(static_cast<int>(b));
+  }
+  return sessions_[static_cast<std::size_t>(lane)]->solver_stats();
 }
 
 std::uint64_t BatchSession::compaction_events() const {
@@ -259,67 +255,7 @@ void BatchSession::step() {
     }
     return;
   }
-  if (tail_ != nullptr) {
-    step_batched_fused();
-  } else {
-    step_batched_scalar_tail();
-  }
-}
-
-/// Batched thermal solves, per-lane (scalar) control tail — the path
-/// for batches whose lanes share a matrix pattern but not a floorplan.
-void BatchSession::step_batched_scalar_tail() {
-  const auto t0 = std::chrono::steady_clock::now();
-  const int L = batched_->lanes();
-  std::fill(stepping_.begin(), stepping_.end(), std::uint8_t{0});
-  for (int b = 0; b < L; ++b) {
-    const std::size_t l = static_cast<std::size_t>(lane_of_[b]);
-    if (!errors_[l].empty() || sessions_[l]->done()) continue;
-    try {
-      // Replaying lanes drop out of the batched solve: a fast-forwarded
-      // lane leaves its stepping mask 0 for this lockstep interval.
-      if (sessions_[l]->replay_fast_forward() > 0) continue;
-      if (sessions_[l]->step_prepare()) {
-        stepping_[static_cast<std::size_t>(b)] = 1;
-      }
-    } catch (const std::exception& e) {
-      errors_[l] = e.what();
-    } catch (...) {
-      errors_[l] = "unknown error";
-    }
-  }
-
-  const auto t1 = std::chrono::steady_clock::now();
-  {
-    obs::TraceSpan solve_span("batch/solve");
-    batched_->step_all(
-        std::span<const std::uint8_t>(stepping_.data(),
-                                      static_cast<std::size_t>(L)),
-        std::span<std::uint8_t>(failed_.data(), static_cast<std::size_t>(L)));
-  }
-  const auto t2 = std::chrono::steady_clock::now();
-
-  for (int b = 0; b < L; ++b) {
-    if (!stepping_[static_cast<std::size_t>(b)]) continue;
-    const std::size_t l = static_cast<std::size_t>(lane_of_[b]);
-    if (failed_[static_cast<std::size_t>(b)]) {
-      // A thrown lane keeps its exception text; plain non-convergence
-      // mirrors the scalar path's NumericalError message.
-      const std::string& what = batched_->lane_error(b);
-      errors_[l] = what.empty() ? "BicgstabSolver: failed to converge" : what;
-      continue;
-    }
-    try {
-      sessions_[l]->step_finish();
-    } catch (const std::exception& e) {
-      errors_[l] = e.what();
-    } catch (...) {
-      errors_[l] = "unknown error";
-    }
-  }
-  const auto t3 = std::chrono::steady_clock::now();
-  tail_seconds_ += seconds_between(t0, t1) + seconds_between(t2, t3);
-  solve_seconds_ += seconds_between(t1, t2);
+  step_batched_fused();
 }
 
 /// The lane-fused control tail: stage-by-stage over the batch instead

@@ -3,16 +3,15 @@
 /// \brief BatchSession: K bank-prepared scenarios stepped in lockstep by
 /// one core, with the thermal solves batched per matrix traversal.
 ///
-/// When K scenarios share a sparsity pattern (same stack/grid — the
-/// ScenarioBank's model tier guarantees it) and an iterative solver
-/// kind, BatchSession advances all K thermal systems through one
-/// thermal::BatchedTransientSolver, so a single traversal of the shared
-/// CSR pattern steps every lane (see sparse/batched.hpp for why that is
-/// both faster and bitwise-neutral per lane).
+/// When K scenarios share a sparsity pattern and a floorplan (same
+/// stack/grid — the ScenarioBank's model tier guarantees it) and solve
+/// with BiCGSTAB+ILU(0), BatchSession advances all K thermal systems
+/// through one thermal::BatchedTransientSolver, so a single traversal of
+/// the shared CSR pattern steps every lane (see sparse/batched.hpp for
+/// why that is both faster and bitwise-neutral per lane).
 ///
 /// The per-step control tail (sensor gathers, policy decisions, the
-/// power/leakage update, metrics) is fused the same way: when every
-/// batched lane also shares the floorplan geometry, the leakage +
+/// power/leakage update, metrics) is fused the same way: the leakage +
 /// RHS-scatter traversals and the core-temperature gathers run
 /// lane-fused over the shared element->cell weights
 /// (power/batched_power.hpp), and same-class fuzzy policies share one
@@ -23,9 +22,9 @@
 /// Lanes are isolated: a lane whose construction, policy loop or linear
 /// solve throws is recorded (lane_error) and deactivated; the remaining
 /// lanes keep stepping to completion. Lanes that cannot batch (direct
-/// solver, mismatched pattern or kind, or a single lane) fall back to
-/// per-lane scalar stepping — still lockstep, still the exact scalar
-/// arithmetic.
+/// solver, mismatched pattern, floorplan or kind, or a single lane) fall
+/// back to per-lane scalar stepping — still lockstep, still the exact
+/// scalar arithmetic.
 
 #include <cstdint>
 #include <memory>
@@ -52,14 +51,9 @@ class BatchSession {
 
   int lanes() const { return static_cast<int>(prepared_.size()); }
 
-  /// Did the thermal solves batch (false: scalar-fallback lockstep)?
+  /// Did the thermal solves batch and the control tail fuse across
+  /// lanes (false: scalar-fallback lockstep)?
   bool thermal_batched() const { return batched_ != nullptr; }
-
-  /// Did the control tail fuse across lanes (requires thermal_batched()
-  /// plus a shared floorplan geometry)? Setting the TAC3D_SCALAR_TAIL
-  /// environment variable forces this off (per-lane scalar tail) for
-  /// same-host A/B benchmarking.
-  bool tail_fused() const { return tail_ != nullptr; }
 
   /// Wall-clock seconds spent in the control tail and in the thermal
   /// solves across all lanes (batch-level stages plus any per-lane
@@ -99,6 +93,11 @@ class BatchSession {
   /// Steps lane \p lane completed (0 when construction failed).
   int lane_steps(int lane) const;
 
+  /// Refresh/solve counters of the lane's thermal solves: its lane of
+  /// the batched solver when thermal_batched(), else its session's own
+  /// solver (requires has_session()).
+  const sparse::SolverStats& solver_stats(int lane) const;
+
   /// Mid-solve lane-compaction events of the batched thermal solver
   /// (0 on the scalar-fallback path); sweep-footer telemetry.
   std::uint64_t compaction_events() const;
@@ -116,7 +115,6 @@ class BatchSession {
 
   void build_tail_plan();
   void step_batched_fused();
-  void step_batched_scalar_tail();
 
   std::vector<PreparedScenario> prepared_;
   std::vector<std::optional<SimulationSession>> sessions_;

@@ -255,7 +255,8 @@ class SimulationSession {
 
   /// Refresh/solve counters of the transient thermal solver (how often
   /// the policy loop's flow changes forced a refactor, Krylov iteration
-  /// totals, ...).
+  /// totals, ...). A session stepped as a batched lane solves in the
+  /// batch's solver instead: see BatchSession::solver_stats().
   const sparse::SolverStats& solver_stats() const;
 
   /// Flow updates the thermal operator absorbed as indexed rewrites.

@@ -64,9 +64,6 @@ struct Scenario {
   }
 };
 
-/// The pre-generalization name; a Scenario is a drop-in superset.
-using ExperimentSpec = Scenario;
-
 /// "2-tier LC_FUZZY web s1" (or the explicit label when set).
 std::string scenario_label(const Scenario& s);
 
@@ -88,11 +85,6 @@ ScenarioInstance instantiate(const Scenario& spec);
 
 /// Instantiate the scenario, run it to completion, return metrics.
 SimMetrics run_scenario(const Scenario& spec);
-
-/// Back-compat alias for run_scenario().
-inline SimMetrics run_experiment(const Scenario& spec) {
-  return run_scenario(spec);
-}
 
 /// Cartesian sweep builder over scenario axes. Expansion order is
 /// deterministic: tiers (outer) -> policies -> workloads -> solvers ->

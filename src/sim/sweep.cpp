@@ -80,13 +80,12 @@ struct SweepJob {
 /// Can this scenario join a batched lockstep group? (Direct solvers
 /// don't batch — no initial guess, per-lane factorization.)
 bool batchable(const Scenario& s) {
-  return s.sim.solver == sparse::SolverKind::kBicgstabIlu0 ||
-         s.sim.solver == sparse::SolverKind::kBicgstabJacobi;
+  return s.sim.solver == sparse::SolverKind::kBicgstabIlu0;
 }
 
 /// Grouping key of batched lockstep jobs: the bank's model key (stack/
-/// grid -> sparsity pattern) plus the control interval (operator values
-/// prototype) and the solver kind. Policies, workloads, seeds and
+/// grid -> sparsity pattern and floorplan) plus the control interval
+/// (operator values prototype). Policies, workloads, seeds and
 /// tolerances may differ per lane — but continuously flow-modulating
 /// (fuzzy) scenarios group separately from the rest: a batch iterates
 /// until its slowest lane converges, so coupling ~0-iteration warm-
@@ -98,7 +97,6 @@ bool batchable(const Scenario& s) {
 std::string batch_group_key(const Scenario& s) {
   return scenario_model_key(s) + "|dt=" +
          std::to_string(std::bit_cast<std::uint64_t>(s.sim.control_dt)) +
-         "|k=" + std::to_string(static_cast<int>(s.sim.solver)) +
          "|fz=" + (s.policy == PolicyKind::kLcFuzzy ? "1" : "0");
 }
 
@@ -407,8 +405,11 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
   // The registry publication point: fold one finished session's
   // bespoke counters (SolverStats, warm-start predictor outcomes, step
   // counts) into the uniform obs namespace. Scenario completion, not
-  // the per-step loop, so the warm hot path stays untouched.
-  auto publish_session = [](const SimulationSession& s) {
+  // the per-step loop, so the warm hot path stays untouched. `st` holds
+  // the counters of the solver that stepped the session: its own, or
+  // its lane of the batched solver.
+  auto publish_session = [](const SimulationSession& s,
+                            const sparse::SolverStats& st) {
     if (!obs::metrics_enabled()) return;
     static obs::Counter steps("sweep/steps");
     static obs::Counter solves("solver/solves");
@@ -429,7 +430,6 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
     replay_cycles.add(s.replay_cycles());
     replay_steps.add(s.replay_steps());
     replay_skipped.add(s.replay_solves_skipped());
-    const sparse::SolverStats& st = s.solver_stats();
     solves.add(st.solves);
     iterations.add(st.iterations);
     refactors.add(st.refactors);
@@ -476,7 +476,7 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
     r.replay_cycles = session.replay_cycles();
     r.replay_steps = session.replay_steps();
     r.replay_solves_skipped = session.replay_solves_skipped();
-    publish_session(session);
+    publish_session(session, session.solver_stats());
   };
 
   auto deliver = [&](const SweepResult& r) {
@@ -548,7 +548,9 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
         static obs::Counter compactions("batch/compaction_events");
         compactions.add(batch.compaction_events());
         for (int l = 0; l < lanes; ++l) {
-          if (batch.has_session(l)) publish_session(batch.session(l));
+          if (batch.has_session(l)) {
+            publish_session(batch.session(l), batch.solver_stats(l));
+          }
         }
       }
       const double stepping = seconds_since(t1);

@@ -132,8 +132,8 @@ struct SweepOptions {
   /// them — repeated sweeps over a shared design space then pay setup
   /// only on first touch.
   std::shared_ptr<ScenarioBank> bank;
-  /// Batched lockstep stepping (requires the bank): scenarios that share
-  /// a model/pattern key, control interval and iterative solver kind are
+  /// Batched lockstep stepping (requires the bank): BiCGSTAB+ILU(0)
+  /// scenarios that share a model/pattern key and control interval are
   /// grouped into BatchSession jobs of up to this many lanes, so one
   /// worker advances all of them per matrix traversal
   /// (sim/batch.hpp; per-lane results are bitwise identical to the

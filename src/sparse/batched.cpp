@@ -451,81 +451,8 @@ void batched_residual_norms(const BatchedCsr& a, std::span<const double> x,
 }
 
 // ---------------------------------------------------------------------------
-// Batched preconditioners
+// BatchedIlu0Preconditioner
 // ---------------------------------------------------------------------------
-
-BatchedJacobiPreconditioner::BatchedJacobiPreconditioner(const BatchedCsr& a)
-    : lanes_(a.lanes()), rows_(a.rows()) {
-  inv_diag_.assign(static_cast<std::size_t>(a.rows()) * lanes_, 0.0);
-  cdiag_.assign(inv_diag_.size(), 0.0);  // compaction scratch, preallocated
-  for (int l = 0; l < lanes_; ++l) refactor_lane(l, a);
-}
-
-void BatchedJacobiPreconditioner::compact_lanes(
-    std::span<const int> lanes) const {
-  cwidth_ = static_cast<int>(lanes.size());
-  const double* __restrict src = inv_diag_.data();
-  double* __restrict dst = cdiag_.data();
-  const int L = lanes_;
-  const int W = cwidth_;
-  for (std::int32_t i = 0; i < rows_; ++i) {
-    for (int c = 0; c < W; ++c) {
-      dst[static_cast<std::int64_t>(i) * W + c] =
-          src[static_cast<std::int64_t>(i) * L + lanes[c]];
-    }
-  }
-}
-
-void BatchedJacobiPreconditioner::apply_compacted(const double* r,
-                                                  double* z) const {
-  const double* __restrict ds = cdiag_.data();
-  const std::size_t total =
-      static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cwidth_);
-  for (std::size_t i = 0; i < total; ++i) z[i] = r[i] * ds[i];
-}
-
-void BatchedJacobiPreconditioner::refactor_lane(int lane,
-                                                const BatchedCsr& a) {
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto v = a.values();
-  const int L = lanes_;
-  for (std::int32_t r = 0; r < a.rows(); ++r) {
-    double d = 0.0;
-    for (std::int32_t k = rp[r]; k < rp[r + 1]; ++k) {
-      if (ci[k] == r) d = v[static_cast<std::size_t>(k) * L + lane];
-    }
-    require(d != 0.0, "BatchedJacobiPreconditioner: zero diagonal entry");
-    inv_diag_[static_cast<std::size_t>(r) * L + lane] = 1.0 / d;
-  }
-}
-
-void BatchedJacobiPreconditioner::refactor_rows_lane(
-    int lane, const BatchedCsr& a, std::span<const std::int32_t> rows) {
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto v = a.values();
-  const int L = lanes_;
-  for (const std::int32_t r : rows) {
-    double d = 0.0;
-    for (std::int32_t k = rp[r]; k < rp[r + 1]; ++k) {
-      if (ci[k] == r) d = v[static_cast<std::size_t>(k) * L + lane];
-    }
-    require(d != 0.0, "BatchedJacobiPreconditioner: zero diagonal entry");
-    inv_diag_[static_cast<std::size_t>(r) * L + lane] = 1.0 / d;
-  }
-}
-
-void BatchedJacobiPreconditioner::apply(std::span<const double> r,
-                                        std::span<double> z) const {
-  require(r.size() == inv_diag_.size() && z.size() == inv_diag_.size(),
-          "BatchedJacobiPreconditioner: size mismatch");
-  const double* __restrict rs = r.data();
-  const double* __restrict ds = inv_diag_.data();
-  double* __restrict zs = z.data();
-  const std::size_t total = r.size();
-  for (std::size_t i = 0; i < total; ++i) zs[i] = rs[i] * ds[i];
-}
 
 BatchedIlu0Preconditioner::BatchedIlu0Preconditioner(
     const BatchedCsr& a, const SymbolicStructure* structure)
@@ -600,7 +527,7 @@ int compaction_width(int k) {
 }  // namespace
 
 int batched_bicgstab(const BatchedCsr& a, std::span<const double> b,
-                     std::span<double> x, const BatchedPreconditioner& m,
+                     std::span<double> x, const BatchedIlu0Preconditioner& m,
                      std::span<const double> rel_tolerance,
                      std::int32_t max_iterations,
                      std::span<const std::uint8_t> active,
@@ -906,85 +833,38 @@ int batched_bicgstab(const BatchedCsr& a, std::span<const double> b,
 // BatchedBicgstabSolver
 // ---------------------------------------------------------------------------
 
-BatchedBicgstabSolver::BatchedBicgstabSolver(
-    SolverKind kind, const BatchedCsr& a, const SymbolicStructure* structure)
-    : kind_(kind) {
-  switch (kind) {
-    case SolverKind::kBicgstabIlu0:
-      precond_ = std::make_unique<BatchedIlu0Preconditioner>(a, structure);
-      name_ = "batched-bicgstab+ilu0";
-      break;
-    case SolverKind::kBicgstabJacobi:
-      precond_ = std::make_unique<BatchedJacobiPreconditioner>(a);
-      name_ = "batched-bicgstab+jacobi";
-      break;
-    default:
-      throw InvalidArgument(
-          "BatchedBicgstabSolver: kind must be an iterative BiCGSTAB "
-          "strategy");
-  }
-  const int L = a.lanes();
-  lanes_.resize(static_cast<std::size_t>(L));
-  for (LaneState& st : lanes_) {
-    st.row_dirty.assign(static_cast<std::size_t>(a.rows()), 0);
-  }
-  tol_.assign(static_cast<std::size_t>(L), 1e-12);
+BatchedBicgstabSolver::BatchedBicgstabSolver(const BatchedCsr& a,
+                                             const SymbolicStructure* structure)
+    : precond_(a, structure) {
+  const std::size_t L = static_cast<std::size_t>(a.lanes());
+  refresh_.assign(L, LazyRefresh(a.rows()));
+  stats_.resize(L);
+  tol_.assign(L, 1e-12);
   warm_save_.assign(static_cast<std::size_t>(a.rows()) * L, 0.0);
-  results_.resize(static_cast<std::size_t>(L));
-  retry_.assign(static_cast<std::size_t>(L), 0);
-  ws_.resize(static_cast<std::size_t>(a.rows()), L, a.nnz());
+  results_.resize(L);
+  retry_.assign(L, 0);
+  ws_.resize(static_cast<std::size_t>(a.rows()), a.lanes(), a.nnz());
 }
 
 void BatchedBicgstabSolver::set_refresh_policy(int lane,
                                                const RefreshPolicy& policy) {
-  lanes_[static_cast<std::size_t>(lane)].policy = policy;
+  refresh_[static_cast<std::size_t>(lane)].set_policy(policy);
 }
 
 void BatchedBicgstabSolver::set_tolerance(int lane, double rel_tolerance) {
-  lanes_[static_cast<std::size_t>(lane)].rel_tolerance = rel_tolerance;
   tol_[static_cast<std::size_t>(lane)] = rel_tolerance;
 }
 
 void BatchedBicgstabSolver::refactor_lane_now(int lane, const BatchedCsr& a) {
-  precond_->refactor_lane(lane, a);
-  LaneState& st = lanes_[static_cast<std::size_t>(lane)];
-  ++st.stats.refactors;
-  st.stats.pending_dirty_fraction = 0.0;
-  if (st.dirty_rows > 0) {
-    std::fill(st.row_dirty.begin(), st.row_dirty.end(), std::uint8_t{0});
-    st.dirty_rows = 0;
-  }
-  st.fresh_iterations = -1;  // re-baseline on the next clean solve
+  precond_.refactor_lane(lane, a);
+  const std::size_t l = static_cast<std::size_t>(lane);
+  refresh_[l].refactored(stats_[l]);
 }
 
 void BatchedBicgstabSolver::update_lane_values(int lane, const BatchedCsr& a,
                                                const ValueUpdate& update) {
-  LaneState& st = lanes_[static_cast<std::size_t>(lane)];
-  if (update.rows.empty() && update.dirty_fraction == 0.0) return;
-  if (!st.policy.lazy || update.rows.empty()) {
-    refactor_lane_now(lane, a);
-    return;
-  }
-  if (kind_ == SolverKind::kBicgstabJacobi) {
-    // The inverse diagonal over the dirty rows IS the exact refresh.
-    precond_->refactor_rows_lane(lane, a, update.rows);
-    ++st.stats.partial_refactors;
-    return;
-  }
-  // ILU(0): leave the lane's factors stale and track dirtiness, exactly
-  // like the serial BicgstabSolver.
-  ++st.stats.deferred_updates;
-  for (const std::int32_t r : update.rows) {
-    if (!st.row_dirty[static_cast<std::size_t>(r)]) {
-      st.row_dirty[static_cast<std::size_t>(r)] = 1;
-      ++st.dirty_rows;
-    }
-  }
-  st.stats.pending_dirty_fraction =
-      static_cast<double>(st.dirty_rows) / static_cast<double>(a.rows());
-  if (st.stats.pending_dirty_fraction > st.policy.max_dirty_fraction) {
-    refactor_lane_now(lane, a);
-  }
+  const std::size_t l = static_cast<std::size_t>(lane);
+  if (refresh_[l].update(update, stats_[l])) refactor_lane_now(lane, a);
 }
 
 void BatchedBicgstabSolver::solve(const BatchedCsr& a,
@@ -1003,9 +883,7 @@ void BatchedBicgstabSolver::solve(const BatchedCsr& a,
   // mutates x, possibly to NaN) can be retried cleanly.
   std::uint8_t stale[kMaxBatchLanes] = {};
   for (int l = 0; l < L; ++l) {
-    if (active[l] &&
-        lanes_[static_cast<std::size_t>(l)].stats.pending_dirty_fraction >
-            0.0) {
+    if (active[l] && refresh_[static_cast<std::size_t>(l)].stale()) {
       stale[l] = 1;
       for (std::int32_t i = 0; i < n; ++i) {
         const std::size_t k = static_cast<std::size_t>(i) * L + l;
@@ -1015,7 +893,7 @@ void BatchedBicgstabSolver::solve(const BatchedCsr& a,
   }
 
   compaction_events_ += static_cast<std::uint64_t>(
-      batched_bicgstab(a, b, x, *precond_, tol_, 5000, active, ws_, results_));
+      batched_bicgstab(a, b, x, precond_, tol_, 5000, active, ws_, results_));
 
   // Stale-factor retry, per lane: refresh, restore the warm start, and
   // give the failed lanes one more batched pass together.
@@ -1031,7 +909,7 @@ void BatchedBicgstabSolver::solve(const BatchedCsr& a,
       failed[l] = 1;
       continue;
     }
-    ++lanes_[static_cast<std::size_t>(l)].stats.retries;
+    ++stats_[static_cast<std::size_t>(l)].retries;
     for (std::int32_t i = 0; i < n; ++i) {
       const std::size_t k = static_cast<std::size_t>(i) * L + l;
       x[k] = warm_save_[k];
@@ -1049,7 +927,7 @@ void BatchedBicgstabSolver::solve(const BatchedCsr& a,
     std::copy(x.begin(), x.end(), x_save_.begin());
     std::array<BatchedLaneResult, kMaxBatchLanes> retry_results;
     compaction_events_ += static_cast<std::uint64_t>(batched_bicgstab(
-        a, b, x, *precond_, tol_, 5000, retry_, ws_,
+        a, b, x, precond_, tol_, 5000, retry_, ws_,
         std::span<BatchedLaneResult>(retry_results.data(),
                                      static_cast<std::size_t>(L))));
     for (std::int32_t i = 0; i < n; ++i) {
@@ -1067,30 +945,18 @@ void BatchedBicgstabSolver::solve(const BatchedCsr& a,
 
   for (int l = 0; l < L; ++l) {
     if (!active[l]) continue;
-    LaneState& st = lanes_[static_cast<std::size_t>(l)];
     if (!results_[l].converged) {
       failed[l] = 1;  // serial path: NumericalError
       continue;
     }
-    ++st.stats.solves;
-    st.stats.iterations += static_cast<std::uint64_t>(results_[l].iterations);
-    st.stats.last_iterations = results_[l].iterations;
-    if (st.fresh_iterations < 0 && st.stats.pending_dirty_fraction == 0.0) {
-      st.fresh_iterations = results_[l].iterations;
-    }
-    if (st.stats.pending_dirty_fraction > 0.0) {
-      const double limit =
-          st.policy.max_iteration_growth *
-              std::max(std::int32_t{1}, st.fresh_iterations) +
-          st.policy.iteration_slack;
-      if (static_cast<double>(results_[l].iterations) > limit) {
-        try {
-          refactor_lane_now(l, a);
-        } catch (...) {
-          // The serial path would throw out of solve() here; fail only
-          // this lane (its solution this step was still committed).
-          failed[l] = 1;
-        }
+    const std::size_t s = static_cast<std::size_t>(l);
+    if (refresh_[s].solved(results_[l].iterations, stats_[s])) {
+      try {
+        refactor_lane_now(l, a);
+      } catch (...) {
+        // The serial path would throw out of solve() here; fail only
+        // this lane (its solution this step was still committed).
+        failed[l] = 1;
       }
     }
   }

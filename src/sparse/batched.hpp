@@ -32,7 +32,7 @@
 
 #include "sparse/csr.hpp"
 #include "sparse/refresh.hpp"
-#include "sparse/solver.hpp"
+#include "sparse/structure_cache.hpp"
 
 namespace tac3d::sparse {
 
@@ -138,67 +138,31 @@ void batched_residual_norms(const BatchedCsr& a, std::span<const double> x,
                             std::span<const double> b, std::span<double> r,
                             std::span<double> rr, std::span<double> bb);
 
-/// Preconditioner over lane-interleaved storage. apply() serves all
-/// lanes in one pattern walk; refactoring is per lane so each lane's
-/// refresh timing can mirror an independent serial solver's exactly.
-class BatchedPreconditioner {
- public:
-  virtual ~BatchedPreconditioner() = default;
-  /// z = M^{-1} r for every lane (interleaved vectors).
-  virtual void apply(std::span<const double> r, std::span<double> z) const = 0;
-  /// Rebuild lane \p lane's factors from its values in \p a.
-  virtual void refactor_lane(int lane, const BatchedCsr& a) = 0;
-  /// Refresh only \p rows of lane \p lane (exact for Jacobi; others fall
-  /// back to a full lane refactor).
-  virtual void refactor_rows_lane(int lane, const BatchedCsr& a,
-                                  std::span<const std::int32_t> rows) {
-    (void)rows;
-    refactor_lane(lane, a);
-  }
-  /// Mid-solve lane compaction support: gather the listed lanes' factors
-  /// into an internal view of width lanes.size() so apply_compacted()
-  /// serves only the surviving lanes. const because it only rewrites
-  /// mutable scratch — the factors themselves are untouched.
-  virtual void compact_lanes(std::span<const int> lanes) const = 0;
-  /// z = M^{-1} r over the compacted view built by the last
-  /// compact_lanes() call (interleaved at that width).
-  virtual void apply_compacted(const double* r, double* z) const = 0;
-};
-
-/// Lane-interleaved Jacobi: inverse diagonals, refreshed per lane.
-class BatchedJacobiPreconditioner final : public BatchedPreconditioner {
- public:
-  explicit BatchedJacobiPreconditioner(const BatchedCsr& a);
-  void apply(std::span<const double> r, std::span<double> z) const override;
-  void refactor_lane(int lane, const BatchedCsr& a) override;
-  void refactor_rows_lane(int lane, const BatchedCsr& a,
-                          std::span<const std::int32_t> rows) override;
-  void compact_lanes(std::span<const int> lanes) const override;
-  void apply_compacted(const double* r, double* z) const override;
-
- private:
-  int lanes_;
-  std::int32_t rows_;
-  std::vector<double> inv_diag_;  ///< interleaved [row*lanes + lane]
-  mutable std::vector<double> cdiag_;  ///< compacted-view scratch
-  mutable int cwidth_ = 0;
-};
-
 /// Lane-interleaved ILU(0): factors on the shared pattern, triangular
 /// solves batched across lanes (the row dependencies are within a lane;
 /// lanes are independent, so each row's update runs lane-wide). The
 /// solves walk the pattern's level schedule (ilu_schedule.hpp), so lane
 /// l stays bitwise equal to a scalar Ilu0Preconditioner on its values.
-class BatchedIlu0Preconditioner final : public BatchedPreconditioner {
+/// Refactoring is per lane so each lane's refresh timing can mirror an
+/// independent serial solver's exactly.
+class BatchedIlu0Preconditioner {
  public:
   /// \p structure optionally supplies the shared level schedule (see
   /// StructureCache); without it the pattern is analyzed here.
   explicit BatchedIlu0Preconditioner(
       const BatchedCsr& a, const SymbolicStructure* structure = nullptr);
-  void apply(std::span<const double> r, std::span<double> z) const override;
-  void refactor_lane(int lane, const BatchedCsr& a) override;
-  void compact_lanes(std::span<const int> lanes) const override;
-  void apply_compacted(const double* r, double* z) const override;
+  /// z = M^{-1} r for every lane (interleaved vectors).
+  void apply(std::span<const double> r, std::span<double> z) const;
+  /// Rebuild lane \p lane's factors from its values in \p a.
+  void refactor_lane(int lane, const BatchedCsr& a);
+  /// Mid-solve lane compaction support: gather the listed lanes' factors
+  /// into an internal view of width lanes.size() so apply_compacted()
+  /// serves only the surviving lanes. const because it only rewrites
+  /// mutable scratch — the factors themselves are untouched.
+  void compact_lanes(std::span<const int> lanes) const;
+  /// z = M^{-1} r over the compacted view built by the last
+  /// compact_lanes() call (interleaved at that width).
+  void apply_compacted(const double* r, double* z) const;
 
   /// The level schedule the solves walk.
   const IluSchedule& schedule() const { return *schedule_; }
@@ -234,30 +198,27 @@ class BatchedIlu0Preconditioner final : public BatchedPreconditioner {
 ///
 /// \returns the number of compaction events performed.
 int batched_bicgstab(const BatchedCsr& a, std::span<const double> b,
-                     std::span<double> x, const BatchedPreconditioner& m,
+                     std::span<double> x, const BatchedIlu0Preconditioner& m,
                      std::span<const double> rel_tolerance,
                      std::int32_t max_iterations,
                      std::span<const std::uint8_t> active,
                      BatchedKrylovWorkspace& ws,
                      std::span<BatchedLaneResult> results);
 
-/// The batched counterpart of the BicgstabSolver strategy in solver.cpp:
-/// per-lane RefreshPolicy state (dirty-row tracking, iteration-
-/// degradation triggers, the stale retry) driving one shared batched
-/// solve. Lane l's refresh decisions and solve arithmetic are bitwise
-/// those of an independent serial BicgstabSolver fed the same sequence
-/// of update_values/solve calls.
+/// The batched counterpart of the BiCGSTAB+ILU(0) strategy in
+/// solver.cpp: one LazyRefresh per lane (refresh.hpp) plus the per-lane
+/// stale retry, driving one shared batched solve. Lane l's refresh
+/// decisions and solve arithmetic are bitwise those of an independent
+/// serial solver fed the same sequence of update_values/solve calls.
 class BatchedBicgstabSolver {
  public:
-  /// \p kind selects the preconditioner (kBicgstabIlu0 or
-  /// kBicgstabJacobi; anything else throws). Factors are built from the
-  /// lane values currently loaded in \p a. A non-null \p structure
-  /// (the lanes' shared StructureCache entry) supplies the ILU(0) level
-  /// schedule.
-  BatchedBicgstabSolver(SolverKind kind, const BatchedCsr& a,
-                        const SymbolicStructure* structure = nullptr);
+  /// Factors are built from the lane values currently loaded in \p a. A
+  /// non-null \p structure (the lanes' shared StructureCache entry)
+  /// supplies the ILU(0) level schedule.
+  explicit BatchedBicgstabSolver(const BatchedCsr& a,
+                                 const SymbolicStructure* structure = nullptr);
 
-  int lanes() const { return static_cast<int>(lanes_.size()); }
+  int lanes() const { return static_cast<int>(stats_.size()); }
 
   void set_refresh_policy(int lane, const RefreshPolicy& policy);
   void set_tolerance(int lane, double rel_tolerance);
@@ -275,38 +236,26 @@ class BatchedBicgstabSolver {
              std::span<std::uint8_t> failed);
 
   const SolverStats& lane_stats(int lane) const {
-    return lanes_[static_cast<std::size_t>(lane)].stats;
+    return stats_[static_cast<std::size_t>(lane)];
   }
 
   /// Cumulative mid-solve lane-compaction events across all solves (see
   /// batched_bicgstab) — sweep telemetry.
   std::uint64_t compaction_events() const { return compaction_events_; }
 
-  const char* name() const { return name_; }
-
  private:
-  struct LaneState {
-    RefreshPolicy policy;
-    double rel_tolerance = 1e-12;
-    SolverStats stats;
-    std::vector<std::uint8_t> row_dirty;
-    std::int32_t dirty_rows = 0;
-    std::int32_t fresh_iterations = -1;
-  };
-
   void refactor_lane_now(int lane, const BatchedCsr& a);
 
-  SolverKind kind_;
-  std::unique_ptr<BatchedPreconditioner> precond_;
+  BatchedIlu0Preconditioner precond_;
   BatchedKrylovWorkspace ws_;
-  std::vector<LaneState> lanes_;
+  std::vector<LazyRefresh> refresh_;  ///< per lane
+  std::vector<SolverStats> stats_;    ///< per lane
   std::vector<double> tol_;        ///< per-lane tolerances for the solve
   std::vector<double> warm_save_;  ///< interleaved warm starts (stale retry)
   std::vector<double> x_save_;     ///< batchmates' solutions across a retry
   std::vector<BatchedLaneResult> results_;
   std::vector<std::uint8_t> retry_;
   std::uint64_t compaction_events_ = 0;
-  const char* name_;
 };
 
 }  // namespace tac3d::sparse

@@ -1,19 +1,11 @@
 #include "sparse/preconditioner.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "sparse/structure_cache.hpp"
 
 namespace tac3d::sparse {
 
-void IdentityPreconditioner::apply(std::span<const double> r,
-                                   std::span<double> z) const {
-  std::copy(r.begin(), r.end(), z.begin());
-}
-
-JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a,
-                                           const SymbolicStructure*) {
+JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a) {
   inv_diag_.assign(static_cast<std::size_t>(a.rows()), 0.0);
   refactor(a);
 }
@@ -25,23 +17,6 @@ void JacobiPreconditioner::refactor(const CsrMatrix& a) {
   const auto ci = a.col_idx();
   const auto v = a.values();
   for (std::int32_t r = 0; r < a.rows(); ++r) {
-    double d = 0.0;
-    for (std::int32_t k = rp[r]; k < rp[r + 1]; ++k) {
-      if (ci[k] == r) d = v[k];
-    }
-    require(d != 0.0, "JacobiPreconditioner: zero diagonal entry");
-    inv_diag_[r] = 1.0 / d;
-  }
-}
-
-void JacobiPreconditioner::refactor_rows(const CsrMatrix& a,
-                                         std::span<const std::int32_t> rows) {
-  require(static_cast<std::size_t>(a.rows()) == inv_diag_.size(),
-          "JacobiPreconditioner::refactor_rows: size mismatch");
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto v = a.values();
-  for (const std::int32_t r : rows) {
     double d = 0.0;
     for (std::int32_t k = rp[r]; k < rp[r + 1]; ++k) {
       if (ci[k] == r) d = v[k];

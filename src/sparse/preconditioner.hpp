@@ -2,7 +2,7 @@
 /// \file preconditioner.hpp
 /// \brief Jacobi and ILU(0) preconditioners for the iterative solvers.
 ///
-/// Both mutable preconditioners allocate all storage at construction and
+/// Both preconditioners allocate all storage at construction and
 /// refresh in place via refactor() when the bound matrix's values change
 /// on the same sparsity pattern — the solver hot path never allocates.
 
@@ -24,28 +24,14 @@ class Preconditioner {
   virtual void apply(std::span<const double> r, std::span<double> z) const = 0;
 };
 
-/// Identity preconditioner (no-op).
-class IdentityPreconditioner final : public Preconditioner {
- public:
-  void apply(std::span<const double> r, std::span<double> z) const override;
-};
-
 /// Diagonal (Jacobi) preconditioner.
 class JacobiPreconditioner final : public Preconditioner {
  public:
-  /// \p structure is accepted for interface symmetry with Ilu0 (the
-  /// solver facade constructs either kind the same way); Jacobi needs no
-  /// symbolic analysis.
-  explicit JacobiPreconditioner(const CsrMatrix& a,
-                                const SymbolicStructure* structure = nullptr);
+  explicit JacobiPreconditioner(const CsrMatrix& a);
 
   /// Recompute the inverse diagonal in place for new values on the same
   /// pattern (no allocation).
   void refactor(const CsrMatrix& a);
-
-  /// Recompute only the listed rows of the inverse diagonal — exact and
-  /// O(|rows|), for value updates that touched a known row subset.
-  void refactor_rows(const CsrMatrix& a, std::span<const std::int32_t> rows);
 
   void apply(std::span<const double> r, std::span<double> z) const override;
 
@@ -73,9 +59,9 @@ class Ilu0Preconditioner final : public Preconditioner {
 
   /// The current factor values (schedule slot order). Exposed so the
   /// solver facade can fold possibly-stale factors into a replay
-  /// fingerprint (LinearSolver::fold_replay_state) — unlike Jacobi, the
-  /// ILU(0) factors are deliberately left stale under lazy refresh and
-  /// therefore carry history.
+  /// fingerprint (LinearSolver::fold_replay_state) — the ILU(0) factors
+  /// are deliberately left stale under lazy refresh and therefore carry
+  /// history.
   std::span<const double> factor_values() const { return lu_; }
 
   /// The level schedule the solves walk.

@@ -31,11 +31,9 @@ std::vector<std::vector<std::int32_t>> build_adjacency(const CsrMatrix& a) {
   return adj;
 }
 
-/// BFS restricted to nodes where \p mask is set, returning
-/// (last visited node, eccentricity) from \p start.
+/// BFS returning (last visited node, eccentricity) from \p start.
 std::pair<std::int32_t, std::int32_t> bfs_far(
-    const std::vector<std::vector<std::int32_t>>& adj,
-    const std::vector<char>& mask, std::int32_t start,
+    const std::vector<std::vector<std::int32_t>>& adj, std::int32_t start,
     std::vector<std::int32_t>& depth) {
   std::fill(depth.begin(), depth.end(), -1);
   std::queue<std::int32_t> q;
@@ -47,7 +45,7 @@ std::pair<std::int32_t, std::int32_t> bfs_far(
     q.pop();
     last = u;
     for (std::int32_t v : adj[u]) {
-      if (mask[static_cast<std::size_t>(v)] && depth[v] < 0) {
+      if (depth[v] < 0) {
         depth[v] = depth[u] + 1;
         q.push(v);
       }
@@ -56,22 +54,22 @@ std::pair<std::int32_t, std::int32_t> bfs_far(
   return {last, depth[last]};
 }
 
-/// Reverse Cuthill-McKee over the subgraph induced by \p mask
-/// (multi-component, pseudo-peripheral starts). Appends the ordered
-/// nodes to \p order.
-void rcm_masked(const std::vector<std::vector<std::int32_t>>& adj,
-                const std::vector<char>& mask,
-                std::vector<std::int32_t>& order) {
-  const std::int32_t n = static_cast<std::int32_t>(adj.size());
-  const std::size_t base = order.size();
+}  // namespace
+
+std::vector<std::int32_t> rcm_ordering(const CsrMatrix& a) {
+  require(a.rows() == a.cols(), "rcm_ordering: matrix must be square");
+  const std::int32_t n = a.rows();
+  const auto adj = build_adjacency(a);
+  std::vector<std::int32_t> order;
+  order.reserve(static_cast<std::size_t>(n));
   std::vector<bool> visited(static_cast<std::size_t>(n), false);
   std::vector<std::int32_t> depth(static_cast<std::size_t>(n), -1);
 
   for (std::int32_t seed = 0; seed < n; ++seed) {
-    if (!mask[static_cast<std::size_t>(seed)] || visited[seed]) continue;
+    if (visited[seed]) continue;
     // Pseudo-peripheral start: two BFS sweeps from the component seed.
-    auto [far1, ecc1] = bfs_far(adj, mask, seed, depth);
-    auto [far2, ecc2] = bfs_far(adj, mask, far1, depth);
+    auto [far1, ecc1] = bfs_far(adj, seed, depth);
+    auto [far2, ecc2] = bfs_far(adj, far1, depth);
     (void)far2;
     (void)ecc1;
     (void)ecc2;
@@ -87,7 +85,7 @@ void rcm_masked(const std::vector<std::vector<std::int32_t>>& adj,
       order.push_back(u);
       std::vector<std::int32_t> next;
       for (std::int32_t v : adj[u]) {
-        if (mask[static_cast<std::size_t>(v)] && !visited[v]) {
+        if (!visited[v]) {
           visited[v] = true;
           next.push_back(v);
         }
@@ -101,42 +99,7 @@ void rcm_masked(const std::vector<std::vector<std::int32_t>>& adj,
       for (std::int32_t v : next) q.push(v);
     }
   }
-  std::reverse(order.begin() + static_cast<std::ptrdiff_t>(base),
-               order.end());
-}
-
-}  // namespace
-
-std::vector<std::int32_t> rcm_ordering(const CsrMatrix& a) {
-  require(a.rows() == a.cols(), "rcm_ordering: matrix must be square");
-  const std::int32_t n = a.rows();
-  const auto adj = build_adjacency(a);
-  const std::vector<char> all(static_cast<std::size_t>(n), 1);
-  std::vector<std::int32_t> order;
-  order.reserve(static_cast<std::size_t>(n));
-  rcm_masked(adj, all, order);
-  return order;
-}
-
-std::vector<std::int32_t> rcm_ordering_constrained(
-    const CsrMatrix& a, std::span<const std::int32_t> tail_rows) {
-  require(a.rows() == a.cols(),
-          "rcm_ordering_constrained: matrix must be square");
-  const std::int32_t n = a.rows();
-  std::vector<char> head(static_cast<std::size_t>(n), 1);
-  std::vector<char> tail(static_cast<std::size_t>(n), 0);
-  for (const std::int32_t r : tail_rows) {
-    require(r >= 0 && r < n, "rcm_ordering_constrained: tail row out of range");
-    require(head[static_cast<std::size_t>(r)] == 1,
-            "rcm_ordering_constrained: duplicate tail row");
-    head[static_cast<std::size_t>(r)] = 0;
-    tail[static_cast<std::size_t>(r)] = 1;
-  }
-  const auto adj = build_adjacency(a);
-  std::vector<std::int32_t> order;
-  order.reserve(static_cast<std::size_t>(n));
-  rcm_masked(adj, head, order);
-  rcm_masked(adj, tail, order);
+  std::reverse(order.begin(), order.end());
   return order;
 }
 

@@ -8,7 +8,6 @@
 /// for the thermal simulation loop.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace tac3d::sparse {
@@ -21,25 +20,6 @@ class CsrMatrix;
 /// \returns perm such that perm[new_index] = old_index. Disconnected
 /// components are each ordered from a pseudo-peripheral start node.
 std::vector<std::int32_t> rcm_ordering(const CsrMatrix& a);
-
-/// Tail-constrained RCM: order everything EXCEPT \p tail_rows by RCM on
-/// the remaining subgraph, then append \p tail_rows at the end (RCM-
-/// ordered among themselves for locality within the tail).
-///
-/// Built for flow-aware direct solves: with the flow-dependent
-/// (fluid/advection) rows pinned to the end of the permutation, a
-/// BandedLu partial refactor after a flow update re-eliminates only the
-/// tail block [n - tail, n) instead of restarting near row 0 (plain RCM
-/// scatters fluid rows across the whole ordering). The price is paid in
-/// band width: tail rows couple to wall rows ordered much earlier, so
-/// the band — and with it full-factor cost and storage — grows with the
-/// solid span between cavity walls. Worth it when the tail refresh is
-/// the bottleneck and the stack is small; measured on the paper's
-/// 16x16 2-tier stack the band blow-up loses to per-flow-state factor
-/// caching (see BandedLuSolver), which is the default. \p tail_rows must
-/// be duplicate-free; order within \p tail_rows does not matter.
-std::vector<std::int32_t> rcm_ordering_constrained(
-    const CsrMatrix& a, std::span<const std::int32_t> tail_rows);
 
 /// Bandwidth of \p a under permutation \p perm (perm[new] = old);
 /// the identity permutation is used when perm is empty.

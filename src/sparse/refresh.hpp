@@ -14,14 +14,17 @@
 ///    steers convergence; the solve tolerance still guarantees the
 ///    answer) and refactors only when the iteration count degrades past
 ///    RefreshPolicy::max_iteration_growth or the distinct-dirty-row
-///    fraction exceeds RefreshPolicy::max_dirty_fraction.
-///  - BiCGSTAB+Jacobi refreshes exactly the dirty rows of the inverse
-///    diagonal (exact and O(dirty)).
+///    fraction exceeds RefreshPolicy::max_dirty_fraction. LazyRefresh
+///    below is that decision, shared by the scalar and batched solvers.
 ///  - BandedLu re-eliminates only from the first dirty permuted row
 ///    (exact: LU rows above the first changed row are unaffected).
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <vector>
+
+#include "common/fnv.hpp"
 
 namespace tac3d::sparse {
 
@@ -74,13 +77,94 @@ struct SolverStats {
   std::uint64_t solves = 0;
   std::uint64_t iterations = 0;   ///< cumulative Krylov iterations (0 = direct)
   std::uint64_t refactors = 0;    ///< full factorization/preconditioner rebuilds
-  std::uint64_t partial_refactors = 0;  ///< band-tail / dirty-row refreshes
+  std::uint64_t partial_refactors = 0;  ///< band-tail refreshes
   std::uint64_t deferred_updates = 0;   ///< updates absorbed without refactor
   std::uint64_t factor_cache_hits = 0;  ///< updates served by a cached factor slot
   std::uint64_t retries = 0;  ///< solves redone after a stale-factor failure
   std::int32_t last_iterations = 0;
-  /// Distinct rows dirtied since the last (full) refactor / rows.
-  double pending_dirty_fraction = 0.0;
+};
+
+/// Lazy-refresh state of one set of ILU(0) factors: the distinct rows
+/// dirtied since the factors were last rebuilt, and the iteration count
+/// of the first clean solve after that rebuild. It decides when the
+/// deferred rebuild must fire; the owner rebuilds the factors itself and
+/// reports back through refactored(). The scalar BiCGSTAB+ILU(0) solver
+/// keeps one, BatchedBicgstabSolver one per lane, so a batched lane
+/// refreshes exactly when its serial twin would. Counters go to the
+/// owner's SolverStats.
+class LazyRefresh {
+ public:
+  /// \p rows is the matrix dimension (sizes the dirty-row set; the only
+  /// allocation).
+  explicit LazyRefresh(std::int32_t rows)
+      : row_dirty_(static_cast<std::size_t>(rows), 0) {}
+
+  void set_policy(const RefreshPolicy& policy) { policy_ = policy; }
+
+  /// Record an in-place value update. Returns true when the factors
+  /// must be rebuilt now: an eager policy, unknown rows, or the
+  /// dirty-row fraction passing RefreshPolicy::max_dirty_fraction.
+  bool update(const ValueUpdate& u, SolverStats& stats) {
+    if (u.rows.empty() && u.dirty_fraction == 0.0) return false;
+    if (!policy_.lazy || u.rows.empty()) return true;
+    ++stats.deferred_updates;
+    for (const std::int32_t r : u.rows) {
+      if (!row_dirty_[static_cast<std::size_t>(r)]) {
+        row_dirty_[static_cast<std::size_t>(r)] = 1;
+        ++dirty_rows_;
+      }
+    }
+    return static_cast<double>(dirty_rows_) /
+               static_cast<double>(row_dirty_.size()) >
+           policy_.max_dirty_fraction;
+  }
+
+  /// The owner rebuilt the factors from the current values.
+  void refactored(SolverStats& stats) {
+    ++stats.refactors;
+    if (dirty_rows_ > 0) {
+      std::fill(row_dirty_.begin(), row_dirty_.end(), std::uint8_t{0});
+      dirty_rows_ = 0;
+    }
+    fresh_iterations_ = -1;  // re-baseline on the next clean solve
+  }
+
+  /// Are the factors older than the values? A solve that fails on stale
+  /// factors is worth one retry after a rebuild.
+  bool stale() const { return dirty_rows_ > 0; }
+
+  /// Record a converged solve of \p iterations. Returns true when the
+  /// iteration-degradation trigger fires: the factors are stale and the
+  /// solve took more than RefreshPolicy::max_iteration_growth times the
+  /// fresh baseline plus the slack, so the next stale solve should start
+  /// from rebuilt factors.
+  bool solved(std::int32_t iterations, SolverStats& stats) {
+    ++stats.solves;
+    stats.iterations += static_cast<std::uint64_t>(iterations);
+    stats.last_iterations = iterations;
+    if (!stale()) {
+      if (fresh_iterations_ < 0) fresh_iterations_ = iterations;
+      return false;
+    }
+    const double limit = policy_.max_iteration_growth *
+                             std::max(std::int32_t{1}, fresh_iterations_) +
+                         policy_.iteration_slack;
+    return static_cast<double>(iterations) > limit;
+  }
+
+  /// Fold the state that decides future rebuilds into the FNV-1a
+  /// accumulator \p h (see LinearSolver::fold_replay_state).
+  void fold(std::uint64_t& h) const {
+    h = fnv1a_bytes(h, row_dirty_.data(), row_dirty_.size());
+    h = fnv1a(h, dirty_rows_);
+    h = fnv1a(h, fresh_iterations_);
+  }
+
+ private:
+  RefreshPolicy policy_;
+  std::vector<std::uint8_t> row_dirty_;  ///< distinct rows dirty since refactor
+  std::int32_t dirty_rows_ = 0;
+  std::int32_t fresh_iterations_ = -1;  ///< iterations right after a refactor
 };
 
 }  // namespace tac3d::sparse

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
-#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/fnv.hpp"
 #include "sparse/banded_lu.hpp"
 #include "sparse/iterative.hpp"
 #include "sparse/preconditioner.hpp"
-#include "sparse/rcm.hpp"
 
 namespace tac3d::sparse {
 
@@ -31,13 +29,9 @@ namespace {
 class BandedLuSolver final : public LinearSolver {
  public:
   BandedLuSolver(const CsrMatrix& a,
-                 std::shared_ptr<const SymbolicStructure> structure,
-                 std::span<const std::int32_t> flow_tail_rows)
-      : structure_(flow_tail_rows.empty() ? std::move(structure) : nullptr),
-        lu_(flow_tail_rows.empty()
-                ? BandedLu(a, structure_.get())
-                : BandedLu(a, rcm_ordering_constrained(a, flow_tail_rows))),
-        flow_tail_(!flow_tail_rows.empty()),
+                 std::shared_ptr<const SymbolicStructure> structure)
+      : structure_(std::move(structure)),
+        lu_(a, structure_.get()),
         nnz_(a.nnz()) {
     tracked_mask_.assign(static_cast<std::size_t>(a.rows()), 0);
     tracked_rows_.reserve(static_cast<std::size_t>(a.rows()));
@@ -163,9 +157,7 @@ class BandedLuSolver final : public LinearSolver {
     return true;
   }
 
-  const char* name() const override {
-    return flow_tail_ ? "banded-lu(rcm-flow-tail)" : "banded-lu(rcm)";
-  }
+  const char* name() const override { return "banded-lu(rcm)"; }
 
  private:
   struct Slot {
@@ -202,7 +194,6 @@ class BandedLuSolver final : public LinearSolver {
 
   std::shared_ptr<const SymbolicStructure> structure_;
   BandedLu lu_;  ///< the factorization when the slot cache is disabled
-  bool flow_tail_ = false;
   std::int64_t nnz_ = 0;
   RefreshPolicy policy_;
   std::vector<Slot> slots_;
@@ -213,18 +204,18 @@ class BandedLuSolver final : public LinearSolver {
   std::uint64_t clock_ = 0;
 };
 
-template <typename Precond>
+/// BiCGSTAB preconditioned with ILU(0). The factors refresh lazily
+/// (LazyRefresh): after a flow update they stay stale until the dirty-row
+/// or iteration-degradation trigger fires.
 class BicgstabSolver final : public LinearSolver {
  public:
   BicgstabSolver(const CsrMatrix& a,
-                 std::shared_ptr<const SymbolicStructure> structure,
-                 const char* name)
+                 std::shared_ptr<const SymbolicStructure> structure)
       : a_(&a),
         structure_(std::move(structure)),
         precond_(a, structure_.get()),
-        name_(name) {
+        refresh_(a.rows()) {
     ws_.resize(static_cast<std::size_t>(a.rows()));
-    row_dirty_.assign(static_cast<std::size_t>(a.rows()), 0);
     warm_start_.assign(static_cast<std::size_t>(a.rows()), 0.0);
   }
 
@@ -235,38 +226,14 @@ class BicgstabSolver final : public LinearSolver {
 
   void update_values(const CsrMatrix& a, const ValueUpdate& update) override {
     a_ = &a;
-    if (update.rows.empty() && update.dirty_fraction == 0.0) return;
-    if (!policy_.lazy || update.rows.empty()) {
-      refactor_now(a);
-      return;
-    }
-    if constexpr (std::is_same_v<Precond, JacobiPreconditioner>) {
-      // The inverse diagonal over the dirty rows IS the exact refresh.
-      precond_.refactor_rows(a, update.rows);
-      ++stats_.partial_refactors;
-      return;
-    }
-    // ILU(0): leave the factors stale — the solve tolerance still
-    // guarantees the answer — and track how dirty they have become.
-    ++stats_.deferred_updates;
-    for (const std::int32_t r : update.rows) {
-      if (!row_dirty_[static_cast<std::size_t>(r)]) {
-        row_dirty_[static_cast<std::size_t>(r)] = 1;
-        ++dirty_rows_;
-      }
-    }
-    stats_.pending_dirty_fraction =
-        static_cast<double>(dirty_rows_) / static_cast<double>(a.rows());
-    if (stats_.pending_dirty_fraction > policy_.max_dirty_fraction) {
-      refactor_now(a);
-    }
+    if (refresh_.update(update, stats_)) refactor_now(a);
   }
 
   void solve(std::span<const double> b, std::span<double> x) override {
     IterativeOptions opts;
     opts.rel_tolerance = rel_tolerance_;
     opts.max_iterations = 5000;
-    const bool stale = stats_.pending_dirty_fraction > 0.0;
+    const bool stale = refresh_.stale();
     if (stale) {
       // Keep the caller's warm start so a diverged stale attempt (which
       // mutates x in place, possibly to NaN) can be retried cleanly.
@@ -284,95 +251,57 @@ class BicgstabSolver final : public LinearSolver {
     if (!res.converged) {
       throw NumericalError("BicgstabSolver: failed to converge");
     }
-    ++stats_.solves;
-    stats_.iterations += static_cast<std::uint64_t>(res.iterations);
-    stats_.last_iterations = res.iterations;
-    if (fresh_iterations_ < 0 && stats_.pending_dirty_fraction == 0.0) {
-      fresh_iterations_ = res.iterations;
-    }
-    if (stats_.pending_dirty_fraction > 0.0) {
-      // Iteration-degradation trigger: refresh now so the NEXT stale
-      // solve starts from current factors.
-      const double limit =
-          policy_.max_iteration_growth *
-              std::max(std::int32_t{1}, fresh_iterations_) +
-          policy_.iteration_slack;
-      if (static_cast<double>(res.iterations) > limit) refactor_now(*a_);
-    }
+    // Iteration-degradation trigger: refresh now so the NEXT stale solve
+    // starts from current factors.
+    if (refresh_.solved(res.iterations, stats_)) refactor_now(*a_);
   }
 
   bool uses_initial_guess() const override { return true; }
 
   void set_refresh_policy(const RefreshPolicy& policy) override {
-    policy_ = policy;
+    refresh_.set_policy(policy);
   }
 
   void set_tolerance(double rel_tolerance) override {
     rel_tolerance_ = rel_tolerance;
   }
 
+  // The factors are deliberately stale under lazy refresh, and the
+  // refresh state decides *when* future refactors fire — both feed
+  // future solve() results, so both go into the print.
   bool fold_replay_state(std::uint64_t& h) const override {
-    if constexpr (std::is_same_v<Precond, JacobiPreconditioner>) {
-      // The inverse diagonal is refreshed exactly on every value change,
-      // so a solve is a pure function of the current matrix values plus
-      // (b, x) — nothing history-carrying to fold.
-      (void)h;
-    } else {
-      // ILU(0) factors are deliberately stale under lazy refresh, and
-      // the dirty bookkeeping decides *when* future refactors fire —
-      // both feed future solve() results, so both go into the print.
-      h = fnv1a(h, precond_.factor_values());
-      h = fnv1a_bytes(h, row_dirty_.data(), row_dirty_.size());
-      h = fnv1a(h, dirty_rows_);
-      h = fnv1a(h, fresh_iterations_);
-      h = fnv1a(h, stats_.pending_dirty_fraction);
-    }
+    h = fnv1a(h, precond_.factor_values());
+    refresh_.fold(h);
     return true;
   }
 
-  const char* name() const override { return name_; }
+  const char* name() const override { return "bicgstab+ilu0"; }
 
  private:
   void refactor_now(const CsrMatrix& a) {
     precond_.refactor(a);
-    ++stats_.refactors;
-    stats_.pending_dirty_fraction = 0.0;
-    if (dirty_rows_ > 0) {
-      std::fill(row_dirty_.begin(), row_dirty_.end(), std::uint8_t{0});
-      dirty_rows_ = 0;
-    }
-    fresh_iterations_ = -1;  // re-baseline on the next clean solve
+    refresh_.refactored(stats_);
   }
 
   const CsrMatrix* a_;
   std::shared_ptr<const SymbolicStructure> structure_;
-  Precond precond_;
+  Ilu0Preconditioner precond_;
+  LazyRefresh refresh_;
   KrylovWorkspace ws_;
-  RefreshPolicy policy_;
-  std::vector<std::uint8_t> row_dirty_;  ///< distinct rows dirty since refactor
   std::vector<double> warm_start_;  ///< saved x for the stale-solve retry
-  std::int32_t dirty_rows_ = 0;
-  std::int32_t fresh_iterations_ = -1;  ///< iterations right after a refactor
   double rel_tolerance_ = 1e-12;
-  const char* name_;
 };
 
 }  // namespace
 
 std::unique_ptr<LinearSolver> make_solver(
     SolverKind kind, const CsrMatrix& a,
-    std::shared_ptr<const SymbolicStructure> structure,
-    std::span<const std::int32_t> flow_tail_rows) {
+    std::shared_ptr<const SymbolicStructure> structure) {
   switch (kind) {
     case SolverKind::kBandedLu:
-      return std::make_unique<BandedLuSolver>(a, std::move(structure),
-                                              flow_tail_rows);
+      return std::make_unique<BandedLuSolver>(a, std::move(structure));
     case SolverKind::kBicgstabIlu0:
-      return std::make_unique<BicgstabSolver<Ilu0Preconditioner>>(
-          a, std::move(structure), "bicgstab+ilu0");
-    case SolverKind::kBicgstabJacobi:
-      return std::make_unique<BicgstabSolver<JacobiPreconditioner>>(
-          a, std::move(structure), "bicgstab+jacobi");
+      return std::make_unique<BicgstabSolver>(a, std::move(structure));
   }
   throw InvalidArgument("make_solver: unknown solver kind");
 }

@@ -29,9 +29,8 @@ namespace tac3d::sparse {
 
 /// Solver strategy.
 enum class SolverKind {
-  kBandedLu,        ///< RCM + banded direct LU, cached factorization
-  kBicgstabIlu0,    ///< BiCGSTAB with ILU(0)
-  kBicgstabJacobi,  ///< BiCGSTAB with Jacobi
+  kBandedLu,      ///< RCM + banded direct LU, cached factorization
+  kBicgstabIlu0,  ///< BiCGSTAB with ILU(0)
 };
 
 /// A linear solver bound to one matrix; update_values() refreshes the
@@ -49,8 +48,8 @@ class LinearSolver {
   /// Incremental notification: the bound matrix's values changed only in
   /// \p update.rows. The solver refreshes under its RefreshPolicy —
   /// lazily (iterative: keep stale factors until they hurt), partially
-  /// (Jacobi dirty rows, banded tail re-elimination) or fully. Never
-  /// allocates. The default forwards to the eager update_values(a).
+  /// (banded tail re-elimination) or fully. Never allocates. The default
+  /// forwards to the eager update_values(a).
   virtual void update_values(const CsrMatrix& a, const ValueUpdate& update) {
     (void)update;
     update_values(a);
@@ -105,17 +104,8 @@ class LinearSolver {
 /// Create a solver of the requested kind bound to \p a. A non-null
 /// \p structure (typically from a StructureCache shared across a sweep)
 /// supplies the precomputed symbolic analysis of \p a's pattern.
-///
-/// A non-empty \p flow_tail_rows (duplicate-free, original row indices)
-/// opts kBandedLu into the tail-constrained RCM ordering: the listed
-/// rows are pinned to the end of the permutation so a partial refactor
-/// after a flow update re-eliminates only the tail block. This trades
-/// band width for tail locality (see rcm_ordering_constrained) and
-/// bypasses \p structure's cached permutation; iterative kinds ignore
-/// it.
 std::unique_ptr<LinearSolver> make_solver(
     SolverKind kind, const CsrMatrix& a,
-    std::shared_ptr<const SymbolicStructure> structure = nullptr,
-    std::span<const std::int32_t> flow_tail_rows = {});
+    std::shared_ptr<const SymbolicStructure> structure = nullptr);
 
 }  // namespace tac3d::sparse

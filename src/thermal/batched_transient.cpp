@@ -48,10 +48,9 @@ bool BatchedTransientSolver::compatible(const TransientSolver& a,
 }
 
 BatchedTransientSolver::BatchedTransientSolver(
-    sparse::SolverKind kind, const std::vector<LaneSpec>& lanes)
+    const std::vector<LaneSpec>& lanes)
     : a_(pattern_of(lanes), static_cast<int>(lanes.size())),
-      solver_(kind, load_all_lanes(a_, lanes),
-              lanes.front().solver->structure()) {
+      solver_(load_all_lanes(a_, lanes), lanes.front().solver->structure()) {
   const int L = static_cast<int>(lanes.size());
   lanes_.reserve(lanes.size());
   for (int l = 0; l < L; ++l) {

@@ -9,13 +9,14 @@
 /// lanes' operators into a lane-interleaved sparse::BatchedCsr and
 /// advances all of them per matrix traversal with
 /// sparse::BatchedBicgstabSolver, while every per-lane decision — flow
-/// sync, RHS build, warm-start/predictor selection, refresh policy,
-/// stale retry — runs through the very same TransientSolver::begin_step
-/// / end_step code (and a per-lane mirror of the serial refresh state),
-/// so each lane's trajectory is bitwise identical to stepping it alone.
+/// sync, RHS build, warm-start/predictor selection — runs through the
+/// very same TransientSolver::begin_step / end_step code, and each
+/// lane's refresh decisions through the same sparse::LazyRefresh as the
+/// serial solver, so each lane's trajectory is bitwise identical to
+/// stepping it alone.
 ///
 /// Direct solvers don't batch (no initial guess, factorization per
-/// lane): construction requires an iterative kind; callers fall back to
+/// lane): the lanes solve with BiCGSTAB+ILU(0); callers fall back to
 /// scalar stepping for kBandedLu (see sim::BatchSession).
 
 #include <cstdint>
@@ -38,12 +39,10 @@ class BatchedTransientSolver {
     sparse::RefreshPolicy refresh{};
   };
 
-  /// \p kind must be an iterative BiCGSTAB strategy; every lane's
-  /// operator must share lane 0's sparsity pattern (verified). Lane
-  /// tolerances are taken from each solver's rel_tolerance(). The lanes
-  /// must outlive this driver.
-  BatchedTransientSolver(sparse::SolverKind kind,
-                         const std::vector<LaneSpec>& lanes);
+  /// Every lane's operator must share lane 0's sparsity pattern
+  /// (verified). Lane tolerances are taken from each solver's
+  /// rel_tolerance(). The lanes must outlive this driver.
+  explicit BatchedTransientSolver(const std::vector<LaneSpec>& lanes);
 
   int lanes() const { return static_cast<int>(lanes_.size()); }
 

@@ -27,25 +27,8 @@ TransientSolver::TransientSolver(RcModel& model, double dt,
   const std::span<const double> c = model_.capacitance();
   for (std::int32_t i = 0; i < n; ++i) c_over_dt_[i] = c[i] / dt_;
 
-  std::vector<std::int32_t> flow_tail;
-  if (opts.flow_aware_banded && opts.kind == sparse::SolverKind::kBandedLu &&
-      model_.n_cavities() > 0) {
-    // Fluid rows = union of advection-entry nodes, pinned to the tail of
-    // the banded permutation so flow updates re-eliminate only the tail.
-    std::vector<char> seen(static_cast<std::size_t>(n), 0);
-    for (int cav = 0; cav < model_.n_cavities(); ++cav) {
-      for (const AdvectionEntry& e : model_.advection_entries(cav)) {
-        if (!seen[static_cast<std::size_t>(e.node)]) {
-          seen[static_cast<std::size_t>(e.node)] = 1;
-          flow_tail.push_back(e.node);
-        }
-      }
-    }
-    std::sort(flow_tail.begin(), flow_tail.end());
-  }
   if (opts.cache != nullptr) structure_ = opts.cache->get(op_.matrix());
-  solver_ = sparse::make_solver(opts.kind, op_.matrix(), structure_,
-                                flow_tail);
+  solver_ = sparse::make_solver(opts.kind, op_.matrix(), structure_);
   solver_->set_refresh_policy(opts.refresh);
   rel_tolerance_ = opts.rel_tolerance;
   solver_->set_tolerance(rel_tolerance_);

@@ -77,13 +77,6 @@ class TransientSolver {
     /// O(fluid nnz) cost. Residual-guarded like every other candidate.
     /// Iterative kinds only.
     bool fluid_jump_predictor = true;
-    /// Order the banded direct solver with the fluid/advection rows
-    /// constrained to the tail of the permutation
-    /// (sparse::rcm_ordering_constrained) so flow updates re-eliminate
-    /// only the tail block. Costs band width on tall stacks; the
-    /// factor-slot cache (RefreshPolicy::factor_slots) is usually the
-    /// better lever, so this is opt-in. kBandedLu only.
-    bool flow_aware_banded = false;
   };
 
   /// \param model the RC network (power/flows mutated externally)

@@ -16,12 +16,14 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/bank.hpp"
 #include "sim/batch.hpp"
 #include "sim/sweep.hpp"
 #include "sparse/batched.hpp"
 #include "sparse/iterative.hpp"
 #include "sparse/preconditioner.hpp"
+#include "thermal/batched_transient.hpp"
 
 namespace tac3d::sim {
 namespace {
@@ -110,12 +112,11 @@ TEST_P(BatchParityTest, LanesMatchScalarPathBitwise) {
   std::vector<PreparedScenario> prepared;
   for (const Scenario& s : lanes) prepared.push_back(bank.prepare(s));
   BatchSession batch(std::move(prepared));
-  // Iterative kinds batch the thermal solves; the direct solver falls
-  // back to scalar lockstep — and must be just as invisible. These
-  // lanes share the floorplan, so a thermal batch also fuses its tail.
+  // BiCGSTAB+ILU(0) batches the thermal solves and fuses the tail; the
+  // direct solver falls back to scalar lockstep — and must be just as
+  // invisible.
   EXPECT_EQ(batch.thermal_batched(),
             kind != sparse::SolverKind::kBandedLu);
-  EXPECT_EQ(batch.tail_fused(), batch.thermal_batched());
   batch.run_to_end();
   EXPECT_TRUE(batch.done());
 
@@ -129,7 +130,6 @@ TEST_P(BatchParityTest, LanesMatchScalarPathBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     AllSolverKinds, BatchParityTest,
     ::testing::Values(sparse::SolverKind::kBicgstabIlu0,
-                      sparse::SolverKind::kBicgstabJacobi,
                       sparse::SolverKind::kBandedLu));
 
 TEST(BatchSession, SingleLaneFallsBackToScalar) {
@@ -167,6 +167,54 @@ TEST(BatchSession, WiderThanKernelCapFallsBackToScalar) {
   }
 }
 
+/// \p s materialized without the bank on a paper chip whose cores have
+/// \p core_scale times the paper's area: the same stack and grid, hence
+/// the same matrix pattern, but a different floorplan.
+PreparedScenario on_scaled_chip(const Scenario& s, double core_scale) {
+  arch::NiagaraConfig chip = arch::NiagaraConfig::paper();
+  chip.core_area *= core_scale;
+  PreparedScenario p;
+  p.spec = s;
+  p.soc = std::make_unique<arch::Mpsoc3D>(arch::Mpsoc3D::Options{
+      s.tiers, s.effective_cooling(), s.grid, chip});
+  p.trace = power::shared_workload(s.workload, chip.hardware_threads(),
+                                   s.trace_seconds, s.seed);
+  p.policy = make_policy(s.policy, *p.soc, s.sim.pump);
+  p.sim = s.sim;
+  return p;
+}
+
+TEST(BatchSession, MismatchedFloorplansFallBackToScalar) {
+  // The fused tail walks one shared element -> cell geometry, so lanes
+  // whose floorplans differ must not batch even when their matrices
+  // share the pattern: scalar lockstep, each lane its own scalar run.
+  const std::vector<Scenario> lanes = {
+      lane_scenario(PolicyKind::kLcFuzzy, power::WorkloadKind::kWebServer, 1),
+      lane_scenario(PolicyKind::kLcLb, power::WorkloadKind::kDatabase, 2),
+  };
+  const double core_scale[] = {1.0, 0.9};
+  std::vector<LaneReference> refs;
+  std::vector<PreparedScenario> prepared;
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    PreparedScenario p = on_scaled_chip(lanes[l], core_scale[l]);
+    SimulationSession session = p.session();
+    session.run_to_end();
+    const auto t = session.temperatures();
+    refs.push_back({session.metrics(), {t.begin(), t.end()}});
+    prepared.push_back(on_scaled_chip(lanes[l], core_scale[l]));
+  }
+  BatchSession batch(std::move(prepared));
+  ASSERT_TRUE(thermal::BatchedTransientSolver::compatible(
+      batch.session(0).thermal_solver(), batch.session(1).thermal_solver()))
+      << "the lanes must share the matrix pattern";
+  EXPECT_FALSE(batch.thermal_batched());
+  batch.run_to_end();
+  for (int l = 0; l < batch.lanes(); ++l) {
+    expect_lane_matches(batch, l, refs[static_cast<std::size_t>(l)],
+                        "floorplan lane " + std::to_string(l));
+  }
+}
+
 /// Forwards to the real policy until a trigger step, then throws —
 /// injected into one lane to prove batch isolation.
 class ThrowAfterPolicy final : public control::ThermalPolicy {
@@ -201,10 +249,9 @@ TEST(BatchSession, ThrowingLaneLeavesOtherLanesIntact) {
   prepared[1].policy =
       std::make_unique<ThrowAfterPolicy>(std::move(prepared[1].policy), 5);
   BatchSession batch(std::move(prepared));
-  EXPECT_TRUE(batch.thermal_batched());
   // The wrapped lane is not a FuzzyFlowDvfsPolicy, so it decides on the
-  // per-lane path inside the fused tail — fusion itself stays on.
-  EXPECT_TRUE(batch.tail_fused());
+  // per-lane path inside the fused tail — batching itself stays on.
+  EXPECT_TRUE(batch.thermal_batched());
   batch.run_to_end();
   EXPECT_TRUE(batch.done());
 
@@ -236,7 +283,6 @@ TEST(BatchSession, AirCooledLanesFuseTailAndMatchScalar) {
   for (const Scenario& s : lanes) prepared.push_back(bank.prepare(s));
   BatchSession batch(std::move(prepared));
   EXPECT_TRUE(batch.thermal_batched());
-  EXPECT_TRUE(batch.tail_fused());
   batch.run_to_end();
   for (int l = 0; l < batch.lanes(); ++l) {
     expect_lane_matches(batch, l, refs[static_cast<std::size_t>(l)],
@@ -265,7 +311,6 @@ TEST(BatchSession, AllFuzzyBatchSharesInferenceBitwise) {
   for (const Scenario& s : lanes) prepared.push_back(bank.prepare(s));
   BatchSession batch(std::move(prepared));
   EXPECT_TRUE(batch.thermal_batched());
-  EXPECT_TRUE(batch.tail_fused());
   batch.run_to_end();
   for (int l = 0; l < batch.lanes(); ++l) {
     expect_lane_matches(batch, l, refs[static_cast<std::size_t>(l)],
@@ -377,9 +422,9 @@ TEST(BatchedCompaction, CacheBlockedWidth16MatchesSerial) {
 }
 
 TEST(SweepBatching, BatchedSweepIsBitwiseIdenticalToScalarSweep) {
-  // A design-space slice with two batchable groups (ilu0 + jacobi), a
-  // direct-solver scenario (grouping must fall it back to scalar), and
-  // group sizes that don't divide the batch width evenly.
+  // A design-space slice with two batchable groups (two control
+  // intervals), a direct-solver scenario (grouping must fall it back to
+  // scalar), and group sizes that don't divide the batch width evenly.
   std::vector<Scenario> scenarios;
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     scenarios.push_back(lane_scenario(PolicyKind::kLcFuzzy,
@@ -387,7 +432,7 @@ TEST(SweepBatching, BatchedSweepIsBitwiseIdenticalToScalarSweep) {
     scenarios.push_back(lane_scenario(PolicyKind::kLcLb,
                                       power::WorkloadKind::kWebServer, seed));
   }
-  scenarios[4].sim.solver = sparse::SolverKind::kBicgstabJacobi;
+  scenarios[4].sim.control_dt = 0.5;
   scenarios[5].sim.solver = sparse::SolverKind::kBandedLu;
 
   SweepOptions off;
@@ -429,6 +474,56 @@ TEST(SweepBatching, BatchedSweepIsBitwiseIdenticalToScalarSweep) {
     widest = std::max(widest, batched.at(i).batch_lanes);
   }
   EXPECT_EQ(widest, 2);
+}
+
+TEST(SweepBatching, BatchedLanesPublishTheirSolverCounters) {
+  // A batched lane solves in the shared batched solver, not in its
+  // session's own: the sweep must publish that lane's counters, so the
+  // solver/* totals do not depend on the batch width. The tight
+  // iteration-growth bound makes stale factors refresh between deferred
+  // updates, so every refresh counter moves.
+  std::vector<Scenario> scenarios;
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    scenarios.push_back(lane_scenario(PolicyKind::kLcFuzzy,
+                                      power::WorkloadKind::kWebServer, seed));
+    scenarios.push_back(lane_scenario(PolicyKind::kLcLb,
+                                      power::WorkloadKind::kWebServer, seed));
+  }
+  sparse::RefreshPolicy tight;
+  tight.max_iteration_growth = 1.0;
+  tight.iteration_slack = 0;
+
+  const char* const names[] = {"solver/solves", "solver/iterations",
+                               "solver/refactors", "solver/deferred_updates",
+                               "solver/retries"};
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const auto solver_counters = [&](int batch_width) {
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.batch_width = batch_width;
+    opts.refresh = tight;
+    const obs::Snapshot before = obs::snapshot();
+    const SweepReport report = run_sweep(scenarios, opts);
+    EXPECT_TRUE(report.all_ok());
+    const obs::Snapshot delta = obs::snapshot().since(before);
+    std::vector<std::uint64_t> out;
+    for (const char* name : names) {
+      const auto it = delta.counters.find(name);
+      out.push_back(it != delta.counters.end() ? it->second : 0);
+    }
+    return out;
+  };
+  const std::vector<std::uint64_t> scalar = solver_counters(1);
+  const std::vector<std::uint64_t> batched = solver_counters(3);
+  obs::set_metrics_enabled(metrics_were_on);
+
+  for (std::size_t i = 0; i < scalar.size(); ++i) {
+    EXPECT_EQ(batched[i], scalar[i]) << names[i];
+  }
+  EXPECT_GT(scalar[0], 0u);  // solves
+  EXPECT_GT(scalar[2], 0u);  // refactors
+  EXPECT_GT(scalar[3], 0u);  // deferred updates
 }
 
 }  // namespace

@@ -221,8 +221,7 @@ TEST_P(ReplayParityTest, RunUntilMidIntervalAndMidCycleResumesBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     AllSolverKinds, ReplayParityTest,
     ::testing::Values(sparse::SolverKind::kBandedLu,
-                      sparse::SolverKind::kBicgstabIlu0,
-                      sparse::SolverKind::kBicgstabJacobi));
+                      sparse::SolverKind::kBicgstabIlu0));
 
 // --- iterative solvers on a true fixed point -------------------------------
 
@@ -270,8 +269,7 @@ TEST_P(ConstantTraceReplayTest, IterativeSolversLockOnFixedPoint) {
 INSTANTIATE_TEST_SUITE_P(
     AllSolverKinds, ConstantTraceReplayTest,
     ::testing::Values(sparse::SolverKind::kBandedLu,
-                      sparse::SolverKind::kBicgstabIlu0,
-                      sparse::SolverKind::kBicgstabJacobi));
+                      sparse::SolverKind::kBicgstabIlu0));
 
 // --- batched lanes ---------------------------------------------------------
 

@@ -58,8 +58,7 @@ std::pair<SimMetrics, std::vector<double>> run_session(
 
 TEST(ScenarioBank, PreparedSessionsMatchFromScratchAcrossSolverKinds) {
   for (const sparse::SolverKind kind :
-       {sparse::SolverKind::kBicgstabIlu0, sparse::SolverKind::kBicgstabJacobi,
-        sparse::SolverKind::kBandedLu}) {
+       {sparse::SolverKind::kBicgstabIlu0, sparse::SolverKind::kBandedLu}) {
     for (const PolicyKind policy :
          {PolicyKind::kLcFuzzy, PolicyKind::kAcTdvfsLb}) {
       Scenario spec = quick_scenario(2, policy);

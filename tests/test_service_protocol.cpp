@@ -407,24 +407,36 @@ TEST(ServiceProtocol, OutOfRangeEnumsAreBadValue) {
   msg.scenario = sample_scenario();
   const std::vector<std::uint8_t> good = payload_of(msg);
 
-  // Find the policy byte by differential encoding: flip the scenario's
-  // policy and diff the payloads.
+  // Find an enum's byte by differential encoding: change one scenario
+  // field and diff the payloads.
+  const auto byte_of = [&](const WhatIfMsg& other) {
+    const std::vector<std::uint8_t> alt = payload_of(other);
+    EXPECT_EQ(good.size(), alt.size());
+    for (std::size_t i = 0; i < good.size() && i < alt.size(); ++i) {
+      if (good[i] != alt[i]) return i;
+    }
+    return good.size();
+  };
+
   WhatIfMsg other = msg;
   other.scenario.policy = sim::PolicyKind::kAcLb;
-  const std::vector<std::uint8_t> alt = payload_of(other);
-  ASSERT_EQ(good.size(), alt.size());
-  std::size_t policy_at = good.size();
-  for (std::size_t i = 0; i < good.size(); ++i) {
-    if (good[i] != alt[i]) {
-      policy_at = i;
-      break;
-    }
-  }
+  const std::size_t policy_at = byte_of(other);
   ASSERT_LT(policy_at, good.size());
-
   std::vector<std::uint8_t> evil = good;
   evil[policy_at] = 200;  // far past the last PolicyKind
-  const Decoded d = decode(evil);
+  Decoded d = decode(evil);
+  EXPECT_EQ(d.error, DecodeError::kBadValue) << d.detail;
+
+  // Solver kinds are 0 (banded LU) and 1 (BiCGSTAB+ILU(0)); 2 is past
+  // the last one.
+  other = msg;
+  other.scenario.sim.solver = sparse::SolverKind::kBandedLu;
+  const std::size_t solver_at = byte_of(other);
+  ASSERT_LT(solver_at, good.size());
+  ASSERT_EQ(good[solver_at], 1);
+  evil = good;
+  evil[solver_at] = 2;
+  d = decode(evil);
   EXPECT_EQ(d.error, DecodeError::kBadValue) << d.detail;
 }
 

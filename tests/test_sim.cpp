@@ -90,9 +90,9 @@ TEST(Metrics, EmptyMetricsAreZero) {
 
 // --- closed-loop engine ---------------------------------------------------
 
-ExperimentSpec quick_spec(int tiers, PolicyKind policy,
-                          power::WorkloadKind workload) {
-  ExperimentSpec spec;
+Scenario quick_spec(int tiers, PolicyKind policy,
+                    power::WorkloadKind workload) {
+  Scenario spec;
   spec.tiers = tiers;
   spec.policy = policy;
   spec.workload = workload;
@@ -103,8 +103,8 @@ ExperimentSpec quick_spec(int tiers, PolicyKind policy,
 }
 
 TEST(Engine, MetricsAreConsistent) {
-  const auto m = run_experiment(quick_spec(2, PolicyKind::kLcFuzzy,
-                                           power::WorkloadKind::kWebServer));
+  const auto m = run_scenario(quick_spec(2, PolicyKind::kLcFuzzy,
+                                         power::WorkloadKind::kWebServer));
   EXPECT_NEAR(m.duration, 39.0, 1.5);
   EXPECT_GT(m.chip_energy, 0.0);
   EXPECT_GT(m.pump_energy, 0.0);
@@ -115,34 +115,34 @@ TEST(Engine, MetricsAreConsistent) {
 }
 
 TEST(Engine, AirCooledRunsHaveNoPumpEnergy) {
-  const auto m = run_experiment(quick_spec(2, PolicyKind::kAcLb,
-                                           power::WorkloadKind::kWebServer));
+  const auto m = run_scenario(quick_spec(2, PolicyKind::kAcLb,
+                                         power::WorkloadKind::kWebServer));
   EXPECT_DOUBLE_EQ(m.pump_energy, 0.0);
   EXPECT_DOUBLE_EQ(m.avg_flow_fraction, 0.0);
 }
 
 TEST(Engine, LiquidCoolingIsColderThanAir) {
-  const auto ac = run_experiment(quick_spec(2, PolicyKind::kAcLb,
-                                            power::WorkloadKind::kDatabase));
-  const auto lc = run_experiment(quick_spec(2, PolicyKind::kLcLb,
-                                            power::WorkloadKind::kDatabase));
+  const auto ac = run_scenario(quick_spec(2, PolicyKind::kAcLb,
+                                          power::WorkloadKind::kDatabase));
+  const auto lc = run_scenario(quick_spec(2, PolicyKind::kLcLb,
+                                          power::WorkloadKind::kDatabase));
   EXPECT_LT(lc.peak_temp, ac.peak_temp - 10.0);
   EXPECT_DOUBLE_EQ(lc.hotspot_frac_any(), 0.0);
 }
 
 TEST(Engine, FuzzySavesPumpEnergyVersusMaxFlow) {
-  const auto lb = run_experiment(quick_spec(2, PolicyKind::kLcLb,
-                                            power::WorkloadKind::kWebServer));
-  const auto fz = run_experiment(quick_spec(2, PolicyKind::kLcFuzzy,
-                                            power::WorkloadKind::kWebServer));
+  const auto lb = run_scenario(quick_spec(2, PolicyKind::kLcLb,
+                                          power::WorkloadKind::kWebServer));
+  const auto fz = run_scenario(quick_spec(2, PolicyKind::kLcFuzzy,
+                                          power::WorkloadKind::kWebServer));
   EXPECT_LT(fz.pump_energy, 0.85 * lb.pump_energy);
   EXPECT_LT(fz.peak_temp, celsius_to_kelvin(85.0));  // threshold held
   EXPECT_LT(fz.perf_degradation(), 1e-4);            // < 0.01%
 }
 
 TEST(Engine, MaxFlowPolicyKeepsPumpAtMaximum) {
-  const auto m = run_experiment(quick_spec(4, PolicyKind::kLcLb,
-                                           power::WorkloadKind::kMixed));
+  const auto m = run_scenario(quick_spec(4, PolicyKind::kLcLb,
+                                         power::WorkloadKind::kMixed));
   EXPECT_NEAR(m.avg_flow_fraction, 1.0, 1e-9);
 }
 
@@ -167,10 +167,10 @@ TEST(Experiment, LabelsAndCoolingMapping) {
 }
 
 TEST(Experiment, DeterministicForSameSeed) {
-  const auto a = run_experiment(quick_spec(2, PolicyKind::kLcFuzzy,
-                                           power::WorkloadKind::kMixed));
-  const auto b = run_experiment(quick_spec(2, PolicyKind::kLcFuzzy,
-                                           power::WorkloadKind::kMixed));
+  const auto a = run_scenario(quick_spec(2, PolicyKind::kLcFuzzy,
+                                         power::WorkloadKind::kMixed));
+  const auto b = run_scenario(quick_spec(2, PolicyKind::kLcFuzzy,
+                                         power::WorkloadKind::kMixed));
   EXPECT_DOUBLE_EQ(a.chip_energy, b.chip_energy);
   EXPECT_DOUBLE_EQ(a.peak_temp, b.peak_temp);
   EXPECT_EQ(a.migrations, b.migrations);

@@ -23,8 +23,7 @@ namespace tac3d::sparse {
 namespace {
 
 constexpr SolverKind kAllKinds[] = {SolverKind::kBandedLu,
-                                    SolverKind::kBicgstabIlu0,
-                                    SolverKind::kBicgstabJacobi};
+                                    SolverKind::kBicgstabIlu0};
 
 /// Random strictly diagonally dominant matrix; symmetric (hence SPD)
 /// when requested, asymmetric otherwise (mimicking advection).

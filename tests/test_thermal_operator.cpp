@@ -26,7 +26,6 @@
 #include "microchannel/modulation.hpp"
 #include "microchannel/pump.hpp"
 #include "sparse/banded_lu.hpp"
-#include "sparse/rcm.hpp"
 #include "thermal/operator.hpp"
 #include "thermal/transient.hpp"
 
@@ -160,95 +159,6 @@ TEST(BandedLuPartial, DeepRestartBitwiseOnSyntheticBand) {
   EXPECT_EQ(max_abs_diff(x_partial, x_full), 0.0);
 }
 
-// Flow-aware banded ordering (sparse::rcm_ordering_constrained): with
-// the fluid/advection rows pinned to the tail of the permutation, a flow
-// change's dirty rows all land in the tail block, so factor_rows
-// re-eliminates only that tail — and must still be bitwise identical to
-// a full refactor.
-TEST(BandedLuPartial, FluidTailOrderingRefactorsOnlyTheTail) {
-  auto pump = microchannel::PumpModel::table1();
-  auto soc = make_soc(8, 8);
-  load_power(soc);
-  soc.model().set_all_flows(pump.q_max());
-  thermal::ThermalOperator op(soc.model(), 0.1);
-
-  // Every advection-touched node, deduplicated: the tail constraint.
-  std::vector<std::int32_t> fluid_rows;
-  {
-    std::vector<char> seen(static_cast<std::size_t>(op.matrix().rows()), 0);
-    for (int cav = 0; cav < soc.model().n_cavities(); ++cav) {
-      for (const auto& e : soc.model().advection_entries(cav)) {
-        if (!seen[static_cast<std::size_t>(e.node)]) {
-          seen[static_cast<std::size_t>(e.node)] = 1;
-          fluid_rows.push_back(e.node);
-        }
-      }
-    }
-  }
-  ASSERT_FALSE(fluid_rows.empty());
-
-  const std::vector<std::int32_t> order =
-      sparse::rcm_ordering_constrained(op.matrix(), fluid_rows);
-  sparse::BandedLu partial(op.matrix(), order);
-
-  // Every fluid row sits in the tail block [n - n_fluid, n).
-  const std::int32_t n = op.matrix().rows();
-  const std::int32_t tail_start =
-      n - static_cast<std::int32_t>(fluid_rows.size());
-  EXPECT_EQ(partial.first_permuted_row(fluid_rows), tail_start);
-
-  soc.model().set_all_flows(pump.flow_per_cavity(4));
-  const sparse::ValueUpdate upd = op.update_flow();
-  ASSERT_FALSE(upd.rows.empty());
-  // The whole point of the constrained ordering: the dirty rows of a
-  // flow update start no earlier than the fluid tail, so the partial
-  // re-elimination touches only |fluid| rows, not ~all of them.
-  EXPECT_GE(partial.first_permuted_row(upd.rows), tail_start);
-
-  partial.factor_rows(op.matrix(), upd.rows);
-  sparse::BandedLu full(op.matrix(), order);
-  std::vector<double> b(static_cast<std::size_t>(n));
-  for (std::int32_t i = 0; i < n; ++i) b[i] = 1.0 + 0.01 * i;
-  std::vector<double> x_partial(b.size()), x_full(b.size());
-  partial.solve(b, x_partial);
-  full.solve(b, x_full);
-  EXPECT_EQ(max_abs_diff(x_partial, x_full), 0.0);
-}
-
-// The TransientSolver plumbing of the same lever: a flow-aware banded
-// solver must step to the same temperatures as the default-ordered one
-// (both direct solves — agreement to rounding, not bitwise, since the
-// elimination order differs).
-TEST(BandedLuPartial, FlowAwareBandedSteppingMatchesDefaultOrdering) {
-  auto pump = microchannel::PumpModel::table1();
-  auto soc_a = make_soc(8, 8);
-  auto soc_b = make_soc(8, 8);
-  for (auto* soc : {&soc_a, &soc_b}) {
-    load_power(*soc);
-    soc->model().set_all_flows(pump.q_max());
-  }
-
-  thermal::TransientSolver::Options base;
-  base.kind = sparse::SolverKind::kBandedLu;
-  thermal::TransientSolver::Options tail = base;
-  tail.flow_aware_banded = true;
-
-  thermal::TransientSolver ref(soc_a.model(), 0.1, base);
-  thermal::TransientSolver fat(soc_b.model(), 0.1, tail);
-  ref.initialize_steady();
-  fat.set_state({ref.temperatures().begin(), ref.temperatures().end()});
-
-  for (int step = 0; step < 12; ++step) {
-    const int level = step % pump.levels();
-    soc_a.model().set_all_flows(pump.flow_per_cavity(level));
-    soc_b.model().set_all_flows(pump.flow_per_cavity(level));
-    ref.step();
-    fat.step();
-    EXPECT_LT(max_abs_diff(ref.temperatures(), fat.temperatures()), 1e-8)
-        << "step " << step;
-  }
-}
-
 // The staleness-policy correctness requirement: lazy refresh must agree
 // with always-refactor stepping to 1e-8 over a full modulation sweep,
 // for every solver kind.
@@ -298,8 +208,7 @@ TEST_P(StalenessPolicyTest, LazyPolicyActuallyDefersRefactors) {
   }
   const sparse::SolverStats& stats = sim.solver_stats();
   // Every step changed the flow; the whole point is refactoring (much)
-  // less than once per change. Partial row refreshes (Jacobi) are exact
-  // and allowed.
+  // less than once per change.
   EXPECT_LT(stats.refactors, static_cast<std::uint64_t>(flow_steps) / 2)
       << "lazy policy refactored almost every flow change";
 }
@@ -307,8 +216,7 @@ TEST_P(StalenessPolicyTest, LazyPolicyActuallyDefersRefactors) {
 INSTANTIATE_TEST_SUITE_P(
     AllSolverKinds, StalenessPolicyTest,
     ::testing::Values(sparse::SolverKind::kBandedLu,
-                      sparse::SolverKind::kBicgstabIlu0,
-                      sparse::SolverKind::kBicgstabJacobi));
+                      sparse::SolverKind::kBicgstabIlu0));
 
 TEST(FlowTransitionPredictor, DoesNotChangeResultsBeyondTolerance) {
   auto pump = microchannel::PumpModel::table1();

@@ -154,8 +154,7 @@ TEST(RcModel, ReusedSteadySolverIsBitwiseAFreshOne) {
   RcModel model(cavity_spec(), GridOptions{12, 8});
   model.set_all_flows(ml_per_min(20.0));
   for (const sparse::SolverKind kind :
-       {sparse::SolverKind::kBicgstabIlu0, sparse::SolverKind::kBicgstabJacobi,
-        sparse::SolverKind::kBandedLu}) {
+       {sparse::SolverKind::kBicgstabIlu0, sparse::SolverKind::kBandedLu}) {
     const auto solver = model.steady_solver(kind);
     for (const double watts : {10.0, 35.0, 5.0}) {
       model.set_element_power(0, watts);

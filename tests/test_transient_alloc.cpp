@@ -145,8 +145,7 @@ TEST_P(TransientAllocTest, StepIsAllocationFreeAcrossFlowChanges) {
 INSTANTIATE_TEST_SUITE_P(
     AllSolverKinds, TransientAllocTest,
     ::testing::Values(sparse::SolverKind::kBandedLu,
-                      sparse::SolverKind::kBicgstabIlu0,
-                      sparse::SolverKind::kBicgstabJacobi));
+                      sparse::SolverKind::kBicgstabIlu0));
 
 TEST(ThermalOperatorAlloc, UpdateFlowIsAllocationFree) {
 #if !TAC3D_ALLOC_HOOK
@@ -211,7 +210,6 @@ TEST(SessionAlloc, BatchedFusedTailIsAllocationFree) {
   }
   sim::BatchSession batch(std::move(prepared));
   ASSERT_TRUE(batch.thermal_batched());
-  ASSERT_TRUE(batch.tail_fused());
   for (int i = 0; i < 3; ++i) batch.step();  // settle lazy first-use work
 
   AllocCounter::start();
