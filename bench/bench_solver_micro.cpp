@@ -1,8 +1,10 @@
 // Micro-benchmarks of the sparse kernels underlying the RC thermal
-// solver: SpMV, ILU(0) refactorization and apply (scalar and batched),
-// preconditioned BiCGSTAB and banded LU, swept over grid sizes (the
-// matrices are real RC systems assembled from the liquid-cooled stack).
+// solver: SpMV (CSR and sliced-ELL, against an L2-resident triad as the
+// bandwidth reference), ILU(0) refactorization and apply (scalar and
+// batched), preconditioned BiCGSTAB and banded LU, swept over grid sizes
+// (the matrices are real RC systems assembled from the paper's stacks).
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cmath>
@@ -14,18 +16,25 @@
 #include "sparse/banded_lu.hpp"
 #include "sparse/batched.hpp"
 #include "sparse/iterative.hpp"
+#include "sparse/kernels.hpp"
 #include "sparse/preconditioner.hpp"
+#include "sparse/sliced.hpp"
 
 namespace {
 
 using namespace tac3d;
 
-/// Backward-Euler RC matrix of a liquid-cooled stack at grid n x n.
-sparse::CsrMatrix rc_matrix(int n, int tiers = 2) {
-  arch::Mpsoc3D soc(arch::Mpsoc3D::Options{
-      tiers, arch::CoolingKind::kLiquidCooled, thermal::GridOptions{n, n},
-      arch::NiagaraConfig::paper()});
-  soc.model().set_all_flows(microchannel::PumpModel::table1().q_max());
+/// Backward-Euler RC matrix of a stack (liquid-cooled unless asked
+/// otherwise) at grid n x n.
+sparse::CsrMatrix rc_matrix(
+    int n, int tiers = 2,
+    arch::CoolingKind cooling = arch::CoolingKind::kLiquidCooled) {
+  arch::Mpsoc3D soc(arch::Mpsoc3D::Options{tiers, cooling,
+                                           thermal::GridOptions{n, n},
+                                           arch::NiagaraConfig::paper()});
+  if (cooling == arch::CoolingKind::kLiquidCooled) {
+    soc.model().set_all_flows(microchannel::PumpModel::table1().q_max());
+  }
   // Backward-Euler system: G + C/dt.
   sparse::CsrMatrix a = soc.model().conductance();
   const auto c = soc.model().capacitance();
@@ -45,6 +54,87 @@ void BM_SpMV(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * a.nnz());
 }
 BENCHMARK(BM_SpMV)->Arg(8)->Arg(16)->Arg(24)->Arg(32);
+
+/// The Krylov SpMV + dot (spmv_dot) on the paper's 16x16 operators, CSR
+/// against the sliced-ELL copy the solver runs; arguments: sliced (0 =
+/// CSR), tiers, air (1 = air-cooled, whose heat-sink row is a long row).
+/// ns_per_nnz divides by the CSR nonzeros for both layouts;
+/// bytes_per_apply is computed from the array sizes (each array once:
+/// values, column indices, row or slice pointers, x and w read, y
+/// written), padding included for the sliced layout; padding is the
+/// sliced layout's extra slots per nonzero.
+void BM_SpmvDot(benchmark::State& state) {
+  const bool sliced = state.range(0) != 0;
+  const auto a = rc_matrix(16, static_cast<int>(state.range(1)),
+                           state.range(2) != 0
+                               ? arch::CoolingKind::kAirCooled
+                               : arch::CoolingKind::kLiquidCooled);
+  const sparse::SlicedMatrix s(a);
+  const double n = static_cast<double>(a.rows());
+  std::vector<double> x(a.rows()), w(a.rows()), y(a.rows());
+  for (std::int32_t i = 0; i < a.rows(); ++i) {
+    x[i] = 300.0 + std::sin(0.1 * i);
+    w[i] = std::cos(0.1 * i);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const double d = sliced ? sparse::spmv_dot(s, x, y, w)
+                            : sparse::spmv_dot(a, x, y, w);
+    benchmark::DoNotOptimize(d);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  const double ns = std::chrono::duration<double, std::nano>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  const double nnz = static_cast<double>(a.nnz());
+  const sparse::SlicedPattern& p = s.pattern();
+  const double slots = static_cast<double>(p.slots());
+  state.counters["ns_per_nnz"] =
+      ns / (static_cast<double>(state.iterations()) * nnz);
+  state.counters["bytes_per_apply"] =
+      sliced ? 12.0 * slots + 4.0 * (p.slices() + 1.0) +
+                   8.0 * static_cast<double>(p.long_rows.size()) + 24.0 * n
+             : 12.0 * nnz + 4.0 * (n + 1.0) + 24.0 * n;
+  state.counters["padding"] = sliced ? slots / nnz - 1.0 : 0.0;
+}
+BENCHMARK(BM_SpmvDot)
+    ->ArgNames({"sliced", "tiers", "air"})
+    ->Args({0, 2, 0})
+    ->Args({1, 2, 0})
+    ->Args({0, 4, 0})
+    ->Args({1, 4, 0})
+    ->Args({0, 4, 1})
+    ->Args({1, 4, 1});
+
+/// Bandwidth reference for the kernels above: the triad a = b + s c over
+/// arrays sized to a quarter of this core's L2 together (2 MiB assumed
+/// when the size is unknown). The solver's working sets sit in L2 (the
+/// 4-tier operator's SpMV touches about 0.15 of a 2 MiB L2), so an
+/// L2-resident stream, not DRAM, is their roofline. bytes_per_second
+/// counts 24 B per element (two reads, one write).
+void BM_TriadL2(benchmark::State& state) {
+  const long l2 = sysconf(_SC_LEVEL2_CACHE_SIZE);
+  const std::size_t bytes =
+      static_cast<std::size_t>(l2 > 0 ? l2 : 2L << 20) / 4;
+  const std::size_t n = bytes / (3 * sizeof(double));
+  std::vector<double> a(n), b(n), c(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = 1.0 + 1e-3 * static_cast<double>(i);
+    c[i] = 2.0 - 1e-3 * static_cast<double>(i);
+  }
+  const double scale = 0.5 + 1e-9 * static_cast<double>(n);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < n; ++i) a[i] = b[i] + scale * c[i];
+    benchmark::DoNotOptimize(a.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(24 * n));
+  state.counters["working_set_bytes"] = static_cast<double>(3 * 8 * n);
+  state.SetLabel("L2");
+}
+BENCHMARK(BM_TriadL2);
 
 void BM_Ilu0Refactor(benchmark::State& state) {
   const auto a = rc_matrix(static_cast<int>(state.range(0)));
@@ -113,11 +203,12 @@ BENCHMARK(BM_BatchedIlu0Apply)
 
 void BM_BicgstabSolve(benchmark::State& state) {
   const auto a = rc_matrix(static_cast<int>(state.range(0)));
+  const sparse::SlicedMatrix sliced(a);
   sparse::Ilu0Preconditioner precond(a);
   std::vector<double> b(a.rows(), 1.0);
   for (auto _ : state) {
     std::vector<double> x(a.rows(), 300.0);
-    const auto res = sparse::bicgstab(a, b, x, precond, {1e-10, 2000});
+    const auto res = sparse::bicgstab(sliced, b, x, precond, {1e-10, 2000});
     benchmark::DoNotOptimize(res.iterations);
   }
 }

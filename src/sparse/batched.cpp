@@ -128,7 +128,8 @@ void BatchedKrylovWorkspace::resize(std::size_t n, int lanes,
 
 // ---------------------------------------------------------------------------
 // Fused batched kernels. Each mirrors its serial counterpart in
-// kernels.cpp with the lane dimension as the inner loop: per lane, the
+// kernels.cpp or sliced.cpp (whose SpMVs are bitwise the CSR row loops)
+// with the lane dimension as the inner loop: per lane, the
 // floating-point expression shapes and accumulation order are identical,
 // which is what keeps a batched lane bitwise equal to a serial solve.
 // ---------------------------------------------------------------------------
@@ -225,24 +226,6 @@ void b_residual_norms(const std::int32_t* rp, const std::int32_t* ci,
   dispatch_lanes(lanes, [&](auto cl) {
     t_residual_norms<cl.value>(rp, ci, v, n, lanes, x, b, r, rr, bb);
   });
-}
-
-/// out[l] = dot(a_vec, b_vec) per lane.
-template <int CL>
-void t_dot(std::size_t n, int lanes, const double* __restrict a,
-           const double* __restrict b, double* __restrict out) {
-  const int L = CL > 0 ? CL : lanes;
-  for (int l = 0; l < L; ++l) out[l] = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t k = i * L;
-    for (int l = 0; l < L; ++l) out[l] += a[k + l] * b[k + l];
-  }
-}
-
-void b_dot(std::size_t n, int lanes, const double* a, const double* b,
-           double* out) {
-  dispatch_lanes(lanes,
-                 [&](auto cl) { t_dot<cl.value>(n, lanes, a, b, out); });
 }
 
 /// p = r + beta * (p - omega * v) per lane (bicgstab_p_update).
@@ -387,17 +370,21 @@ void b_waxpby(std::size_t n, int lanes, double* w, const double* x,
   });
 }
 
-/// x += alpha * ph + omega * sh; r = s - omega * t; rr[l] = dot(r, r)
-/// per lane (bicgstab_final_update).
+/// x += alpha * ph + omega * sh; r = s - omega * t; rr[l] = dot(r, r),
+/// r0r[l] = dot(r0, r) per lane (bicgstab_final_update).
 template <int CL>
 void t_final_update(std::size_t n, int lanes, const double* __restrict alpha,
                     const double* __restrict ph,
                     const double* __restrict omega,
                     const double* __restrict sh, const double* __restrict s,
-                    const double* __restrict t, double* __restrict x,
-                    double* __restrict r, double* __restrict rr) {
+                    const double* __restrict t, const double* __restrict r0,
+                    double* __restrict x, double* __restrict r,
+                    double* __restrict rr, double* __restrict r0r) {
   const int L = CL > 0 ? CL : lanes;
-  for (int l = 0; l < L; ++l) rr[l] = 0.0;
+  for (int l = 0; l < L; ++l) {
+    rr[l] = 0.0;
+    r0r[l] = 0.0;
+  }
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t k = i * L;
     for (int l = 0; l < L; ++l) {
@@ -405,16 +392,18 @@ void t_final_update(std::size_t n, int lanes, const double* __restrict alpha,
       const double ri = s[k + l] - omega[l] * t[k + l];
       r[k + l] = ri;
       rr[l] += ri * ri;
+      r0r[l] += r0[k + l] * ri;
     }
   }
 }
 
 void b_final_update(std::size_t n, int lanes, const double* alpha,
                     const double* ph, const double* omega, const double* sh,
-                    const double* s, const double* t, double* x, double* r,
-                    double* rr) {
+                    const double* s, const double* t, const double* r0,
+                    double* x, double* r, double* rr, double* r0r) {
   dispatch_lanes(lanes, [&](auto cl) {
-    t_final_update<cl.value>(n, lanes, alpha, ph, omega, sh, s, t, x, r, rr);
+    t_final_update<cl.value>(n, lanes, alpha, ph, omega, sh, s, t, r0, x, r,
+                             rr, r0r);
   });
 }
 
@@ -621,6 +610,7 @@ int batched_bicgstab(const BatchedCsr& a, std::span<const double> b,
     for (int c = 0; c < live; ++c) {
       const int s = keep[c];
       rr[c] = rr[s];
+      rho_new[c] = rho_new[s];
       bnorm[c] = bnorm[s];
       rho[c] = rho[s];
       alpha[c] = alpha[s];
@@ -634,6 +624,7 @@ int batched_bicgstab(const BatchedCsr& a, std::span<const double> b,
       // through the kernels like finished lanes always did and are never
       // read back.
       rr[c] = 0.0;
+      rho_new[c] = 1.0;
       bnorm[c] = 1.0;
       rho[c] = 1.0;
       alpha[c] = 1.0;
@@ -715,6 +706,10 @@ int batched_bicgstab(const BatchedCsr& a, std::span<const double> b,
     rho[l] = 1.0;
     alpha[l] = 1.0;
     omega[l] = 1.0;
+    // dot(r0, r): with r0 == r, rho_1 is element for element the sum
+    // residual_norms accumulated in the same order; later ones come out
+    // of the fused final update.
+    rho_new[l] = rr[l];
   }
   std::fill(ws.p.begin(), ws.p.end(), 0.0);
   std::fill(ws.v.begin(), ws.v.end(), 0.0);
@@ -723,15 +718,6 @@ int batched_bicgstab(const BatchedCsr& a, std::span<const double> b,
     if (compaction_width(n_running) < W) {
       compact();
       ++events;
-    }
-    if (it == 1) {
-      // rho_1 = dot(r0, r) with r0 == r: element-for-element the sum
-      // residual_norms already accumulated in the same order — reuse it
-      // (bitwise equal, one streaming pass saved).
-      for (int s = 0; s < W; ++s) rho_new[s] = rr[s];
-    } else {
-      b_dot(static_cast<std::size_t>(n), W, ws.r0.data(), ws.r.data(),
-            rho_new);
     }
     for (int s = 0; s < W; ++s) {
       if (running[s] && rho_new[s] == 0.0) {
@@ -767,10 +753,7 @@ int batched_bicgstab(const BatchedCsr& a, std::span<const double> b,
       results[slot_lane[s]].iterations = it;
       const double snorm = std::sqrt(ss[s]);
       if (snorm / bnorm[s] <= ctol[s]) {
-        // Serial exit point "s is small": x += alpha * ph. (The serial
-        // solver additionally re-derives residual_norm with a reporting
-        // SpMV; the batched path reports ||s|| instead — x and the
-        // iteration count are unaffected.)
+        // Serial exit point "s is small": x += alpha * ph.
         snap_x_plus_alpha_ph(s);
         results[slot_lane[s]].residual_norm = snorm;
         finish(s, true);
@@ -789,8 +772,8 @@ int batched_bicgstab(const BatchedCsr& a, std::span<const double> b,
     if (n_running == 0) break;
     for (int s = 0; s < W; ++s) omega[s] = ts[s] / tt[s];
     b_final_update(static_cast<std::size_t>(n), W, alpha, ws.ph.data(), omega,
-                   ws.sh.data(), ws.s.data(), ws.t.data(), xv, ws.r.data(),
-                   rr);
+                   ws.sh.data(), ws.s.data(), ws.t.data(), ws.r0.data(), xv,
+                   ws.r.data(), rr, rho_new);
     for (int s = 0; s < W; ++s) {
       if (!running[s]) continue;
       const double rnorm = std::sqrt(rr[s]);

@@ -15,7 +15,8 @@
 ///
 /// Bitwise contract: every batched kernel performs, per lane, exactly
 /// the floating-point operations of its serial counterpart in
-/// sparse/kernels.cpp / preconditioner.cpp, in the same order (the lane
+/// sparse/kernels.cpp, sliced.cpp (bitwise the CSR row loops) or
+/// preconditioner.cpp, in the same order (the lane
 /// chains never mix). batched_bicgstab keeps per-lane rho/alpha/omega
 /// and convergence state, so lane l of a batched solve converges after
 /// the same iterations to the same bits as a serial bicgstab() on that
@@ -183,9 +184,7 @@ class BatchedIlu0Preconditioner {
 /// every active lane's column of \p x holds its own solution (or its
 /// last iterate on breakdown/non-convergence), and results[l] mirrors
 /// what a serial bicgstab() on that lane would have reported — same
-/// iteration count, same bits in x. (Only residual_norm may differ on
-/// the mid-iteration convergence exit, where the serial solver spends an
-/// extra reporting SpMV that the batched path skips.)
+/// iteration count, same bits in x.
 ///
 /// Mid-solve lane compaction: whenever the number of still-running lanes
 /// drops below the current kernel width, the surviving lanes' state

@@ -74,12 +74,11 @@ IterativeResult cg(const CsrMatrix& a, std::span<const double> b,
   return cg(a, b, x, m, opts, ws);
 }
 
-IterativeResult bicgstab(const CsrMatrix& a, std::span<const double> b,
+IterativeResult bicgstab(const SlicedMatrix& a, std::span<const double> b,
                          std::span<double> x, const Preconditioner& m,
                          const IterativeOptions& opts, KrylovWorkspace& ws) {
   const std::size_t n = b.size();
-  require(a.rows() == a.cols() &&
-              static_cast<std::size_t>(a.rows()) == n && x.size() == n,
+  require(static_cast<std::size_t>(a.rows()) == n && x.size() == n,
           "bicgstab: size mismatch");
   ws.resize(n);
   std::vector<double>& r = ws.r;
@@ -92,7 +91,7 @@ IterativeResult bicgstab(const CsrMatrix& a, std::span<const double> b,
   std::vector<double>& sh = ws.sh;
 
   double bb = 0.0;
-  double rr = residual_norms(a, x, b, r, &bb);
+  const double rr = residual_norms(a, x, b, r, &bb);
 
   const double bnorm = std::max(std::sqrt(bb), 1e-300);
   IterativeResult res;
@@ -106,9 +105,12 @@ IterativeResult bicgstab(const CsrMatrix& a, std::span<const double> b,
   double rho = 1.0, alpha = 1.0, omega = 1.0;
   std::fill(p.begin(), p.end(), 0.0);
   std::fill(v.begin(), v.end(), 0.0);
+  // dot(r0, r): with r0 == r, rho_1 is element for element the sum
+  // residual_norms accumulated in the same order; later ones come out
+  // of the fused final update.
+  double rho_new = rr;
 
   for (std::int32_t it = 1; it <= opts.max_iterations; ++it) {
-    const double rho_new = dot(r0, r);
     if (rho_new == 0.0) break;  // breakdown; report non-convergence
     const double beta = (rho_new / rho) * (alpha / omega);
     rho = rho_new;
@@ -121,7 +123,7 @@ IterativeResult bicgstab(const CsrMatrix& a, std::span<const double> b,
     res.iterations = it;
     if (std::sqrt(ss) / bnorm <= opts.rel_tolerance) {
       axpy(alpha, ph, x);
-      res.residual_norm = std::sqrt(residual(a, x, b, r));
+      res.residual_norm = std::sqrt(ss);
       res.converged = true;
       return res;
     }
@@ -130,8 +132,9 @@ IterativeResult bicgstab(const CsrMatrix& a, std::span<const double> b,
     const double tt = spmv_dot2(a, sh, t, s, &ts);
     if (tt == 0.0) break;
     omega = ts / tt;
-    rr = bicgstab_final_update(alpha, ph, omega, sh, s, t, x, r);
-    res.residual_norm = std::sqrt(rr);
+    const double rr_new =
+        bicgstab_final_update(alpha, ph, omega, sh, s, t, r0, x, r, &rho_new);
+    res.residual_norm = std::sqrt(rr_new);
     if (res.residual_norm / bnorm <= opts.rel_tolerance) {
       res.converged = true;
       return res;
@@ -141,7 +144,7 @@ IterativeResult bicgstab(const CsrMatrix& a, std::span<const double> b,
   return res;
 }
 
-IterativeResult bicgstab(const CsrMatrix& a, std::span<const double> b,
+IterativeResult bicgstab(const SlicedMatrix& a, std::span<const double> b,
                          std::span<double> x, const Preconditioner& m,
                          const IterativeOptions& opts) {
   KrylovWorkspace ws;

@@ -14,6 +14,7 @@
 
 #include "sparse/csr.hpp"
 #include "sparse/preconditioner.hpp"
+#include "sparse/sliced.hpp"
 
 namespace tac3d::sparse {
 
@@ -21,7 +22,11 @@ namespace tac3d::sparse {
 struct IterativeResult {
   bool converged = false;
   std::int32_t iterations = 0;
-  double residual_norm = 0.0;  ///< final ||b - A x||_2
+  /// Final recurrence residual ||r||_2 (BiCGSTAB: ||s|| on its
+  /// mid-iteration exit, as in the batched path). It equals ||b - A x||_2
+  /// up to rounding; only an initial guess that already converges is
+  /// measured by a fresh b - A x.
+  double residual_norm = 0.0;
 };
 
 /// Options shared by the Krylov solvers.
@@ -57,13 +62,15 @@ IterativeResult cg(const CsrMatrix& a, std::span<const double> b,
                    std::span<double> x, const Preconditioner& m,
                    const IterativeOptions& opts = {});
 
-/// Preconditioned BiCGSTAB for general square systems. \p x holds the
-/// initial guess on entry and the solution on exit. The workspace
-/// overload performs no heap allocations once \p ws is sized.
-IterativeResult bicgstab(const CsrMatrix& a, std::span<const double> b,
+/// Preconditioned BiCGSTAB for general square systems, on the sliced-ELL
+/// copy of A (sliced.hpp: bitwise the CSR products, without their
+/// per-row add chains). \p x holds the initial guess on entry and the
+/// solution on exit. The workspace overload performs no heap
+/// allocations once \p ws is sized.
+IterativeResult bicgstab(const SlicedMatrix& a, std::span<const double> b,
                          std::span<double> x, const Preconditioner& m,
                          const IterativeOptions& opts, KrylovWorkspace& ws);
-IterativeResult bicgstab(const CsrMatrix& a, std::span<const double> b,
+IterativeResult bicgstab(const SlicedMatrix& a, std::span<const double> b,
                          std::span<double> x, const Preconditioner& m,
                          const IterativeOptions& opts = {});
 

@@ -25,11 +25,6 @@ void spmv(const CsrMatrix& a, std::span<const double> x, std::span<double> y);
 double spmv_dot(const CsrMatrix& a, std::span<const double> x,
                 std::span<double> y, std::span<const double> w);
 
-/// y = A x, returning dot(y, y) and setting *wy = dot(w, y), all from
-/// one pass (the BiCGSTAB stabilization step needs both).
-double spmv_dot2(const CsrMatrix& a, std::span<const double> x,
-                 std::span<double> y, std::span<const double> w, double* wy);
-
 /// r = b - A x in one pass (fused SpMV + axpy); returns dot(r, r).
 double residual(const CsrMatrix& a, std::span<const double> x,
                 std::span<const double> b, std::span<double> r);
@@ -67,11 +62,13 @@ void bicgstab_p_update(std::span<const double> r, double beta, double omega,
 
 /// BiCGSTAB tail fused into one pass:
 ///   x += alpha * ph + omega * sh,  r = s - omega * t;
-/// returns dot(r, r).
+/// returns dot(r, r) and sets *r0r = dot(r0, r), the next iteration's
+/// rho.
 double bicgstab_final_update(double alpha, std::span<const double> ph,
                              double omega, std::span<const double> sh,
                              std::span<const double> s,
-                             std::span<const double> t, std::span<double> x,
-                             std::span<double> r);
+                             std::span<const double> t,
+                             std::span<const double> r0, std::span<double> x,
+                             std::span<double> r, double* r0r);
 
 }  // namespace tac3d::sparse

@@ -1,0 +1,143 @@
+#pragma once
+/// \file sliced.hpp
+/// \brief Sliced-ELLPACK (SELL-8) copy of a CSR matrix and the three
+/// matrix traversals BiCGSTAB runs on it.
+///
+/// A CSR row is a 3-8-entry loop with a data-dependent trip count and
+/// one dependent add chain, so a CSR SpMV runs at the latency of that
+/// chain. SlicedMatrix cuts the rows into slices of kSliceRows
+/// consecutive rows (natural order) and stores each slice column-major:
+/// entry k of the slice's rows sits in kSliceRows consecutive slots. A
+/// row shorter than its slice's longest row is padded with value 0.0 at
+/// a column the row already reads, so the rows of a slice accumulate
+/// side by side, with no per-row branch and kSliceRows independent add
+/// chains.
+///
+/// Bitwise contract: every row still adds its own entries in CSR order,
+/// starting from +0.0, followed by its padding. The accumulator can
+/// never become -0.0 (x + y is -0.0 in round-to-nearest only when both
+/// are -0.0), so for finite x adding a padding product 0.0 * x[c] = ±0.0
+/// leaves it unchanged, and each y[i] is bit for bit the CSR row loop's.
+/// The kernels' dot products are summed row by row in natural order, as
+/// the CSR kernels of kernels.hpp sum them.
+///
+/// On a grid stencil the k-th entries of consecutive rows mostly read
+/// consecutive columns (53-65% of the slice columns of the paper's
+/// liquid-cooled operators); the pattern marks those columns, and the
+/// kernels read them with one contiguous load instead of a gather.
+///
+/// Long rows: a row with more than kSliceMaxRowLength entries (on the
+/// paper stacks only the heat-sink node of the air-cooled stacks) would
+/// pad its whole slice to its length. It is kept out of the slices and
+/// accumulated by the plain CSR row loop, at its natural position in
+/// the same pass.
+///
+/// The layout splits in two halves: SlicedPattern (slice offsets and
+/// padded columns) depends only on the CSR pattern and is shared through
+/// SymbolicStructure; a SlicedMatrix adds the values, a mirror of one
+/// CSR matrix that the owner refills after the CSR values change.
+
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <vector>
+
+#include "sparse/csr.hpp"
+
+namespace tac3d::sparse {
+
+struct SymbolicStructure;
+
+/// Rows per slice.
+inline constexpr int kSliceRows = 8;
+
+/// Rows with more entries than this are accumulated by the CSR row loop
+/// instead of widening their slice.
+inline constexpr std::int32_t kSliceMaxRowLength = 16;
+
+/// Pattern half of the sliced layout, computed once per CSR pattern.
+/// Slots index cols here and the values of every SlicedMatrix built on
+/// the pattern.
+struct SlicedPattern {
+  std::int32_t rows = 0;
+  std::int64_t nnz = 0;  ///< CSR entries (padding excluded)
+  /// Slice s covers rows [s * kSliceRows, (s + 1) * kSliceRows) (the last
+  /// one may be partial); its slots are [slice_ptr[s], slice_ptr[s + 1]),
+  /// kSliceRows per column: entry k of the slice's row j at slot
+  /// slice_ptr[s] + k * kSliceRows + j.
+  std::vector<std::int32_t> slice_ptr;
+  /// Long rows in ascending order, closed by a sentinel above every row
+  /// (so a scan can stop at it without a bounds check); their CSR entries
+  /// sit after the slices, row long_rows[i]'s at slots
+  /// [long_ptr[i], long_ptr[i + 1]). A long row's lane in its slice is
+  /// all padding.
+  std::vector<std::int32_t> long_rows;
+  std::vector<std::int32_t> long_ptr;
+  /// Column of every slot.
+  std::vector<std::int32_t> cols;
+  /// Bit k of contiguous[s] is set when column k of slice s reads
+  /// kSliceRows consecutive columns: the kernels then load x there
+  /// instead of gathering it (same values, same order).
+  std::vector<std::uint32_t> contiguous;
+  /// Slot of each row's first CSR entry; its entry k follows at stride
+  /// kSliceRows (sliced row) or 1 (long row).
+  std::vector<std::int32_t> row_first;
+
+  std::int32_t slices() const {
+    return static_cast<std::int32_t>(slice_ptr.size()) - 1;
+  }
+  /// Value slots, padding and long rows included.
+  std::int64_t slots() const { return static_cast<std::int64_t>(cols.size()); }
+};
+
+/// Build the sliced layout of a square CSR pattern (throws
+/// InvalidArgument on a malformed or non-square pattern).
+std::shared_ptr<const SlicedPattern> build_sliced_pattern(
+    std::span<const std::int32_t> row_ptr,
+    std::span<const std::int32_t> col_idx);
+
+/// Sliced-ELL values of one CSR matrix on a shared SlicedPattern.
+class SlicedMatrix {
+ public:
+  /// Copy \p a into the sliced layout. \p structure optionally supplies
+  /// the precomputed layout (see StructureCache); without it the pattern
+  /// is analyzed here. Throws InvalidArgument if \p structure is not
+  /// \p a's pattern.
+  explicit SlicedMatrix(const CsrMatrix& a,
+                        const SymbolicStructure* structure = nullptr);
+
+  std::int32_t rows() const { return pattern_->rows; }
+  const SlicedPattern& pattern() const { return *pattern_; }
+  /// Values in slot order (padding slots hold 0.0).
+  std::span<const double> values() const { return values_; }
+
+  /// Copy every value of \p a (same pattern) into the mirror. Never
+  /// allocates.
+  void refill(const CsrMatrix& a);
+
+  /// Copy only \p rows of \p a (same pattern) into the mirror — the
+  /// incremental form for flow updates, which rewrite a tenth of the
+  /// rows. Never allocates.
+  void refill_rows(const CsrMatrix& a, std::span<const std::int32_t> rows);
+
+ private:
+  std::shared_ptr<const SlicedPattern> pattern_;
+  std::vector<double> values_;
+};
+
+/// r = b - A x, returning dot(r, r) and setting *bb = dot(b, b), all in
+/// one pass (the sliced twin of the CSR residual_norms).
+double residual_norms(const SlicedMatrix& a, std::span<const double> x,
+                      std::span<const double> b, std::span<double> r,
+                      double* bb);
+
+/// y = A x, returning dot(w, y) from the same pass.
+double spmv_dot(const SlicedMatrix& a, std::span<const double> x,
+                std::span<double> y, std::span<const double> w);
+
+/// y = A x, returning dot(y, y) and setting *wy = dot(w, y), all from
+/// one pass (the BiCGSTAB stabilization step needs both).
+double spmv_dot2(const SlicedMatrix& a, std::span<const double> x,
+                 std::span<double> y, std::span<const double> w, double* wy);
+
+}  // namespace tac3d::sparse

@@ -204,15 +204,18 @@ class BandedLuSolver final : public LinearSolver {
   std::uint64_t clock_ = 0;
 };
 
-/// BiCGSTAB preconditioned with ILU(0). The factors refresh lazily
-/// (LazyRefresh): after a flow update they stay stale until the dirty-row
-/// or iteration-degradation trigger fires.
+/// BiCGSTAB preconditioned with ILU(0). The Krylov iterations run on a
+/// sliced-ELL mirror of the bound matrix's values (sliced.hpp), refilled
+/// with every value update. The factors refresh lazily (LazyRefresh):
+/// after a flow update they stay stale until the dirty-row or
+/// iteration-degradation trigger fires.
 class BicgstabSolver final : public LinearSolver {
  public:
   BicgstabSolver(const CsrMatrix& a,
                  std::shared_ptr<const SymbolicStructure> structure)
       : a_(&a),
         structure_(std::move(structure)),
+        sliced_(a, structure_.get()),
         precond_(a, structure_.get()),
         refresh_(a.rows()) {
     ws_.resize(static_cast<std::size_t>(a.rows()));
@@ -221,11 +224,17 @@ class BicgstabSolver final : public LinearSolver {
 
   void update_values(const CsrMatrix& a) override {
     a_ = &a;
+    sliced_.refill(a);
     refactor_now(a);
   }
 
   void update_values(const CsrMatrix& a, const ValueUpdate& update) override {
     a_ = &a;
+    if (!update.rows.empty()) {
+      sliced_.refill_rows(a, update.rows);
+    } else if (update.dirty_fraction != 0.0) {
+      sliced_.refill(a);  // unknown rows
+    }
     if (refresh_.update(update, stats_)) refactor_now(a);
   }
 
@@ -239,14 +248,14 @@ class BicgstabSolver final : public LinearSolver {
       // mutates x in place, possibly to NaN) can be retried cleanly.
       std::copy(x.begin(), x.end(), warm_start_.begin());
     }
-    IterativeResult res = bicgstab(*a_, b, x, precond_, opts, ws_);
+    IterativeResult res = bicgstab(sliced_, b, x, precond_, opts, ws_);
     if (!res.converged && stale) {
       // The stale preconditioner is the likely culprit; refresh, restore
       // the original warm start and retry once before giving up.
       refactor_now(*a_);
       ++stats_.retries;
       std::copy(warm_start_.begin(), warm_start_.end(), x.begin());
-      res = bicgstab(*a_, b, x, precond_, opts, ws_);
+      res = bicgstab(sliced_, b, x, precond_, opts, ws_);
     }
     if (!res.converged) {
       throw NumericalError("BicgstabSolver: failed to converge");
@@ -283,8 +292,9 @@ class BicgstabSolver final : public LinearSolver {
     refresh_.refactored(stats_);
   }
 
-  const CsrMatrix* a_;
+  const CsrMatrix* a_;  ///< refactor source
   std::shared_ptr<const SymbolicStructure> structure_;
+  SlicedMatrix sliced_;  ///< the Krylov SpMVs' copy of *a_'s values
   Ilu0Preconditioner precond_;
   LazyRefresh refresh_;
   KrylovWorkspace ws_;

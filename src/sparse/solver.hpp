@@ -15,7 +15,10 @@
 /// eagerly refreshes the factorization, while the incremental overload
 /// takes a ValueUpdate (which rows changed, how dirty the matrix is) and
 /// lets each strategy refresh lazily or partially under its
-/// RefreshPolicy (see refresh.hpp).
+/// RefreshPolicy (see refresh.hpp). A solve uses the values of the last
+/// notification, not the live matrix (BiCGSTAB+ILU(0) runs its SpMVs on
+/// a sliced-ELL mirror that the notifications refill), so every value
+/// change must be notified before the next solve().
 
 #include <cstdint>
 #include <memory>

@@ -76,6 +76,7 @@ std::shared_ptr<const SymbolicStructure> analyze_structure(
       s->ilu_diag.end()) {
     s->ilu_schedule = build_ilu_schedule(rp, ci);
   }
+  s->sliced = build_sliced_pattern(rp, ci);
   return s;
 }
 

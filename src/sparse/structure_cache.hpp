@@ -6,7 +6,8 @@
 /// A design-space sweep instantiates one RC model per scenario, but
 /// scenarios with the same stack geometry produce bit-identical CSR
 /// patterns. The expensive symbolic work — RCM ordering, banded-LU band
-/// extents, the ILU(0) diagonal index map and level schedule — depends
+/// extents, the ILU(0) diagonal index map and level schedule, the
+/// sliced-ELL layout of the Krylov SpMVs — depends
 /// only on the pattern, so a StructureCache computes it once and hands
 /// out a shared immutable SymbolicStructure to every solver. Symbolic
 /// analysis is a pure function of the pattern, so a solver built from a
@@ -23,6 +24,7 @@
 
 #include "sparse/csr.hpp"
 #include "sparse/ilu_schedule.hpp"
+#include "sparse/sliced.hpp"
 
 namespace tac3d::sparse {
 
@@ -42,6 +44,9 @@ struct SymbolicStructure {
   /// scalar and batched preconditioners of every solver on this pattern
   /// (null when a diagonal entry is missing: no ILU(0) exists).
   std::shared_ptr<const IluSchedule> ilu_schedule;
+  /// Slice offsets and padded columns of the sliced-ELL copy the
+  /// BiCGSTAB solvers on this pattern traverse (sliced.hpp).
+  std::shared_ptr<const SlicedPattern> sliced;
   /// Pattern copy for exact identity checks on hash-bucket collisions.
   std::vector<std::int32_t> row_ptr;
   std::vector<std::int32_t> col_idx;

@@ -392,7 +392,8 @@ void staggered_compaction_case(int lanes) {
     opts.rel_tolerance = tol[static_cast<std::size_t>(l)];
     opts.max_iterations = 500;
     const sparse::IterativeResult ref = sparse::bicgstab(
-        mats[static_cast<std::size_t>(l)], sb, sx, sprecond, opts);
+        sparse::SlicedMatrix(mats[static_cast<std::size_t>(l)]), sb, sx,
+        sprecond, opts);
     const std::string what = "lane " + std::to_string(l) + " of " +
                              std::to_string(lanes);
     EXPECT_EQ(results[static_cast<std::size_t>(l)].converged, ref.converged)
