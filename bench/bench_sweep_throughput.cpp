@@ -203,9 +203,8 @@ int main() {
   periodic.seed = 7;
   periodic.trace_seconds = 2400;
   periodic.grid = thermal::GridOptions{8, 8};
-  // The direct solver bitwise-recurs once the loop settles (its solve
-  // is a pure function of the current state); the iterative kinds carry
-  // convergence history and only lock on true fixed points.
+  // Replay arms only for the direct solver, whose solve is a pure
+  // function of the current state (sim/replay.hpp).
   periodic.sim.solver = sparse::SolverKind::kBandedLu;
 
   struct ReplayLeg {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_set>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -96,31 +95,11 @@ std::optional<SweepService::Ticket> SweepService::submit(
   job->scenarios = std::move(scenarios);
   job->on_event = std::move(on_event);
 
-  // Resolve labels and inject the shared symbolic cache, mirroring
-  // run_sweep's per-scenario preamble; scenarios carrying their own
-  // cache keep it.
-  for (sim::Scenario& s : job->scenarios) {
-    if (s.label.empty()) s.label = sim::scenario_label(s);
-    if (!s.sim.structure_cache) s.sim.structure_cache = bank_->structures();
-  }
-
-  // LPT order with the sweep runner's cost model: within the job, the
-  // longest-estimated scenario is claimed first so one expensive
-  // straggler cannot serialize the job's tail; scenarios whose steady
-  // key the shared bank already holds are costed as clone-and-reset.
-  std::vector<double> cost(job->scenarios.size(), 0.0);
-  {
-    std::unordered_set<std::string> seen_steady;
-    for (std::size_t i = 0; i < job->scenarios.size(); ++i) {
-      const sim::Scenario& s = job->scenarios[i];
-      double setup_factor = 1.0;
-      const std::string key = sim::scenario_steady_key(s);
-      if (!seen_steady.insert(key).second || bank_->has_steady(key)) {
-        setup_factor = sim::kPreparedScenarioSetupFactor;
-      }
-      cost[i] = sim::estimated_scenario_cost(s, setup_factor);
-    }
-  }
+  // The sweep runner's preamble (labels, the shared symbolic cache, LPT
+  // costs): within the job, the longest-estimated scenario is claimed
+  // first so one expensive straggler cannot serialize the job's tail.
+  const std::vector<double> cost = sim::prepare_sweep_scenarios(
+      job->scenarios, bank_->structures(), bank_.get());
   job->order.resize(job->scenarios.size());
   for (std::size_t i = 0; i < job->order.size(); ++i) job->order[i] = i;
   std::stable_sort(job->order.begin(), job->order.end(),
@@ -344,6 +323,7 @@ void SweepService::worker_loop() {
       session.run_to_end();
       ev.metrics = session.metrics();
       ev.ok = true;
+      sim::publish_session(session, session.solver_stats());
     } catch (const std::exception& e) {
       ev.error = e.what();
     } catch (...) {

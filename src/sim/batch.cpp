@@ -127,12 +127,6 @@ BatchSession::BatchSession(std::vector<PreparedScenario> prepared)
   // Lane indices in the batched solver == indices into `live`.
   lane_of_ = std::move(live);
   batched_ = std::make_unique<thermal::BatchedTransientSolver>(specs);
-  // Batched lanes' per-step solver state lives in the shared batched
-  // solver, outside the session's replay fingerprint: restrict their
-  // limit-cycle replay to quiescent cycles (sim/replay.hpp).
-  for (const int l : lane_of_) {
-    sessions_[static_cast<std::size_t>(l)]->set_replay_external_solver(true);
-  }
   build_tail_plan();
 }
 
@@ -243,8 +237,9 @@ void BatchSession::step() {
         continue;
       }
       try {
-        // A lane locked on a verified limit cycle fast-forwards instead
-        // of stepping; it rejoins real stepping when replay stands down.
+        // A banded lane locked on a verified limit cycle fast-forwards
+        // instead of stepping; it rejoins real stepping when replay
+        // stands down.
         if (sessions_[l]->replay_fast_forward() > 0) continue;
         sessions_[l]->step();
       } catch (const std::exception& e) {
@@ -268,7 +263,8 @@ void BatchSession::step_batched_fused() {
   const int L = batched_->lanes();
   const auto t0 = std::chrono::steady_clock::now();
 
-  // Stage 1: demand sampling + load balancing.
+  // Stage 1: demand sampling + load balancing. Fused lanes run ILU(0) by
+  // construction, so none of them arms limit-cycle replay.
   {
   obs::TraceSpan control_span("tail/control");
   std::fill(stepping_.begin(), stepping_.end(), std::uint8_t{0});
@@ -276,9 +272,6 @@ void BatchSession::step_batched_fused() {
     const std::size_t l = static_cast<std::size_t>(lane_of_[b]);
     if (!errors_[l].empty() || sessions_[l]->done()) continue;
     try {
-      // Replaying lanes drop out of the fused tail and the batched
-      // solve for this interval (mask stays 0).
-      if (sessions_[l]->replay_fast_forward() > 0) continue;
       if (sessions_[l]->tail_begin()) {
         stepping_[static_cast<std::size_t>(b)] = 1;
       }

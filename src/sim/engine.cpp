@@ -134,11 +134,12 @@ SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
 
   thermal_ = std::make_unique<thermal::TransientSolver>(
       soc_.model(), cfg_.control_dt,
-      thermal::TransientSolver::Options{cfg_.solver,
-                                        cfg_.structure_cache.get(),
-                                        cfg_.refresh, cfg_.warm_start_slots,
-                                        cfg_.operator_prototype.get(),
-                                        cfg_.solver_tolerance});
+      thermal::TransientSolver::Options{
+          .kind = cfg_.solver,
+          .cache = cfg_.structure_cache.get(),
+          .refresh = cfg_.refresh,
+          .operator_prototype = cfg_.operator_prototype.get(),
+          .rel_tolerance = cfg_.solver_tolerance});
   thermal_->set_state(init->temperatures);
 
   m_.core_hot_time.assign(n_cores_, 0.0);
@@ -151,11 +152,14 @@ SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
   act_.vf_levels.reserve(n_cores_);
 
   // --- limit-cycle replay ------------------------------------------------
-  // Arm detection only when it can be sound: the trace must be exactly
-  // periodic, the period an exact whole number of control intervals, and
-  // both the policy and the thermal/linear-solver stack able to
-  // enumerate their history-carrying state for the boundary fingerprint.
-  if (cfg_.limit_cycle_replay) {
+  // Arm detection only when it can be sound: the solver must be the
+  // direct one, the trace exactly periodic, the period an exact whole
+  // number of control intervals, and the policy able to enumerate its
+  // history-carrying state for the boundary fingerprint. A direct solve
+  // depends only on the operator values and the right-hand side, so the
+  // temperature field plus the session fingerprint is the whole state.
+  if (cfg_.limit_cycle_replay &&
+      cfg_.solver == sparse::SolverKind::kBandedLu) {
     const int period_s = trace_.period_hint();
     if (period_s > 0) {
       const int period_steps = static_cast<int>(
@@ -164,8 +168,7 @@ SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
       if (period_steps >= 1 &&
           static_cast<double>(period_steps) * cfg_.control_dt ==
               static_cast<double>(period_s) &&
-          policy_.fold_replay_state(trial) &&
-          thermal_->fold_replay_state(trial)) {
+          policy_.fold_replay_state(trial)) {
         replay_.arm(period_steps, period_s, n_cores_,
                     thermal_->temperatures().size());
       }
@@ -238,7 +241,6 @@ void SimulationSession::tail_apply() {
   if (liquid_ && act_.pump_level >= 0 && act_.pump_level != pump_level_) {
     pump_level_ = act_.pump_level;
     apply_pump(soc_, cfg_.pump, pump_level_);
-    ++pump_changes_;
   }
 
   // 3. Execution model: capacity clipping and busy fractions.
@@ -324,7 +326,7 @@ void SimulationSession::replay_post_step() {
   const int second =
       static_cast<int>(std::llround(steps_done_ * cfg_.control_dt));
   replay_.on_boundary(thermal_->temperatures(), replay_fingerprint(),
-                      second, scheduler_.migrations(), pump_changes_);
+                      second, scheduler_.migrations());
 }
 
 std::uint64_t SimulationSession::replay_fingerprint() const {
@@ -349,10 +351,9 @@ std::uint64_t SimulationSession::replay_fingerprint() const {
   for (int cav = 0; cav < soc_.model().n_cavities(); ++cav) {
     h = fnv1a(h, soc_.model().cavity_flow(cav));
   }
-  // Both folds returned true at arm time; the objects are the same, so
-  // they keep returning true — the calls only mix in their state.
+  // The fold returned true at arm time; the policy is the same object,
+  // so it keeps returning true — the call only mixes in its state.
   policy_.fold_replay_state(h);
-  thermal_->fold_replay_state(h);
   return h;
 }
 

@@ -67,9 +67,6 @@ struct SimulationConfig {
   /// Staleness policy for factorization/preconditioner refreshes after
   /// the policy loop changes the coolant flow (see sparse/refresh.hpp).
   sparse::RefreshPolicy refresh;
-  /// Flow-transition warm-start slots of the transient solver (0
-  /// disables the predictor).
-  int warm_start_slots = 16;
   /// Optional symbolic-structure cache shared between sessions (the
   /// sweep runner injects one so same-geometry scenarios reuse the RCM
   /// ordering and ILU/banded symbolic analysis). Null = private
@@ -91,7 +88,10 @@ struct SimulationConfig {
   /// Limit-cycle fast-forward (sim/replay.hpp): when the attached trace
   /// is exactly periodic and the closed-loop state bitwise-recurs at the
   /// workload period, run_until/run_to_end replay journaled cycles with
-  /// zero linear solves instead of re-stepping them. Bitwise neutral by
+  /// zero linear solves instead of re-stepping them. Engages only with
+  /// the direct banded solver, whose solve is a pure function of the
+  /// operator values and the right-hand side; the iterative solver
+  /// carries history between steps and never arms. Bitwise neutral by
   /// construction — replay engages only on exact state recurrence and
   /// re-adds the identical journaled values in the identical order; set
   /// false to force step-everything (the parity baseline).
@@ -208,8 +208,9 @@ class SimulationSession {
   /// each with zero linear solves, re-verifying the trace window per
   /// cycle. Returns the number of steps fast-forwarded (0 when replay
   /// is not engaged — callers then step normally). run_until/run_to_end
-  /// call this internally; BatchSession calls it per lane so replaying
-  /// lanes drop out of the batched solve.
+  /// call this internally; BatchSession's scalar-fallback lockstep calls
+  /// it per lane, since those lanes step on their own solvers and banded
+  /// lanes can replay.
   int replay_fast_forward(
       double t_limit = std::numeric_limits<double>::infinity());
 
@@ -219,13 +220,6 @@ class SimulationSession {
   std::uint64_t replay_steps() const { return replay_.steps_replayed(); }
   std::uint64_t replay_solves_skipped() const {
     return replay_.solves_skipped();
-  }
-
-  /// Mark this session as a lane whose thermal solves run in an external
-  /// batched solver (BatchSession): replay then locks only on quiescent
-  /// cycles (see LimitCycleReplay::set_conservative).
-  void set_replay_external_solver(bool on) {
-    replay_.set_conservative(on);
   }
 
   /// All control intervals executed?
@@ -288,10 +282,8 @@ class SimulationSession {
   bool sensed_fresh_ = false;
   double tail_seconds_ = 0.0;
   double solve_seconds_ = 0.0;
-  // Limit-cycle replay (sim/replay.hpp): detection state machine plus
-  // the pump-change counter its conservative mode keys on.
+  // Limit-cycle replay (sim/replay.hpp): detection state machine.
   LimitCycleReplay replay_;
-  std::uint64_t pump_changes_ = 0;
   /// FNV-1a fingerprint of all auxiliary closed-loop state (everything
   /// beyond the temperature field that feeds future arithmetic).
   std::uint64_t replay_fingerprint() const;

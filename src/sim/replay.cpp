@@ -67,8 +67,7 @@ CycleStepRecord LimitCycleReplay::journal_step_record() {
 
 void LimitCycleReplay::on_boundary(std::span<const double> temps,
                                    std::uint64_t aux, int boundary_second,
-                                   std::int64_t migrations,
-                                   std::uint64_t pump_changes) {
+                                   std::int64_t migrations) {
   switch (phase_) {
     case Phase::kDisarmed:
       return;
@@ -82,7 +81,6 @@ void LimitCycleReplay::on_boundary(std::span<const double> temps,
         journal_.steps = 0;
         journal_base_second_ = boundary_second;
         journal_start_migrations_ = migrations;
-        journal_start_pump_changes_ = pump_changes;
         std::copy(temps.begin(), temps.end(), locked_temps_.begin());
         locked_aux_ = aux;
       }
@@ -91,13 +89,9 @@ void LimitCycleReplay::on_boundary(std::span<const double> temps,
 
     case Phase::kJournaling: {
       // One full cycle recorded; accept only if the loop returned to the
-      // journal's start state exactly (and, in conservative mode, the
-      // cycle touched no operator values an external solver would have
-      // reacted to).
+      // journal's start state exactly.
       journal_.migrations_delta = migrations - journal_start_migrations_;
-      const bool quiescent = pump_changes == journal_start_pump_changes_;
-      if (aux == locked_aux_ && bitwise_equal(temps, locked_temps_) &&
-          (!conservative_ || quiescent)) {
+      if (aux == locked_aux_ && bitwise_equal(temps, locked_temps_)) {
         phase_ = Phase::kLocked;
         verified_ = true;
         ++cycles_detected_;

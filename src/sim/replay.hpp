@@ -28,11 +28,18 @@
 ///   kWatching    compare each boundary with the previous one
 ///   kJournaling  a recurrence was seen; record the next cycle
 ///   kLocked      the journaled cycle re-verified; fast-forward eligible
-/// plus kDisarmed for sessions where replay cannot be sound (aperiodic
-/// trace, non-integral period, a policy or solver that cannot enumerate
-/// its state) or where repeated journal attempts failed (iterative
-/// solvers hovering at the ulp-level noise floor never bitwise-lock;
-/// the cap keeps the detection overhead bounded).
+/// plus kDisarmed for sessions where replay cannot be sound or where
+/// repeated journal attempts failed (the cap keeps the detection
+/// overhead bounded).
+///
+/// SimulationSession arms the detector only for the direct banded solver
+/// on an exactly periodic trace whose period is a whole number of
+/// control intervals, with a policy that can enumerate its state. A
+/// direct solve depends only on the operator values and the right-hand
+/// side, so the temperature field plus the session fingerprint is the
+/// whole closed-loop state. The iterative solver carries stale
+/// preconditioner factors and warm-start history between steps and, on
+/// periodic input, never recurs bitwise, so it is not armed at all.
 ///
 /// Everything is preallocated when the session arms the detector; the
 /// warm replay path (journal recording and cycle application) performs
@@ -92,14 +99,6 @@ class LimitCycleReplay {
   bool journaling() const { return phase_ == Phase::kJournaling; }
   bool locked() const { return phase_ == Phase::kLocked; }
 
-  /// Conservative mode for lanes whose thermal solves run in an external
-  /// batched solver (sim/batch.hpp): that solver's per-lane state is
-  /// invisible to the fingerprint, so a journal attempt is only accepted
-  /// when the cycle performed zero pump-level changes — no operator
-  /// updates means the external factors/staleness stayed frozen across
-  /// the cycle, and frozen state recurs trivially.
-  void set_conservative(bool on) { conservative_ = on; }
-
   int period_steps() const { return period_steps_; }
   int period_seconds() const { return period_seconds_; }
 
@@ -117,11 +116,10 @@ class LimitCycleReplay {
   /// Boundary protocol: compare/record the closed-loop state at an
   /// aligned control-interval boundary. \p aux is the session's
   /// auxiliary-state fingerprint, \p boundary_second the simulated
-  /// second, \p migrations and \p pump_changes the session's cumulative
-  /// counters (journal delta bookkeeping / quiescence check).
+  /// second, \p migrations the session's cumulative migration count
+  /// (journal delta bookkeeping).
   void on_boundary(std::span<const double> temps, std::uint64_t aux,
-                   int boundary_second, std::int64_t migrations,
-                   std::uint64_t pump_changes);
+                   int boundary_second, std::int64_t migrations);
 
   /// Locked on a verified cycle AND currently at a verified boundary?
   bool can_fast_forward() const {
@@ -160,9 +158,10 @@ class LimitCycleReplay {
   };
 
   /// Journal-verification failures before detection gives up for good.
-  /// Iterative solvers under time-varying periodic input hover at an
-  /// ulp-level noise floor and never bitwise-recur; the cap bounds the
-  /// (already tiny) detection overhead for them.
+  /// Verification is the safety net for state the fingerprint might
+  /// miss: a boundary that matched its predecessor must also close the
+  /// journaled cycle, or the attempt fails. The cap bounds the (already
+  /// tiny) detection overhead of a loop that keeps failing it.
   static constexpr int kMaxFailedAttempts = 8;
 
   void save_prev(std::span<const double> temps, std::uint64_t aux);
@@ -170,7 +169,6 @@ class LimitCycleReplay {
                             std::span<const double> b);
 
   Phase phase_ = Phase::kDisarmed;
-  bool conservative_ = false;
   bool verified_ = false;  ///< at a boundary whose state matches the lock
   bool prev_valid_ = false;
   int period_steps_ = 0;
@@ -178,7 +176,6 @@ class LimitCycleReplay {
   int failed_attempts_ = 0;
   int journal_base_second_ = 0;
   std::int64_t journal_start_migrations_ = 0;
-  std::uint64_t journal_start_pump_changes_ = 0;
   std::vector<double> prev_temps_;    ///< previous boundary field
   std::uint64_t prev_aux_ = 0;
   std::vector<double> locked_temps_;  ///< cycle-boundary field of the lock

@@ -135,6 +135,67 @@ double estimated_scenario_cost(const Scenario& s,
   return cells * (duration / dt) * flow_weight + setup;
 }
 
+std::vector<double> prepare_sweep_scenarios(
+    std::span<Scenario> scenarios,
+    const std::shared_ptr<sparse::StructureCache>& cache,
+    const ScenarioBank* bank) {
+  std::vector<double> cost(scenarios.size(), 0.0);
+  std::unordered_set<std::string> seen_steady;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    Scenario& s = scenarios[i];
+    if (s.label.empty()) s.label = scenario_label(s);
+    if (cache && !s.sim.structure_cache) s.sim.structure_cache = cache;
+    // Only the first scenario of each steady-tier key pays construction;
+    // later equal-keyed ones are clone-and-reset, so the scheduler must
+    // not overrate them.
+    double setup_factor = 1.0;
+    if (bank != nullptr) {
+      const std::string key = scenario_steady_key(s);
+      if (!seen_steady.insert(key).second || bank->has_steady(key)) {
+        setup_factor = kPreparedScenarioSetupFactor;
+      }
+    }
+    cost[i] = estimated_scenario_cost(s, setup_factor);
+  }
+  return cost;
+}
+
+void publish_session(const SimulationSession& s,
+                     const sparse::SolverStats& st) {
+  if (!obs::metrics_enabled()) return;
+  static obs::Counter steps("sweep/steps");
+  static obs::Counter solves("solver/solves");
+  static obs::Counter iterations("solver/iterations");
+  static obs::Counter refactors("solver/refactors");
+  static obs::Counter partials("solver/partial_refactors");
+  static obs::Counter deferred("solver/deferred_updates");
+  static obs::Counter fcache("solver/factor_cache_hits");
+  static obs::Counter retries("solver/retries");
+  static obs::Counter pred("predictor/hits");
+  static obs::Counter pred_interp("predictor/interp_hits");
+  static obs::Counter pred_fluid("predictor/fluid_hits");
+  static obs::Counter traj("predictor/trajectory_hits");
+  static obs::Counter replay_cycles("replay/cycles");
+  static obs::Counter replay_steps("replay/steps_replayed");
+  static obs::Counter replay_skipped("replay/solves_skipped");
+  steps.add(static_cast<std::uint64_t>(s.steps_done()));
+  replay_cycles.add(s.replay_cycles());
+  replay_steps.add(s.replay_steps());
+  replay_skipped.add(s.replay_solves_skipped());
+  solves.add(st.solves);
+  iterations.add(st.iterations);
+  refactors.add(st.refactors);
+  partials.add(st.partial_refactors);
+  deferred.add(st.deferred_updates);
+  fcache.add(st.factor_cache_hits);
+  retries.add(st.retries);
+  const thermal::TransientSolver& t = s.thermal_solver();
+  pred.add(t.predictor_hits());
+  pred_interp.add(t.predictor_interpolations());
+  pred_fluid.add(t.predictor_fluid_jumps());
+  traj.add(t.trajectory_hits());
+}
+
 SweepReport::SweepReport(std::vector<SweepResult> results, int jobs_used,
                          double wall_seconds)
     : results_(std::move(results)),
@@ -288,38 +349,15 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
     // — share_structures only governs the bank-off path (see its doc).
     cache = bank->structures();
   }
-  std::vector<SweepResult> results(scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+  std::vector<Scenario> specs = scenarios;
+  const std::vector<double> cost =
+      prepare_sweep_scenarios(specs, cache, bank.get());
+  std::vector<SweepResult> results(specs.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
     results[i].index = i;
-    results[i].scenario = scenarios[i];
-    if (results[i].scenario.label.empty()) {
-      results[i].scenario.label = scenario_label(scenarios[i]);
-    }
-    if (cache && !results[i].scenario.sim.structure_cache) {
-      results[i].scenario.sim.structure_cache = cache;
-    }
+    results[i].scenario = std::move(specs[i]);
     if (opts.refresh) {
       results[i].scenario.sim.refresh = *opts.refresh;
-    }
-  }
-
-  // Per-scenario cost estimates (LPT scheduling key). With a bank, only
-  // the first scenario of each steady-tier key pays construction — later
-  // equal-keyed ones are costed as clone-and-reset so the scheduler
-  // doesn't overrate them.
-  std::vector<double> cost(results.size(), 0.0);
-  {
-    std::unordered_set<std::string> seen_steady;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const Scenario& s = results[i].scenario;
-      double setup_factor = 1.0;
-      if (bank != nullptr) {
-        const std::string key = scenario_steady_key(s);
-        if (!seen_steady.insert(key).second || bank->has_steady(key)) {
-          setup_factor = kPreparedScenarioSetupFactor;
-        }
-      }
-      cost[i] = estimated_scenario_cost(s, setup_factor);
     }
   }
 
@@ -401,48 +439,6 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
   std::atomic<std::size_t> next{0};
   std::atomic<std::uint64_t> compaction_total{0};
   std::mutex report_mutex;
-
-  // The registry publication point: fold one finished session's
-  // bespoke counters (SolverStats, warm-start predictor outcomes, step
-  // counts) into the uniform obs namespace. Scenario completion, not
-  // the per-step loop, so the warm hot path stays untouched. `st` holds
-  // the counters of the solver that stepped the session: its own, or
-  // its lane of the batched solver.
-  auto publish_session = [](const SimulationSession& s,
-                            const sparse::SolverStats& st) {
-    if (!obs::metrics_enabled()) return;
-    static obs::Counter steps("sweep/steps");
-    static obs::Counter solves("solver/solves");
-    static obs::Counter iterations("solver/iterations");
-    static obs::Counter refactors("solver/refactors");
-    static obs::Counter partials("solver/partial_refactors");
-    static obs::Counter deferred("solver/deferred_updates");
-    static obs::Counter fcache("solver/factor_cache_hits");
-    static obs::Counter retries("solver/retries");
-    static obs::Counter pred("predictor/hits");
-    static obs::Counter pred_interp("predictor/interp_hits");
-    static obs::Counter pred_fluid("predictor/fluid_hits");
-    static obs::Counter traj("predictor/trajectory_hits");
-    static obs::Counter replay_cycles("replay/cycles");
-    static obs::Counter replay_steps("replay/steps_replayed");
-    static obs::Counter replay_skipped("replay/solves_skipped");
-    steps.add(static_cast<std::uint64_t>(s.steps_done()));
-    replay_cycles.add(s.replay_cycles());
-    replay_steps.add(s.replay_steps());
-    replay_skipped.add(s.replay_solves_skipped());
-    solves.add(st.solves);
-    iterations.add(st.iterations);
-    refactors.add(st.refactors);
-    partials.add(st.partial_refactors);
-    deferred.add(st.deferred_updates);
-    fcache.add(st.factor_cache_hits);
-    retries.add(st.retries);
-    const thermal::TransientSolver& t = s.thermal_solver();
-    pred.add(t.predictor_hits());
-    pred_interp.add(t.predictor_interpolations());
-    pred_fluid.add(t.predictor_fluid_jumps());
-    traj.add(t.trajectory_hits());
-  };
 
   auto publish_result = [](const SweepResult& r) {
     if (!obs::metrics_enabled()) return;
@@ -568,12 +564,6 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
         r.solve_seconds = solve * share;
         r.tail_seconds = tail * share;
         r.wall_seconds = r.setup_seconds + r.stepping_seconds;
-        if (batch.has_session(l)) {
-          const SimulationSession& s = batch.session(l);
-          r.replay_cycles = s.replay_cycles();
-          r.replay_steps = s.replay_steps();
-          r.replay_solves_skipped = s.replay_solves_skipped();
-        }
         if (batch.lane_ok(l)) {
           r.metrics = batch.metrics(l);
         } else {

@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,29 @@ double estimated_scenario_cost(const Scenario& s,
 /// fixed-point solve).
 inline constexpr double kPreparedScenarioSetupFactor = 0.05;
 
+/// The per-scenario preamble of run_sweep and the sweep service
+/// (service/service.hpp): fill empty labels with scenario_label(),
+/// inject \p cache into scenarios that carry no structure cache of
+/// their own (null = leave them alone), and return each scenario's
+/// estimated_scenario_cost, the LPT dispatch key. With a \p bank, a
+/// scenario whose steady-tier key the bank already holds, or an earlier
+/// scenario of the list shares, is costed as clone-and-reset
+/// (kPreparedScenarioSetupFactor).
+std::vector<double> prepare_sweep_scenarios(
+    std::span<Scenario> scenarios,
+    const std::shared_ptr<sparse::StructureCache>& cache,
+    const ScenarioBank* bank);
+
+/// The registry publication point of one finished session: add its step
+/// count, limit-cycle replay counters, solver counters \p st and
+/// warm-start predictor outcomes to the sweep/steps, replay/*, solver/*
+/// and predictor/* counters. \p st holds the counters of the solver that
+/// stepped the session: its own, or its lane of a batched solver.
+/// run_sweep and the sweep service call it once per finished scenario,
+/// never from the per-step loop. No-op while metrics are disabled.
+void publish_session(const SimulationSession& s,
+                     const sparse::SolverStats& st);
+
 /// Outcome of one scenario of a sweep.
 struct SweepResult {
   std::size_t index = 0;  ///< position in the input scenario list
@@ -83,9 +107,11 @@ struct SweepResult {
   int batch_lanes = 0;
   /// Limit-cycle replay telemetry of the session (sim/replay.hpp):
   /// verified cycles locked, control steps fast-forwarded from the
-  /// journal, and linear solves those steps skipped. All 0 when replay
-  /// never engaged (aperiodic trace, solver never bitwise-locked, or
-  /// SimulationConfig::limit_cycle_replay off).
+  /// journal, and linear solves those steps skipped. Replay engages only
+  /// for the direct banded solver, whose solve is a pure function of the
+  /// current state, so all 0 for BiCGSTAB+ILU(0) scenarios (batched
+  /// lanes included), aperiodic traces, loops that never bitwise-lock,
+  /// or SimulationConfig::limit_cycle_replay off.
   std::uint64_t replay_cycles = 0;
   std::uint64_t replay_steps = 0;
   std::uint64_t replay_solves_skipped = 0;

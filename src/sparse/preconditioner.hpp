@@ -57,11 +57,8 @@ class Ilu0Preconditioner final : public Preconditioner {
 
   void apply(std::span<const double> r, std::span<double> z) const override;
 
-  /// The current factor values (schedule slot order). Exposed so the
-  /// solver facade can fold possibly-stale factors into a replay
-  /// fingerprint (LinearSolver::fold_replay_state) — the ILU(0) factors
-  /// are deliberately left stale under lazy refresh and therefore carry
-  /// history.
+  /// The current factor values (schedule slot order), for tests that
+  /// compare factorizations byte for byte.
   std::span<const double> factor_values() const { return lu_; }
 
   /// The level schedule the solves walk.

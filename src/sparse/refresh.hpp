@@ -24,8 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "common/fnv.hpp"
-
 namespace tac3d::sparse {
 
 /// Description of an in-place value update on an unchanged sparsity
@@ -150,14 +148,6 @@ class LazyRefresh {
                              std::max(std::int32_t{1}, fresh_iterations_) +
                          policy_.iteration_slack;
     return static_cast<double>(iterations) > limit;
-  }
-
-  /// Fold the state that decides future rebuilds into the FNV-1a
-  /// accumulator \p h (see LinearSolver::fold_replay_state).
-  void fold(std::uint64_t& h) const {
-    h = fnv1a_bytes(h, row_dirty_.data(), row_dirty_.size());
-    h = fnv1a(h, dirty_rows_);
-    h = fnv1a(h, fresh_iterations_);
   }
 
  private:

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/error.hpp"
-#include "common/fnv.hpp"
 #include "sparse/banded_lu.hpp"
 #include "sparse/iterative.hpp"
 #include "sparse/preconditioner.hpp"
@@ -147,16 +146,6 @@ class BandedLuSolver final : public LinearSolver {
     }
   }
 
-  // A solve here is a pure function of the bound matrix's current
-  // values: the active factor always matches them (a slot-cache hit is
-  // bitwise-equal to a fresh refactor, a partial refactor is exact), so
-  // slot contents, LRU stamps and eviction order affect cost only —
-  // nothing to fold.
-  bool fold_replay_state(std::uint64_t& h) const override {
-    (void)h;
-    return true;
-  }
-
   const char* name() const override { return "banded-lu(rcm)"; }
 
  private:
@@ -273,15 +262,6 @@ class BicgstabSolver final : public LinearSolver {
 
   void set_tolerance(double rel_tolerance) override {
     rel_tolerance_ = rel_tolerance;
-  }
-
-  // The factors are deliberately stale under lazy refresh, and the
-  // refresh state decides *when* future refactors fire — both feed
-  // future solve() results, so both go into the print.
-  bool fold_replay_state(std::uint64_t& h) const override {
-    h = fnv1a(h, precond_.factor_values());
-    refresh_.fold(h);
-    return true;
   }
 
   const char* name() const override { return "bicgstab+ilu0"; }

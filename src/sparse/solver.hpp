@@ -20,7 +20,6 @@
 /// a sliced-ELL mirror that the notifications refill), so every value
 /// change must be notified before the next solve().
 
-#include <cstdint>
 #include <memory>
 #include <span>
 
@@ -80,22 +79,6 @@ class LinearSolver {
 
   /// Refresh/solve counters (all zero for strategies that don't track).
   const SolverStats& stats() const { return stats_; }
-
-  /// Fold every piece of mutable solver state whose *values* can
-  /// influence future solve() results (stale preconditioner factors,
-  /// deferred-refresh bookkeeping) into the FNV-1a accumulator \p h, and
-  /// return true. Strategies whose solve() output is a pure function of
-  /// the bound matrix's current values and the caller-supplied (b, x)
-  /// have nothing to fold and return true without touching \p h.
-  /// Return false when the strategy cannot enumerate its
-  /// history-carrying state — exact-recurrence machinery (limit-cycle
-  /// replay, sim/replay.hpp) must then stand down. Monotonic counters
-  /// (stats_) are excluded by contract: they never feed back into
-  /// solve() arithmetic.
-  virtual bool fold_replay_state(std::uint64_t& h) const {
-    (void)h;
-    return false;
-  }
 
   /// Human-readable solver name for logs and benches.
   virtual const char* name() const = 0;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/fnv.hpp"
 #include "obs/trace.hpp"
 #include "sparse/kernels.hpp"
 
@@ -362,31 +361,6 @@ void TransientSolver::advance(double duration) {
   require(duration >= 0.0, "TransientSolver::advance: negative duration");
   const int steps = static_cast<int>(std::ceil(duration / dt_ - 1e-12));
   for (int s = 0; s < steps; ++s) step();
-}
-
-bool TransientSolver::fold_replay_state(std::uint64_t& h) const {
-  if (!solver_->fold_replay_state(h)) return false;
-  // Trajectory-extrapolation memory: T_{n-1} is read on the next
-  // ordinary step, so it must recur for the loop to recur.
-  h = fnv1a(h, traj_valid_);
-  if (traj_valid_) h = fnv1a(h, std::span<const double>(traj_prev_));
-  // Warm-start transition cache: occupancy, round-robin cursor, and —
-  // for occupied slots — keys and cached fields. All of it steers which
-  // initial guess a future flow-change step starts from, and for
-  // iterative solvers the guess shapes the computed iterate bitwise.
-  // Unoccupied slots hold dead bytes (every field is rewritten before
-  // used flips back on), so their content stays out of the print.
-  h = fnv1a(h, next_slot_);
-  for (const WarmStartSlot& s : slots_) {
-    h = fnv1a(h, s.used);
-    if (!s.used) continue;
-    h = fnv1a(h, std::span<const double>(s.flows));
-    h = fnv1a_bytes(h, s.profiles.data(),
-                    s.profiles.size() * sizeof(std::uint64_t));
-    h = fnv1a(h, std::span<const double>(s.state_before));
-    h = fnv1a(h, std::span<const double>(s.solution));
-  }
-  return true;
 }
 
 }  // namespace tac3d::thermal

@@ -178,17 +178,6 @@ class TransientSolver {
     for (int i = 0; i < n; ++i) time_ += dt_;
   }
 
-  /// Fold the integrator's history-carrying state — everything beyond
-  /// the temperature field that can influence future step() results —
-  /// into the FNV-1a accumulator \p h: trajectory-extrapolation memory,
-  /// the warm-start transition cache (slot keys and cached fields) and
-  /// the bound linear solver's own state
-  /// (sparse::LinearSolver::fold_replay_state). Returns false when the
-  /// solver cannot enumerate its state; limit-cycle replay then stands
-  /// down. Monotonic telemetry (predictor/trajectory hit counters,
-  /// solver stats) is excluded: it never feeds back into arithmetic.
-  bool fold_replay_state(std::uint64_t& h) const;
-
   /// The backward-Euler operator this solver steps (flow-update
   /// telemetry: dirty fractions, update counts).
   const ThermalOperator& system_operator() const { return op_; }

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -24,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "power/trace.hpp"
+#include "service/service.hpp"
 #include "sim/sweep.hpp"
 
 namespace tac3d {
@@ -272,10 +274,10 @@ sim::Scenario lane_scenario(std::uint64_t seed) {
   return s;
 }
 
-/// A constant-trace closed loop settles onto an exact fixed point, so
-/// the limit-cycle detector locks within a few control intervals and
-/// the rest of the run fast-forwards — putting the session/replay span
-/// on the traced timeline.
+/// A constant-trace closed loop on the direct solver settles onto an
+/// exact fixed point, so the limit-cycle detector locks within a few
+/// control intervals and the rest of the run fast-forwards — putting
+/// the session/replay span on the traced timeline.
 sim::Scenario replay_scenario() {
   auto tr = std::make_shared<power::UtilizationTrace>("const", 32, 30);
   for (int th = 0; th < 32; ++th) {
@@ -287,6 +289,7 @@ sim::Scenario replay_scenario() {
   s.trace = std::move(tr);
   s.trace_seconds = 30;
   s.grid = thermal::GridOptions{8, 8};
+  s.sim.solver = sparse::SolverKind::kBandedLu;
   return s;
 }
 
@@ -402,6 +405,43 @@ TEST(ObsTrace, BatchedSweepTraceIsWellFormedAndNested) {
   EXPECT_GE(names.size(), 6u);
 
   if (!env_path || !*env_path) std::remove(path.c_str());
+}
+
+// --- Publication -------------------------------------------------------------
+
+TEST(ObsRegistry, ServicePublishesTheSessionCountersOfRunSweep) {
+  // Both runners publish every finished session through
+  // sim::publish_session, so the same scenarios must move sweep/steps
+  // and the solver/, predictor/ and replay/ counters equally.
+  const std::vector<sim::Scenario> scenarios = {
+      lane_scenario(1), lane_scenario(2), lane_scenario(3), replay_scenario()};
+  const auto session_counters = [](const obs::Snapshot& before) {
+    auto counters = obs::snapshot().since(before).counters;
+    std::erase_if(counters, [](const auto& c) {
+      return c.first != "sweep/steps" && !c.first.starts_with("solver/") &&
+             !c.first.starts_with("predictor/") &&
+             !c.first.starts_with("replay/");
+    });
+    return counters;
+  };
+  obs::set_metrics_enabled(true);
+  sim::SweepOptions opts;
+  opts.jobs = 1;
+  opts.batch_width = 1;
+  obs::Snapshot before = obs::snapshot();
+  ASSERT_TRUE(sim::run_sweep(scenarios, opts).all_ok());
+  const auto from_sweep = session_counters(before);
+  ASSERT_GT(from_sweep.at("solver/solves"), 0u);
+  ASSERT_GT(from_sweep.at("replay/steps_replayed"), 0u);
+
+  service::SweepService service;
+  std::promise<void> done;
+  before = obs::snapshot();
+  ASSERT_TRUE(service.submit(scenarios, 1, [&](const service::JobEvent& ev) {
+    if (ev.kind == service::JobEvent::Kind::kComplete) done.set_value();
+  }).has_value());
+  done.get_future().wait();
+  EXPECT_EQ(session_counters(before), from_sweep);
 }
 
 // --- Neutrality --------------------------------------------------------------

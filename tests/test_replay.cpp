@@ -1,24 +1,21 @@
 // Limit-cycle fast-forward must be invisible in the results: a session
 // that detects an exactly-periodic closed loop and replays journaled
 // cycles (sim/replay.hpp) must finish with bitwise the metrics and the
-// temperature field of the step-everything run — across solver kinds,
-// scalar and batched stepping, and run_until calls that land mid
-// control interval or mid replay cycle. The trace periodicity probe
-// (power::UtilizationTrace::period_hint) that arms the machinery is
-// covered here too.
+// temperature field of the step-everything run — across solver kinds
+// (only banded LU arms replay), the sweep runner, and run_until calls
+// that land mid control interval or mid replay cycle. The trace
+// periodicity probe (power::UtilizationTrace::period_hint) that arms
+// the machinery is covered here too.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "power/trace.hpp"
 #include "power/workloads.hpp"
-#include "sim/bank.hpp"
-#include "sim/batch.hpp"
 #include "sim/experiment.hpp"
 #include "sim/sweep.hpp"
 
@@ -167,12 +164,11 @@ TEST_P(ReplayParityTest, ReplayOnMatchesStepEverythingBitwise) {
   expect_same_outcome(replayed, stepped, "replay on vs off");
   EXPECT_EQ(stepped.cycles, 0u);
   EXPECT_EQ(stepped.solves_skipped, 0u);
-  if (GetParam() == sparse::SolverKind::kBandedLu) {
-    // The direct solver is a pure function of the operator values, so
-    // the loop bitwise-locks once warm and most of the run is replayed.
-    EXPECT_GT(replayed.cycles, 0u);
-    EXPECT_GT(replayed.solves_skipped, 0u);
-  }
+  // Banded LU is a pure function of the operator values and locks once
+  // warm; ILU(0) carries history between steps and is never armed.
+  const bool direct = GetParam() == sparse::SolverKind::kBandedLu;
+  EXPECT_EQ(replayed.cycles > 0, direct);
+  EXPECT_EQ(replayed.solves_skipped > 0, direct);
 }
 
 TEST_P(ReplayParityTest, RunUntilMidIntervalAndMidCycleResumesBitwise) {
@@ -196,9 +192,9 @@ TEST_P(ReplayParityTest, RunUntilMidIntervalAndMidCycleResumesBitwise) {
   }
   taken += chopped.run_to_end();
   EXPECT_EQ(taken, chopped.steps_done());
-  if (GetParam() == sparse::SolverKind::kBandedLu) {
-    EXPECT_GT(chopped.replay_steps(), 0u);  // stops landed inside replay
-  }
+  // Banded stops landed inside replay; ILU(0) never replays.
+  EXPECT_EQ(chopped.replay_steps() > 0,
+            GetParam() == sparse::SolverKind::kBandedLu);
 
   EXPECT_EQ(ref.steps_done(), chopped.steps_done());
   const auto a = ref.temperatures();
@@ -223,7 +219,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(sparse::SolverKind::kBandedLu,
                       sparse::SolverKind::kBicgstabIlu0));
 
-// --- iterative solvers on a true fixed point -------------------------------
+// --- a true fixed point ----------------------------------------------------
 
 std::shared_ptr<const power::UtilizationTrace> constant_trace(
     int seconds, double base = 0.45) {
@@ -251,10 +247,10 @@ Scenario constant_scenario(sparse::SolverKind kind, double base = 0.45) {
 class ConstantTraceReplayTest
     : public ::testing::TestWithParam<sparse::SolverKind> {};
 
-TEST_P(ConstantTraceReplayTest, IterativeSolversLockOnFixedPoint) {
-  // A constant trace drives the loop to an exact fixed point: warm
-  // starts hit at iteration 0 and even the history-carrying iterative
-  // solvers bitwise-recur, so replay must engage — and stay invisible.
+TEST_P(ConstantTraceReplayTest, OnlyTheDirectSolverLocksOnFixedPoint) {
+  // A constant trace drives the loop to an exact fixed point: the direct
+  // solver locks there, the unarmed iterative one steps on, and both
+  // stay bitwise the step-everything run.
   const Scenario on = constant_scenario(GetParam());
   Scenario off = on;
   off.sim.limit_cycle_replay = false;
@@ -262,8 +258,9 @@ TEST_P(ConstantTraceReplayTest, IterativeSolversLockOnFixedPoint) {
   const RunOutcome replayed = run_full(on);
   const RunOutcome stepped = run_full(off);
   expect_same_outcome(replayed, stepped, "constant trace replay");
-  EXPECT_GT(replayed.cycles, 0u);
-  EXPECT_GT(replayed.solves_skipped, 0u);
+  const bool direct = GetParam() == sparse::SolverKind::kBandedLu;
+  EXPECT_EQ(replayed.cycles > 0, direct);
+  EXPECT_EQ(replayed.solves_skipped > 0, direct);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -273,51 +270,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- batched lanes ---------------------------------------------------------
 
-TEST(BatchedReplay, ReplayingLanesDropOutAndStayBitwise) {
-  // Two ilu0 lanes on (different) constant traces: both sessions lock
-  // on their fixed-point cycle under the conservative batched rule
-  // (quiescent cycles only — LC_LB never changes the pump level) and
-  // drop out of the batched solve, fast-forwarding independently. Each
-  // lane must finish bitwise identical to its scalar replay-off run.
-  std::vector<Scenario> lanes = {
-      constant_scenario(sparse::SolverKind::kBicgstabIlu0, 0.45),
-      constant_scenario(sparse::SolverKind::kBicgstabIlu0, 0.55),
-  };
-
-  std::vector<RunOutcome> refs;
-  for (const Scenario& s : lanes) {
-    Scenario off = s;
-    off.sim.limit_cycle_replay = false;
-    refs.push_back(run_full(off));
-  }
-
-  ScenarioBank bank;
-  std::vector<PreparedScenario> prepared;
-  for (const Scenario& s : lanes) prepared.push_back(bank.prepare(s));
-  BatchSession batch(std::move(prepared));
-  ASSERT_TRUE(batch.thermal_batched());
-  batch.run_to_end();
-  ASSERT_TRUE(batch.done());
-
-  for (int l = 0; l < batch.lanes(); ++l) {
-    ASSERT_TRUE(batch.lane_ok(l)) << batch.lane_error(l);
-    const SimulationSession& session = batch.session(l);
-    EXPECT_GT(session.replay_solves_skipped(), 0u) << "lane " << l;
-    const RunOutcome got = {batch.metrics(l),
-                            {session.temperatures().begin(),
-                             session.temperatures().end()},
-                            session.replay_cycles(),
-                            session.replay_steps(),
-                            session.replay_solves_skipped()};
-    expect_same_outcome(got, refs[static_cast<std::size_t>(l)],
-                        "batched lane " + std::to_string(l));
-  }
-}
-
 TEST(BatchedReplay, PeriodicSweepMatchesReplayOffSweep) {
-  // End to end through the sweep runner: periodic-workload scenarios,
-  // batched and scalar, replay on vs off — identical results, and the
-  // replay telemetry surfaces in the SweepResult rows.
+  // End to end through the sweep runner: periodic banded scenarios on
+  // the scalar path and constant-trace ILU(0) ones in a batched job,
+  // replay on vs off — identical results, replay telemetry in the
+  // SweepResult rows, and replayed steps only on the banded rows.
   std::vector<Scenario> scenarios = {
       periodic_scenario(sparse::SolverKind::kBandedLu),
       periodic_scenario(sparse::SolverKind::kBandedLu, PolicyKind::kLcLb),
@@ -344,6 +301,9 @@ TEST(BatchedReplay, PeriodicSweepMatchesReplayOffSweep) {
     EXPECT_EQ(on.at(i).metrics.migrations, off.at(i).metrics.migrations)
         << what;
     EXPECT_EQ(off.at(i).replay_solves_skipped, 0u) << what;
+    EXPECT_EQ(on.at(i).replay_steps > 0,
+              scenarios[i].sim.solver == sparse::SolverKind::kBandedLu)
+        << what;
   }
   EXPECT_GT(on.replay_cycles_total(), 0u);
   EXPECT_GT(on.replay_steps_total(), 0u);

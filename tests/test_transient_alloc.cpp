@@ -223,11 +223,11 @@ TEST(SessionAlloc, WarmReplayJournalAndFastForwardAreAllocationFree) {
 #if !TAC3D_ALLOC_HOOK
   GTEST_SKIP() << "allocation hook disabled under sanitizers";
 #endif
-  // A constant trace (period_hint 1 s = 4 control steps) drives the
-  // loop to a fixed point, so the limit-cycle detector locks after a
-  // few cycle boundaries. Both journaling steps and the fast-forward
-  // replay itself must stay off the heap: the journal is sized at
-  // arm() and cycles are re-applied from it in place.
+  // A constant trace (period_hint 1 s = 4 control steps) drives this
+  // banded-LU loop to a fixed point; the limit-cycle detector locks at
+  // step 20. Both journaling steps and the fast-forward replay itself
+  // must stay off the heap: the journal is sized at arm() and cycles
+  // are re-applied from it in place.
   auto trace =
       std::make_shared<power::UtilizationTrace>("const", 32, 60);
   for (int th = 0; th < 32; ++th) {
@@ -239,15 +239,15 @@ TEST(SessionAlloc, WarmReplayJournalAndFastForwardAreAllocationFree) {
   s.trace = trace;
   s.trace_seconds = 60;
   s.grid = thermal::GridOptions{8, 8};
-  s.sim.solver = sparse::SolverKind::kBicgstabIlu0;
+  s.sim.solver = sparse::SolverKind::kBandedLu;
   sim::ScenarioInstance inst = sim::instantiate(s);
   sim::SimulationSession session = inst.session();
 
-  for (int i = 0; i < 4; ++i) session.step();  // settle; first boundary
+  for (int i = 0; i < 8; ++i) session.step();  // settle
 
   AllocCounter::start();
-  // Covers the match boundary, the 4 journaling steps and the verify
-  // boundary that flips the detector to locked.
+  // Covers the match boundary (step 16), the 4 journaling steps and the
+  // verify boundary (step 20) that flips the detector to locked.
   for (int i = 0; i < 12; ++i) session.step();
   const long long journal_allocs = AllocCounter::stop();
   EXPECT_EQ(journal_allocs, 0)
