@@ -13,17 +13,34 @@ namespace tac3d::power {
 
 UtilizationTrace::UtilizationTrace(std::string name, int n_threads,
                                    int n_seconds)
-    : name_(std::move(name)), n_threads_(n_threads), n_seconds_(n_seconds) {
+    : name_(std::move(name)),
+      n_threads_(n_threads),
+      n_seconds_(n_seconds),
+      block_(n_seconds) {
   require(n_threads > 0 && n_seconds > 0,
           "UtilizationTrace: dimensions must be positive");
   data_.assign(static_cast<std::size_t>(n_threads) * n_seconds, 0.0);
 }
 
+UtilizationTrace UtilizationTrace::tiled(UtilizationTrace block,
+                                         int seconds) {
+  require(block.block_ == block.n_seconds_ && block.n_seconds_ > 0 &&
+              seconds >= block.n_seconds_,
+          "UtilizationTrace::tiled: block must be dense and fit the trace");
+  block.n_seconds_ = seconds;
+  return block;
+}
+
+const double* UtilizationTrace::row(int t) const {
+  t = std::clamp(t, 0, n_seconds_ - 1);
+  if (t >= block_) t %= block_;
+  return &data_[static_cast<std::size_t>(t) * n_threads_];
+}
+
 double UtilizationTrace::at(int thread, int t) const {
   require(thread >= 0 && thread < n_threads_,
           "UtilizationTrace::at: thread out of range");
-  t = std::clamp(t, 0, n_seconds_ - 1);
-  return data_[static_cast<std::size_t>(t) * n_threads_ + thread];
+  return row(t)[thread];
 }
 
 double UtilizationTrace::sample(int thread, double t) const {
@@ -35,7 +52,7 @@ double UtilizationTrace::sample(int thread, double t) const {
 }
 
 void UtilizationTrace::set(int thread, int t, double u) {
-  require(thread >= 0 && thread < n_threads_ && t >= 0 && t < n_seconds_,
+  require(thread >= 0 && thread < n_threads_ && t >= 0 && t < block_,
           "UtilizationTrace::set: index out of range");
   require(u >= 0.0 && u <= 1.0,
           "UtilizationTrace::set: utilization must be in [0, 1]");
@@ -43,9 +60,15 @@ void UtilizationTrace::set(int thread, int t, double u) {
 }
 
 double UtilizationTrace::mean() const {
+  // Every second in order, threads innermost: the dense summation
+  // order, so a tiled trace averages bit for bit like its expansion.
+  if (n_seconds_ == 0) return 0.0;
   double acc = 0.0;
-  for (double v : data_) acc += v;
-  return data_.empty() ? 0.0 : acc / data_.size();
+  for (int t = 0; t < n_seconds_; ++t) {
+    const double* r = row(t);
+    for (int th = 0; th < n_threads_; ++th) acc += r[th];
+  }
+  return acc / (static_cast<std::size_t>(n_seconds_) * n_threads_);
 }
 
 double UtilizationTrace::peak() const {
@@ -73,14 +96,15 @@ void UtilizationTrace::to_csv(std::ostream& os) const {
 
 int UtilizationTrace::period_hint() const {
   for (int period = 1; period <= n_seconds_ / 2; ++period) {
+    // Rows t and t - period both wrap with the block, so the pairs of
+    // t in [period, period + block_) are every pair the trace holds.
+    const int end = std::min(n_seconds_, block_ + period);
     bool ok = true;
-    for (int t = period; ok && t < n_seconds_; ++t) {
-      const double* cur = &data_[static_cast<std::size_t>(t) * n_threads_];
-      const double* prev =
-          &data_[static_cast<std::size_t>(t - period) * n_threads_];
+    for (int t = period; ok && t < end; ++t) {
       // Bitwise, not operator==: -0.0 vs 0.0 (or any payload difference)
       // must count as a deviation for the replay contract to hold.
-      if (std::memcmp(cur, prev, sizeof(double) * n_threads_) != 0) {
+      if (std::memcmp(row(t), row(t - period),
+                      sizeof(double) * n_threads_) != 0) {
         ok = false;
       }
     }
@@ -92,11 +116,10 @@ int UtilizationTrace::period_hint() const {
 bool UtilizationTrace::windows_equal(int s0, int s1, int len) const {
   if (s0 == s1) return true;
   for (int j = 0; j <= len; ++j) {
-    const int a = std::clamp(s0 + j, 0, n_seconds_ - 1);
-    const int b = std::clamp(s1 + j, 0, n_seconds_ - 1);
-    const double* ra = &data_[static_cast<std::size_t>(a) * n_threads_];
-    const double* rb = &data_[static_cast<std::size_t>(b) * n_threads_];
-    if (std::memcmp(ra, rb, sizeof(double) * n_threads_) != 0) return false;
+    if (std::memcmp(row(s0 + j), row(s1 + j),
+                    sizeof(double) * n_threads_) != 0) {
+      return false;
+    }
   }
   return true;
 }

@@ -90,24 +90,22 @@ void fill_max(UtilizationTrace& tr, Rng& rng) {
   }
 }
 
-void fill_periodic(UtilizationTrace& tr, Rng& rng) {
+UtilizationTrace periodic_trace(int threads, int seconds, Rng& rng) {
   // One noisy sinusoidal frame pattern per thread (distinct phases and
-  // noise), then tile it exactly: every repetition copies the same
+  // noise), stored once and tiled: every repetition reads the same
   // doubles, so the trace is bitwise periodic at kPeriodicWorkloadSeconds
   // even though each period looks as irregular as a kMultimedia window.
-  const int period = std::min(kPeriodicWorkloadSeconds, tr.seconds());
-  for (int th = 0; th < tr.threads(); ++th) {
+  const int period = std::min(kPeriodicWorkloadSeconds, seconds);
+  UtilizationTrace block(workload_name(WorkloadKind::kPeriodic), threads,
+                         period);
+  for (int th = 0; th < threads; ++th) {
     const double offset = rng.uniform(0.0, static_cast<double>(period));
-    std::vector<double> base(static_cast<std::size_t>(period));
     for (int t = 0; t < period; ++t) {
       const double s = std::sin(2.0 * M_PI * (t + offset) / period);
-      base[static_cast<std::size_t>(t)] =
-          clamp01(0.55 + 0.30 * s + rng.normal(0.0, 0.05));
-    }
-    for (int t = 0; t < tr.seconds(); ++t) {
-      tr.set(th, t, base[static_cast<std::size_t>(t % period)]);
+      block.set(th, t, clamp01(0.55 + 0.30 * s + rng.normal(0.0, 0.05)));
     }
   }
+  return UtilizationTrace::tiled(std::move(block), seconds);
 }
 
 void fill_idle(UtilizationTrace& tr, Rng& rng) {
@@ -142,8 +140,11 @@ std::string workload_name(WorkloadKind kind) {
 
 UtilizationTrace generate_workload(WorkloadKind kind, int threads,
                                    int seconds, std::uint64_t seed) {
-  UtilizationTrace tr(workload_name(kind), threads, seconds);
   Rng rng(seed ^ (static_cast<std::uint64_t>(kind) << 32));
+  if (kind == WorkloadKind::kPeriodic) {
+    return periodic_trace(threads, seconds, rng);
+  }
+  UtilizationTrace tr(workload_name(kind), threads, seconds);
   switch (kind) {
     case WorkloadKind::kWebServer:
       fill_web(tr, rng);
@@ -170,8 +171,7 @@ UtilizationTrace generate_workload(WorkloadKind kind, int threads,
     case WorkloadKind::kIdle:
       fill_idle(tr, rng);
       break;
-    case WorkloadKind::kPeriodic:
-      fill_periodic(tr, rng);
+    case WorkloadKind::kPeriodic:  // returned above, stored once
       break;
   }
   return tr;

@@ -27,13 +27,13 @@ enum class WorkloadKind {
   kMaxUtil,     ///< all threads near 100% (worst case)
   kIdle,        ///< near-zero background
   /// Exactly periodic frame loop: one noisy per-thread pattern of
-  /// kPeriodicWorkloadSeconds, tiled bitwise-identically for the whole
-  /// trace (UtilizationTrace::period_hint() finds it). kMultimedia is
-  /// *statistically* periodic but never repeats samples exactly; this
-  /// kind models a steady-state frame pipeline whose per-frame load is
-  /// literally the same every frame — the workload shape the
-  /// limit-cycle replay fast-forward (sim/replay.hpp) engages on. Not
-  /// part of average_case_workloads().
+  /// kPeriodicWorkloadSeconds, stored once and tiled over the whole
+  /// trace (UtilizationTrace::tiled; period_hint() finds it).
+  /// kMultimedia is *statistically* periodic but never repeats samples
+  /// exactly; this kind models a steady-state frame pipeline whose
+  /// per-frame load is literally the same every frame — the workload
+  /// shape the limit-cycle replay fast-forward (sim/replay.hpp) engages
+  /// on. Not part of average_case_workloads().
   kPeriodic,
 };
 

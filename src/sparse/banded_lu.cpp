@@ -51,6 +51,15 @@ BandedLu::BandedLu(const CsrMatrix& a, std::vector<std::int32_t> perm) {
   factor(a);
 }
 
+BandedLu BandedLu::reserved_like(const BandedLu& like) {
+  BandedLu lu;
+  lu.perm_.reserve(like.perm_.size());
+  lu.inv_perm_.reserve(like.inv_perm_.size());
+  lu.data_.reserve(like.data_.size());
+  lu.work_.reserve(like.work_.size());
+  return lu;
+}
+
 void BandedLu::load(const CsrMatrix& a, std::int32_t first_row) {
   std::fill(data_.begin() + static_cast<std::size_t>(first_row) * stride_,
             data_.end(), 0.0);

@@ -31,6 +31,15 @@ class BandedLu {
   /// \p structure falls back to the analyzing constructor.
   BandedLu(const CsrMatrix& a, const SymbolicStructure* structure);
 
+  /// A factor slot for \p like's pattern: capacity for every buffer is
+  /// reserved and nothing is written, so the band's pages stay untouched
+  /// until a factored BandedLu of the same pattern is copy-assigned into
+  /// it, which then allocates nothing. Holds no factor until then.
+  static BandedLu reserved_like(const BandedLu& like);
+
+  /// False for a reserved_like() slot that nothing was assigned to yet.
+  bool factored() const { return !data_.empty(); }
+
   /// Refactor with new values; \p a must have the same sparsity pattern
   /// as the matrix used at construction.
   void factor(const CsrMatrix& a);
@@ -55,6 +64,7 @@ class BandedLu {
   std::int32_t upper_bandwidth() const { return ku_; }
 
  private:
+  BandedLu() = default;
   double& band(std::int32_t i, std::int32_t j) {
     return data_[static_cast<std::size_t>(i) * stride_ + (j - i + kl_)];
   }

@@ -58,8 +58,10 @@ struct RefreshPolicy {
   /// so revisiting a flow state (pump levels cycle through a small
   /// discrete set) switches factors in O(dirty) instead of
   /// re-eliminating the band. 16 covers PumpModel::table1()'s default
-  /// level count; <= 1 disables the cache (storage is band_bytes *
-  /// factor_slots, so shrink it for very large stacks). Iterative
+  /// level count; <= 1 disables the cache. Each slot reserves
+  /// band_bytes at bind time but is written only when a new flow state
+  /// first needs it, so the resident cost is one band at fixed flow and
+  /// one more per slot filled, up to factor_slots bands. Iterative
   /// solvers ignore this.
   std::int32_t factor_slots = 16;
 

@@ -25,6 +25,11 @@ namespace {
 /// Each slot's factor was produced by the same load/eliminate code from
 /// bitwise-identical values, so a cache hit is bitwise-equal to a fresh
 /// refactor.
+///
+/// Slot storage is reserved at bind time and written on first use: the
+/// active slot takes over the bind-time factor, and a slot that never
+/// held one is filled from the active slot when a miss first evicts it.
+/// A fixed-flow session therefore holds one band, not factor_slots + 1.
 class BandedLuSolver final : public LinearSolver {
  public:
   BandedLuSolver(const CsrMatrix& a,
@@ -106,6 +111,12 @@ class BandedLuSolver final : public LinearSolver {
     for (Slot& s : slots_) {
       if (s.stamp < victim->stamp) victim = &s;
     }
+    if (!victim->lu.factored()) {
+      // First use: copy the active factor into the capacity reserved at
+      // bind. Like the bind-time factor the slot stands for, it differs
+      // from \p a only in tracked rows, so the refresh below is unchanged.
+      victim->lu = active_->lu;
+    }
     if (victim->base_tracked) {
       victim->lu.factor_rows(a, tracked_rows_);
       ++stats_.partial_refactors;
@@ -130,16 +141,22 @@ class BandedLuSolver final : public LinearSolver {
     policy_ = policy;
     // (Re)build the factor-slot cache. This runs at solver-bind time,
     // before the stepping loop, so allocating here keeps update_values
-    // and solve heap-free. Eager policies bypass the cache entirely.
+    // and solve heap-free. The first slot takes over the current factor;
+    // the others only reserve theirs. Eager policies bypass the cache
+    // entirely.
     const std::size_t want =
         policy_.lazy && policy_.factor_slots > 1
             ? static_cast<std::size_t>(policy_.factor_slots)
             : 0;
     if (slots_.size() != want) {
+      if (active_ != nullptr) lu_ = std::move(active_->lu);
       slots_.clear();
       slots_.reserve(want);
       for (std::size_t i = 0; i < want; ++i) {
-        slots_.push_back(Slot{lu_, {}, 0, 0, false, true});
+        slots_.push_back(Slot{i == 0 ? std::move(lu_)
+                                     : BandedLu::reserved_like(
+                                           slots_.front().lu),
+                              {}, 0, 0, false, true});
         slots_.back().key.reserve(static_cast<std::size_t>(nnz_));
       }
       active_ = want > 0 ? &slots_.front() : nullptr;
@@ -182,7 +199,9 @@ class BandedLuSolver final : public LinearSolver {
   }
 
   std::shared_ptr<const SymbolicStructure> structure_;
-  BandedLu lu_;  ///< the factorization when the slot cache is disabled
+  /// The factorization while the slot cache is disabled; the first slot
+  /// takes it over while the cache is enabled.
+  BandedLu lu_;
   std::int64_t nnz_ = 0;
   RefreshPolicy policy_;
   std::vector<Slot> slots_;

@@ -1,16 +1,23 @@
 // Tests of the power substrate: VF table, leakage model, utilization
-// traces and the synthetic workload generators.
+// traces (dense and tiled) and the synthetic workload generators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "power/leakage.hpp"
 #include "power/trace.hpp"
 #include "power/vf.hpp"
 #include "power/workloads.hpp"
+#include "sim/prepared.hpp"
 
 namespace tac3d::power {
 namespace {
@@ -112,6 +119,196 @@ TEST(Trace, Statistics) {
   EXPECT_DOUBLE_EQ(tr.mean(), 0.5);
   EXPECT_DOUBLE_EQ(tr.peak(), 1.0);
   EXPECT_DOUBLE_EQ(tr.thread_mean(1), 0.5);
+}
+
+// --- tiled traces ----------------------------------------------------------
+//
+// A tiled trace stores one block and wraps every read into it; it must
+// read, summarize, serialize and probe bit for bit like the same samples
+// written out densely, including the clamped reads before 0 and past the
+// end.
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Block sample: irrational rotations, so no two rows repeat by accident
+/// and sums round (a changed summation order shows). With
+/// \p inner_period > 0 the rows repeat every inner_period seconds.
+double block_value(int th, int t, int inner_period) {
+  const int phase = inner_period > 0 ? t % inner_period : t;
+  return std::fmod(0.7548776662 * (phase + 1) + 0.5698402910 * th, 1.0);
+}
+
+UtilizationTrace make_block(int threads, int block, int inner_period) {
+  UtilizationTrace b("tile", threads, block);
+  for (int th = 0; th < threads; ++th) {
+    for (int t = 0; t < block; ++t) {
+      b.set(th, t, block_value(th, t, inner_period));
+    }
+  }
+  return b;
+}
+
+UtilizationTrace expand(const UtilizationTrace& block, int seconds) {
+  UtilizationTrace dense(block.name(), block.threads(), seconds);
+  for (int th = 0; th < block.threads(); ++th) {
+    for (int t = 0; t < seconds; ++t) {
+      dense.set(th, t, block.at(th, t % block.seconds()));
+    }
+  }
+  return dense;
+}
+
+std::string csv(const UtilizationTrace& tr) {
+  std::ostringstream os;
+  tr.to_csv(os);
+  return os.str();
+}
+
+std::string trace_key(const UtilizationTrace& tr) {
+  sim::Scenario s;
+  s.trace = std::make_shared<const UtilizationTrace>(tr);
+  EXPECT_TRUE(sim::scenario_trace_usable(s));  // keyed by content
+  return sim::scenario_trace_key(s);
+}
+
+void expect_same_trace(const UtilizationTrace& tiled,
+                       const UtilizationTrace& dense) {
+  const int n = dense.seconds();
+  ASSERT_EQ(tiled.seconds(), n);
+  ASSERT_EQ(tiled.threads(), dense.threads());
+  for (int th = 0; th < dense.threads(); ++th) {
+    for (int t = -1; t <= n + 1; ++t) {
+      ASSERT_EQ(bits(tiled.at(th, t)), bits(dense.at(th, t)))
+          << "at(" << th << ", " << t << ")";
+      for (const double frac : {0.0, 0.375}) {
+        ASSERT_EQ(bits(tiled.sample(th, t + frac)),
+                  bits(dense.sample(th, t + frac)))
+            << "sample(" << th << ", " << t + frac << ")";
+      }
+    }
+    EXPECT_EQ(bits(tiled.thread_mean(th)), bits(dense.thread_mean(th)));
+  }
+  EXPECT_EQ(bits(tiled.mean()), bits(dense.mean()));
+  EXPECT_EQ(bits(tiled.peak()), bits(dense.peak()));
+  EXPECT_EQ(csv(tiled), csv(dense));
+  EXPECT_EQ(tiled.period_hint(), dense.period_hint());
+}
+
+TEST(TiledTrace, ReadsLikeItsDenseExpansion) {
+  for (const int block : {1, 3, 12}) {
+    for (const int seconds : {5, 12, 25, 24000}) {
+      if (block > seconds) continue;
+      SCOPED_TRACE("block " + std::to_string(block) + " s, length " +
+                   std::to_string(seconds) + " s");
+      const UtilizationTrace b = make_block(4, block, 0);
+      const UtilizationTrace tiled = UtilizationTrace::tiled(b, seconds);
+      EXPECT_EQ(tiled.block_seconds(), block);
+      expect_same_trace(tiled, expand(b, seconds));
+      // The bank keys attached traces with the chip's 32 threads by
+      // content.
+      const UtilizationTrace chip = make_block(32, block, 0);
+      EXPECT_EQ(trace_key(UtilizationTrace::tiled(chip, seconds)),
+                trace_key(expand(chip, seconds)));
+    }
+  }
+}
+
+TEST(TiledTrace, PeriodHintFindsAPeriodInsideTheBlock) {
+  // A 12 s block whose rows repeat every 3 s: the probe reports 3 s,
+  // the shortest period, not the 12 s tile.
+  const UtilizationTrace b = make_block(4, 12, 3);
+  for (const int seconds : {12, 25, 24000}) {
+    const UtilizationTrace tiled = UtilizationTrace::tiled(b, seconds);
+    EXPECT_EQ(tiled.period_hint(), 3) << seconds;
+    EXPECT_EQ(expand(b, seconds).period_hint(), 3) << seconds;
+  }
+  // Rows that repeat every 5 s inside the block break that pattern at
+  // each tile boundary (12 is no multiple of 5), so only the tile counts.
+  const UtilizationTrace inner5 = make_block(4, 12, 5);
+  for (const int seconds : {25, 24000}) {
+    EXPECT_EQ(UtilizationTrace::tiled(inner5, seconds).period_hint(), 12);
+    EXPECT_EQ(expand(inner5, seconds).period_hint(), 12);
+  }
+  // Too short to confirm one repetition of the aperiodic 12 s block.
+  const UtilizationTrace aperiodic = make_block(4, 12, 0);
+  EXPECT_EQ(UtilizationTrace::tiled(aperiodic, 23).period_hint(), 0);
+  EXPECT_EQ(UtilizationTrace::tiled(aperiodic, 24).period_hint(), 12);
+}
+
+TEST(TiledTrace, WindowsEqualAcrossTilesAndTheTraceEnd) {
+  for (const int block : {3, 12}) {
+    for (const int seconds : {25, 24000}) {
+      const UtilizationTrace b = make_block(4, block, 0);
+      const UtilizationTrace tiled = UtilizationTrace::tiled(b, seconds);
+      const UtilizationTrace dense = expand(b, seconds);
+      int matches = 0;
+      // Starts on, just before and past a tile boundary, and windows
+      // that run into the clamped trace end.
+      for (const int s0 : {0, block - 1, block + 1, seconds - block - 2,
+                           seconds - 3, seconds - 1}) {
+        for (const int shift : {1, block, 2 * block}) {
+          for (const int len : {1, block, block + 2}) {
+            const bool want = dense.windows_equal(s0, s0 + shift, len);
+            EXPECT_EQ(tiled.windows_equal(s0, s0 + shift, len), want)
+                << "block " << block << " length " << seconds << " s0 "
+                << s0 << " shift " << shift << " len " << len;
+            matches += want ? 1 : 0;
+          }
+        }
+      }
+      EXPECT_GT(matches, 0);  // both outcomes are exercised
+      EXPECT_LT(matches, 6 * 3 * 3);
+    }
+  }
+}
+
+TEST(TiledTrace, RejectsBlocksLongerThanTheTraceAndUnstoredWrites) {
+  const UtilizationTrace b = make_block(2, 12, 0);
+  EXPECT_THROW(UtilizationTrace::tiled(b, 11), InvalidArgument);
+  UtilizationTrace tiled = UtilizationTrace::tiled(b, 30);
+  EXPECT_THROW(tiled.set(0, 12, 0.5), InvalidArgument);  // not stored
+}
+
+/// kPeriodic as it was synthesized before it was stored once: the same
+/// draws, every second written out.
+UtilizationTrace dense_periodic(int threads, int seconds, std::uint64_t seed) {
+  UtilizationTrace tr("periodic", threads, seconds);
+  Rng rng(seed ^ (static_cast<std::uint64_t>(WorkloadKind::kPeriodic) << 32));
+  const int period = std::min(kPeriodicWorkloadSeconds, seconds);
+  for (int th = 0; th < threads; ++th) {
+    const double offset = rng.uniform(0.0, static_cast<double>(period));
+    std::vector<double> base(static_cast<std::size_t>(period));
+    for (int t = 0; t < period; ++t) {
+      const double s = std::sin(2.0 * M_PI * (t + offset) / period);
+      base[static_cast<std::size_t>(t)] =
+          std::clamp(0.55 + 0.30 * s + rng.normal(0.0, 0.05), 0.0, 1.0);
+    }
+    for (int t = 0; t < seconds; ++t) {
+      tr.set(th, t, base[static_cast<std::size_t>(t % period)]);
+    }
+  }
+  return tr;
+}
+
+TEST(TiledTrace, PeriodicWorkloadMatchesTheDenseSynthesis) {
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    for (const int seconds : {5, 12, 25, 24000}) {
+      const UtilizationTrace tr =
+          generate_workload(WorkloadKind::kPeriodic, 32, seconds, seed);
+      const UtilizationTrace dense = dense_periodic(32, seconds, seed);
+      EXPECT_EQ(tr.block_seconds(),
+                std::min(kPeriodicWorkloadSeconds, seconds));
+      EXPECT_EQ(tr.name(), dense.name());
+      ASSERT_EQ(tr.seconds(), seconds);
+      for (int th = 0; th < 32; ++th) {
+        for (int t = 0; t < seconds; ++t) {
+          ASSERT_EQ(bits(tr.at(th, t)), bits(dense.at(th, t)))
+              << "seed " << seed << " length " << seconds << " thread "
+              << th << " second " << t;
+        }
+      }
+    }
+  }
 }
 
 class WorkloadSweep : public ::testing::TestWithParam<WorkloadKind> {};

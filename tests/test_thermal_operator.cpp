@@ -8,7 +8,9 @@
 //  - Lazy refresh (keep the stale ILU, refactor on degradation) must
 //    match always-refactor stepping to 1e-8 — the preconditioner only
 //    steers convergence, the tolerance guarantees the answer.
-//  - BandedLu::factor_rows must be bitwise identical to a full factor().
+//  - BandedLu::factor_rows must be bitwise identical to a full factor(),
+//    and the banded factor-slot cache, whose slots fill on first use,
+//    bitwise identical to no cache.
 //  - The flow-transition warm-start predictor must not change results
 //    beyond solver tolerance.
 //  - A fluid-focused column profile (HydraulicNetwork -> flow fractions
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "arch/mpsoc.hpp"
@@ -157,6 +160,50 @@ TEST(BandedLuPartial, DeepRestartBitwiseOnSyntheticBand) {
   partial.solve(b, x_partial);
   full.solve(b, x_full);
   EXPECT_EQ(max_abs_diff(x_partial, x_full), 0.0);
+}
+
+// The banded solver's factor slots reserve their band at bind and fill
+// it on first use: the first round over the pump levels fills every
+// slot (each from the active slot's factor), the second is served from
+// the slots. Every step must match the run without the cache bit for
+// bit, with the counters the eagerly copied slots gave.
+TEST(BandedFactorSlots, FirstUseFillMatchesNoCacheBitwise) {
+  auto pump = microchannel::PumpModel::table1();
+  ASSERT_EQ(pump.levels(), 16);
+
+  auto run = [&](std::int32_t factor_slots, sparse::SolverStats& stats) {
+    auto soc = make_soc(8, 8);
+    load_power(soc);
+    soc.model().set_all_flows(pump.q_max());
+    thermal::TransientSolver::Options opts;
+    opts.kind = sparse::SolverKind::kBandedLu;
+    opts.refresh.factor_slots = factor_slots;
+    thermal::TransientSolver sim(soc.model(), 0.1, opts);
+    sim.initialize_steady();
+    std::vector<double> steps;
+    for (int i = 0; i < 2 * pump.levels(); ++i) {
+      soc.model().set_all_flows(pump.flow_per_cavity(i % pump.levels()));
+      sim.step();
+      steps.insert(steps.end(), sim.temperatures().begin(),
+                   sim.temperatures().end());
+    }
+    stats = sim.solver_stats();
+    return steps;
+  };
+
+  sparse::SolverStats cached, uncached;
+  const std::vector<double> with_slots = run(16, cached);
+  const std::vector<double> without = run(1, uncached);
+  ASSERT_EQ(with_slots.size(), without.size());
+  EXPECT_EQ(std::memcmp(with_slots.data(), without.data(),
+                        with_slots.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(cached.refactors, 0u);
+  EXPECT_EQ(cached.partial_refactors, 16u);
+  EXPECT_EQ(cached.factor_cache_hits, 16u);
+  EXPECT_EQ(uncached.refactors, 0u);
+  EXPECT_EQ(uncached.partial_refactors, 32u);
+  EXPECT_EQ(uncached.factor_cache_hits, 0u);
 }
 
 // The staleness-policy correctness requirement: lazy refresh must agree

@@ -8,6 +8,11 @@
 // policy, power/leakage, sensors, metrics) and a BatchSession's
 // lane-fused batched tail must both run allocation-free once warm.
 //
+// Set-up footprint: building a session must make resident only what it
+// simulates. A periodic trace is stored once per period, and the banded
+// solver's factor slots reserve their band without touching it until
+// first use, so the resident-set growth of a set-up is bounded here.
+//
 // The hook replaces the global operator new/delete with counting
 // wrappers. Counting is scoped: only allocations between
 // AllocCounter::start() and AllocCounter::stop() are recorded, so gtest
@@ -18,9 +23,15 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "arch/mpsoc.hpp"
 #include "microchannel/pump.hpp"
@@ -28,6 +39,7 @@
 #include "sim/bank.hpp"
 #include "sim/batch.hpp"
 #include "sim/experiment.hpp"
+#include "sparse/banded_lu.hpp"
 #include "thermal/operator.hpp"
 #include "thermal/transient.hpp"
 
@@ -131,9 +143,11 @@ TEST_P(TransientAllocTest, StepIsAllocationFreeAcrossFlowChanges) {
   sim.step();
 
   // A flow change dirties the matrix: the next step refreshes the
-  // factorization/preconditioner, which must also happen in place.
+  // factorization/preconditioner, which must also happen in place. Two
+  // rounds over the pump levels: the banded solver fills each factor
+  // slot on its first use, then serves the second round from the slots.
   AllocCounter::start();
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < 2 * pump.levels(); ++i) {
     soc.model().set_all_flows(pump.flow_per_cavity(i % pump.levels()));
     sim.step();
   }
@@ -260,6 +274,66 @@ TEST(SessionAlloc, WarmReplayJournalAndFastForwardAreAllocationFree) {
   EXPECT_EQ(replay_allocs, 0)
       << "fast-forwarding locked cycles must not allocate";
   EXPECT_GT(session.replay_solves_skipped(), 0u);
+}
+
+/// Resident set size of this process [MB], from /proc/self/status.
+double resident_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stod(line.substr(6)) / 1024;
+  }
+  return -1.0;
+}
+
+/// Resident-set growth [MB] of instantiating \p s and building its
+/// session. Free heap pages of earlier tests go back to the system
+/// first, so reusing them counts as growth too.
+double setup_growth_mb(const sim::Scenario& s) {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+  const double before = resident_mb();
+  sim::ScenarioInstance inst = sim::instantiate(s);
+  sim::SimulationSession session = inst.session();
+  return resident_mb() - before;
+}
+
+TEST(SetupFootprint, SessionHoldsOnlyWhatItSimulates) {
+#if !TAC3D_ALLOC_HOOK
+  GTEST_SKIP() << "resident-set bounds do not hold under sanitizers";
+#endif
+  if (resident_mb() < 0.0) GTEST_SKIP() << "no /proc/self/status";
+
+  // A 24000 s periodic session on banded LU (the benchmark's replay
+  // scenario): the trace holds one 12 s block and the factor slots hold
+  // one band.
+  sim::Scenario periodic;
+  periodic.tiers = 2;
+  periodic.policy = sim::PolicyKind::kLcLb;
+  periodic.workload = power::WorkloadKind::kPeriodic;
+  periodic.seed = 1;
+  periodic.trace_seconds = 24000;
+  periodic.grid = thermal::GridOptions{8, 8};
+  periodic.sim.solver = sparse::SolverKind::kBandedLu;
+  EXPECT_LT(setup_growth_mb(periodic), 4.0);
+
+  // A fixed-flow 4-tier 16x16 session: less than two of its bands,
+  // however many factor slots the solver keeps.
+  sim::Scenario stack = periodic;
+  stack.tiers = 4;
+  stack.workload = power::WorkloadKind::kWebServer;
+  stack.trace_seconds = 30;
+  stack.grid = thermal::GridOptions{16, 16};
+  const double growth = setup_growth_mb(stack);
+  sim::ScenarioInstance inst = sim::instantiate(stack);
+  thermal::ThermalOperator op(inst.soc->model(), stack.sim.control_dt);
+  const sparse::BandedLu lu(op.matrix());
+  const double band_mb =
+      static_cast<double>(lu.size()) *
+      (lu.lower_bandwidth() + lu.upper_bandwidth() + 1) * sizeof(double) /
+      (1024.0 * 1024.0);
+  EXPECT_LT(growth, 2.0 * band_mb) << "one band is " << band_mb << " MB";
 }
 
 TEST(RhsInto, FusedRhsPlusScaledMatchesTwoPassBuild) {
