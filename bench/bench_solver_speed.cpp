@@ -91,13 +91,10 @@ BENCHMARK(BM_DetailedTransientStep)->Unit(benchmark::kMillisecond);
 /// BENCH_solver.json so the perf trajectory is tracked across PRs.
 /// Measures both regimes of the closed loop: fixed flow (matrix
 /// constant, warm-started solves) and flow-modulated (the fuzzy-pump
-/// regime: a flow change every step, cycling all pump levels). The
-/// modulated regime runs twice — through the ThermalOperator's lazy
-/// refresh policy plus the flow-transition warm-start cache (the
-/// default), and with RefreshPolicy::eager() and the predictor disabled
-/// (the pre-operator behavior: full rebuild + refactor every change) —
-/// so the gap the operator split closes stays visible. Both loops are
-/// warmed up before timing, so the rates are sustained-regime numbers.
+/// regime: a flow change every step, cycling all pump levels, through
+/// the lazy refresh rule, the banded factor slots and the
+/// flow-transition warm-start cache). Both loops are warmed up before
+/// timing, so the rates are sustained-regime numbers.
 void throughput_report() {
   bench::banner(
       "SOLVER - transient stepping throughput (BENCH_solver.json)",
@@ -108,8 +105,7 @@ void throughput_report() {
   bench::JsonObject solvers_json;
   TextTable t;
   t.set_header({"Solver", "steps/s (fixed)", "steps/s (modulated)",
-                "steps/s (mod, eager)", "iters/step", "refac full/part",
-                "init [ms]"});
+                "iters/step", "refac full/part", "init [ms]"});
   TextTable ap_table;
   ap_table.set_header({"Aperiodic flow (Krylov)", "steps/s",
                        "iters/transition (pred)", "iters/transition (no pred)",
@@ -135,25 +131,25 @@ void throughput_report() {
     const double fixed_rate = fixed_steps / watch.seconds();
 
     const int mod_steps = 400;
-    auto modulated_loop = [&](thermal::TransientSolver& s, int steps) {
+    auto modulated_loop = [&](int steps) {
       for (int i = 0; i < steps; ++i) {
         soc.model().set_all_flows(pump.flow_per_cavity(i % pump.levels()));
-        s.step();
+        sim.step();
       }
     };
-    modulated_loop(sim, 4 * pump.levels());  // reach the modulation orbit
+    modulated_loop(4 * pump.levels());  // reach the modulation orbit
     const std::uint64_t iters0 = sim.solver_stats().iterations;
     const std::uint64_t full0 = sim.solver_stats().refactors;
     const std::uint64_t part0 = sim.solver_stats().partial_refactors;
     const std::uint64_t cache0 = sim.solver_stats().factor_cache_hits;
     watch.reset();
-    modulated_loop(sim, mod_steps);
+    modulated_loop(mod_steps);
     const double mod_rate = mod_steps / watch.seconds();
     const double mod_iters =
         static_cast<double>(sim.solver_stats().iterations - iters0) /
         mod_steps;
     // Kept separate: a full refactor is the expensive rebuild the lazy
-    // policy avoids; a partial refresh (banded tail) is the cheap exact
+    // rule avoids; a partial refresh (banded tail) is the cheap exact
     // one it embraces.
     const std::uint64_t mod_full = sim.solver_stats().refactors - full0;
     const std::uint64_t mod_partial =
@@ -164,19 +160,6 @@ void throughput_report() {
     const std::uint64_t mod_cache_hits =
         sim.solver_stats().factor_cache_hits - cache0;
     dirty_fraction = sim.system_operator().last_dirty_fraction();
-
-    // Eager reference: refactor on every flow change, no predictor.
-    thermal::TransientSolver::Options eager_opts;
-    eager_opts.kind = kind;
-    eager_opts.refresh = sparse::RefreshPolicy::eager();
-    eager_opts.warm_start_slots = 0;
-    thermal::TransientSolver eager(soc.model(), 0.1, eager_opts);
-    eager.set_state(std::vector<double>(sim.temperatures().begin(),
-                                        sim.temperatures().end()));
-    modulated_loop(eager, pump.levels());
-    watch.reset();
-    modulated_loop(eager, mod_steps);
-    const double eager_rate = mod_steps / watch.seconds();
 
     const char* name = kind == sparse::SolverKind::kBandedLu
                            ? "banded-lu(rcm)"
@@ -249,15 +232,13 @@ void throughput_report() {
                fmt(static_cast<double>(ap_transitions), 0)});
     }
 
-    t.add_row({name, fmt(fixed_rate, 0), fmt(mod_rate, 0),
-               fmt(eager_rate, 0), fmt(mod_iters, 2),
+    t.add_row({name, fmt(fixed_rate, 0), fmt(mod_rate, 0), fmt(mod_iters, 2),
                fmt(static_cast<double>(mod_full), 0) + "/" +
                    fmt(static_cast<double>(mod_partial), 0),
                fmt(init_ms, 1)});
     bench::JsonObject s;
     s.set("steps_per_sec_fixed_flow", fixed_rate)
         .set("steps_per_sec_flow_modulated", mod_rate)
-        .set("steps_per_sec_flow_modulated_eager", eager_rate)
         .set("modulated_iterations_per_step", mod_iters)
         .set("modulated_full_refactors", static_cast<std::int64_t>(mod_full))
         .set("modulated_partial_refreshes",

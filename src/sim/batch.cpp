@@ -111,8 +111,8 @@ BatchSession::BatchSession(std::vector<PreparedScenario> prepared)
     return;
   }
   SimulationSession& first = *sessions_[static_cast<std::size_t>(live.front())];
-  std::vector<thermal::BatchedTransientSolver::LaneSpec> specs;
-  specs.reserve(n);
+  std::vector<thermal::TransientSolver*> lanes;
+  lanes.reserve(n);
   for (const int l : live) {
     PreparedScenario& p = prepared_[static_cast<std::size_t>(l)];
     SimulationSession& s = *sessions_[static_cast<std::size_t>(l)];
@@ -122,11 +122,11 @@ BatchSession::BatchSession(std::vector<PreparedScenario> prepared)
         !same_floorplan(first.soc(), s.soc())) {
       return;  // heterogeneous batch — scalar fallback
     }
-    specs.push_back({&s.thermal_solver(), p.sim.refresh});
+    lanes.push_back(&s.thermal_solver());
   }
   // Lane indices in the batched solver == indices into `live`.
   lane_of_ = std::move(live);
-  batched_ = std::make_unique<thermal::BatchedTransientSolver>(specs);
+  batched_ = std::make_unique<thermal::BatchedTransientSolver>(lanes);
   build_tail_plan();
 }
 

@@ -137,7 +137,6 @@ SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
       thermal::TransientSolver::Options{
           .kind = cfg_.solver,
           .cache = cfg_.structure_cache.get(),
-          .refresh = cfg_.refresh,
           .operator_prototype = cfg_.operator_prototype.get(),
           .rel_tolerance = cfg_.solver_tolerance});
   thermal_->set_state(init->temperatures);

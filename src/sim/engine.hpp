@@ -68,9 +68,6 @@ struct SimulationConfig {
   /// air-cooled result. The simulation stays bitwise deterministic for a
   /// fixed value.
   double solver_tolerance = 1e-8;
-  /// Staleness policy for factorization/preconditioner refreshes after
-  /// the policy loop changes the coolant flow (see sparse/refresh.hpp).
-  sparse::RefreshPolicy refresh;
   /// Optional symbolic-structure cache shared between sessions (the
   /// sweep runner injects one so same-geometry scenarios reuse the RCM
   /// ordering and ILU/banded symbolic analysis). Null = private

@@ -18,10 +18,10 @@
 ///                 or trace key [synthesis axes], initial flow,
 ///                 init iterations, LB imbalance)
 ///
-/// Anything outside a key (policy, solver kind, refresh policy, pump
-/// power table, trace duration actually simulated, ...) must not affect
-/// that artifact — test_scenario_bank asserts the resulting sessions are
-/// bitwise identical to from-scratch materialization.
+/// Anything outside a key (policy, solver kind, pump power table, trace
+/// duration actually simulated, ...) must not affect that artifact —
+/// test_scenario_bank asserts the resulting sessions are bitwise
+/// identical to from-scratch materialization.
 
 #include <memory>
 #include <string>

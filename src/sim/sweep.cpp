@@ -356,9 +356,6 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
   for (std::size_t i = 0; i < results.size(); ++i) {
     results[i].index = i;
     results[i].scenario = std::move(specs[i]);
-    if (opts.refresh) {
-      results[i].scenario.sim.refresh = *opts.refresh;
-    }
   }
 
   // Partition the sweep into jobs: with the bank on and batching

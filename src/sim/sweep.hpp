@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -142,10 +141,6 @@ struct SweepOptions {
   /// creates a fresh one for this sweep. Scenarios that already carry
   /// their own cache keep it.
   std::shared_ptr<sparse::StructureCache> structure_cache;
-  /// When set, every scenario's SimulationConfig::refresh is overridden
-  /// with this staleness policy (e.g. RefreshPolicy::eager() for an
-  /// always-refactor reference run).
-  std::optional<sparse::RefreshPolicy> refresh;
   /// Compile scenarios through a ScenarioBank (sim/bank.hpp): cache
   /// synthesized traces, assembled models and initial steady states
   /// under equivalence keys and start clone-and-reset sessions instead

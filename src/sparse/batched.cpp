@@ -829,11 +829,6 @@ BatchedBicgstabSolver::BatchedBicgstabSolver(const BatchedCsr& a,
   ws_.resize(static_cast<std::size_t>(a.rows()), a.lanes(), a.nnz());
 }
 
-void BatchedBicgstabSolver::set_refresh_policy(int lane,
-                                               const RefreshPolicy& policy) {
-  refresh_[static_cast<std::size_t>(lane)].set_policy(policy);
-}
-
 void BatchedBicgstabSolver::set_tolerance(int lane, double rel_tolerance) {
   tol_[static_cast<std::size_t>(lane)] = rel_tolerance;
 }

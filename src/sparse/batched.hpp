@@ -219,7 +219,6 @@ class BatchedBicgstabSolver {
 
   int lanes() const { return static_cast<int>(stats_.size()); }
 
-  void set_refresh_policy(int lane, const RefreshPolicy& policy);
   void set_tolerance(int lane, double rel_tolerance);
 
   /// Lane \p lane's values in \p a changed in \p update.rows (mirror of

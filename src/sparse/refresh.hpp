@@ -13,9 +13,9 @@
 ///  - BiCGSTAB+ILU(0) keeps the stale factors (a preconditioner only
 ///    steers convergence; the solve tolerance still guarantees the
 ///    answer) and refactors only when the iteration count degrades past
-///    RefreshPolicy::max_iteration_growth or the distinct-dirty-row
-///    fraction exceeds RefreshPolicy::max_dirty_fraction. LazyRefresh
-///    below is that decision, shared by the scalar and batched solvers.
+///    kMaxIterationGrowth or the distinct-dirty-row fraction exceeds
+///    kMaxDirtyFraction. LazyRefresh below is that decision, shared by
+///    the scalar and batched solvers.
 ///  - BandedLu re-eliminates only from the first dirty permuted row
 ///    (exact: LU rows above the first changed row are unaffected).
 
@@ -37,40 +37,30 @@ struct ValueUpdate {
   double dirty_fraction = 0.0;
 };
 
-/// When should a solver rebuild its factorization/preconditioner after
-/// in-place value updates?
-struct RefreshPolicy {
-  /// false restores the eager pre-operator behavior: every value update
-  /// triggers a full refactor (used as the reference in tests/benches).
-  bool lazy = true;
-  /// Refactor once the fraction of distinct rows dirtied since the last
-  /// refactor exceeds this bound (iterative solvers only; the direct
-  /// banded solver is always refreshed exactly).
-  double max_dirty_fraction = 0.5;
-  /// Refactor when a solve takes more than
-  ///   max_iteration_growth * iterations-after-last-refactor
-  ///     + iteration_slack
-  /// iterations while stale.
-  double max_iteration_growth = 3.0;
-  std::int32_t iteration_slack = 8;
-  /// Banded-LU factor-slot cache size: the solver keeps up to this many
-  /// complete factorizations keyed by the flow-dependent matrix values,
-  /// so revisiting a flow state (pump levels cycle through a small
-  /// discrete set) switches factors in O(dirty) instead of
-  /// re-eliminating the band. 16 covers PumpModel::table1()'s default
-  /// level count; <= 1 disables the cache. Each slot reserves
-  /// band_bytes at bind time but is written only when a new flow state
-  /// first needs it, so the resident cost is one band at fixed flow and
-  /// one more per slot filled, up to factor_slots bands. Iterative
-  /// solvers ignore this.
-  std::int32_t factor_slots = 16;
-
-  static RefreshPolicy eager() {
-    RefreshPolicy p;
-    p.lazy = false;
-    return p;
-  }
-};
+/// The refresh rule's thresholds.
+///
+/// An iterative solver refactors once the fraction of distinct rows
+/// dirtied since the last refactor exceeds kMaxDirtyFraction. A flow
+/// update dirties only the fluid rows, 29-31% of the rows on the
+/// liquid-cooled stacks, so flow updates alone never reach the bound.
+/// The direct banded solver is always refreshed exactly and ignores it.
+inline constexpr double kMaxDirtyFraction = 0.5;
+/// An iterative solver also refactors when a solve takes more than
+///   kMaxIterationGrowth * iterations-after-last-refactor
+///     + kIterationSlack
+/// iterations while stale.
+inline constexpr double kMaxIterationGrowth = 3.0;
+inline constexpr std::int32_t kIterationSlack = 8;
+/// Banded-LU factor-slot cache size: the solver keeps up to this many
+/// complete factorizations keyed by the flow-dependent matrix values,
+/// so revisiting a flow state (pump levels cycle through a small
+/// discrete set) switches factors in O(dirty) instead of
+/// re-eliminating the band. 16 covers PumpModel::table1()'s default
+/// level count. Each slot reserves its band at bind time but is written
+/// only when a new flow state first needs it, so the resident cost is
+/// one band at fixed flow and one more per slot filled, up to
+/// kFactorSlots bands.
+inline constexpr std::int32_t kFactorSlots = 16;
 
 /// Counters a LinearSolver keeps about its refresh/solve behavior.
 struct SolverStats {
@@ -99,24 +89,26 @@ class LazyRefresh {
   explicit LazyRefresh(std::int32_t rows)
       : row_dirty_(static_cast<std::size_t>(rows), 0) {}
 
-  void set_policy(const RefreshPolicy& policy) { policy_ = policy; }
-
   /// Record an in-place value update. Returns true when the factors
-  /// must be rebuilt now: an eager policy, unknown rows, or the
-  /// dirty-row fraction passing RefreshPolicy::max_dirty_fraction.
+  /// must be rebuilt now: unknown rows, or the dirty-row fraction
+  /// passing kMaxDirtyFraction. Only an update it defers counts as
+  /// deferred.
   bool update(const ValueUpdate& u, SolverStats& stats) {
     if (u.rows.empty() && u.dirty_fraction == 0.0) return false;
-    if (!policy_.lazy || u.rows.empty()) return true;
-    ++stats.deferred_updates;
+    if (u.rows.empty()) return true;
     for (const std::int32_t r : u.rows) {
       if (!row_dirty_[static_cast<std::size_t>(r)]) {
         row_dirty_[static_cast<std::size_t>(r)] = 1;
         ++dirty_rows_;
       }
     }
-    return static_cast<double>(dirty_rows_) /
-               static_cast<double>(row_dirty_.size()) >
-           policy_.max_dirty_fraction;
+    if (static_cast<double>(dirty_rows_) /
+            static_cast<double>(row_dirty_.size()) >
+        kMaxDirtyFraction) {
+      return true;
+    }
+    ++stats.deferred_updates;
+    return false;
   }
 
   /// The owner rebuilt the factors from the current values.
@@ -135,9 +127,9 @@ class LazyRefresh {
 
   /// Record a converged solve of \p iterations. Returns true when the
   /// iteration-degradation trigger fires: the factors are stale and the
-  /// solve took more than RefreshPolicy::max_iteration_growth times the
-  /// fresh baseline plus the slack, so the next stale solve should start
-  /// from rebuilt factors.
+  /// solve took more than kMaxIterationGrowth times the fresh baseline
+  /// plus kIterationSlack, so the next stale solve should start from
+  /// rebuilt factors.
   bool solved(std::int32_t iterations, SolverStats& stats) {
     ++stats.solves;
     stats.iterations += static_cast<std::uint64_t>(iterations);
@@ -146,14 +138,13 @@ class LazyRefresh {
       if (fresh_iterations_ < 0) fresh_iterations_ = iterations;
       return false;
     }
-    const double limit = policy_.max_iteration_growth *
-                             std::max(std::int32_t{1}, fresh_iterations_) +
-                         policy_.iteration_slack;
+    const double limit =
+        kMaxIterationGrowth * std::max(std::int32_t{1}, fresh_iterations_) +
+        kIterationSlack;
     return static_cast<double>(iterations) > limit;
   }
 
  private:
-  RefreshPolicy policy_;
   std::vector<std::uint8_t> row_dirty_;  ///< distinct rows dirty since refactor
   std::int32_t dirty_rows_ = 0;
   std::int32_t fresh_iterations_ = -1;  ///< iterations right after a refactor

@@ -18,34 +18,45 @@ namespace {
 /// each level corresponds to one set of advection values and therefore
 /// one LU. Instead of re-eliminating the band on every flow change
 /// (~full factor cost when the dirty rows permute near row 0), the
-/// solver keeps up to RefreshPolicy::factor_slots complete
-/// factorizations keyed by the values of the tracked (ever-dirtied)
-/// rows. A revisited state is an O(tracked-nnz) key probe plus an
-/// active-slot switch; only genuinely new states pay for elimination.
+/// solver keeps up to kFactorSlots complete factorizations keyed by the
+/// values of the tracked (ever-dirtied) rows. A revisited state is an
+/// O(tracked-nnz) key probe plus an active-slot switch; only genuinely
+/// new states pay for elimination.
 /// Each slot's factor was produced by the same load/eliminate code from
 /// bitwise-identical values, so a cache hit is bitwise-equal to a fresh
 /// refactor.
 ///
-/// Slot storage is reserved at bind time and written on first use: the
-/// active slot takes over the bind-time factor, and a slot that never
-/// held one is filled from the active slot when a miss first evicts it.
-/// A fixed-flow session therefore holds one band, not factor_slots + 1.
+/// Slot storage is reserved at bind time and written on first use: slot
+/// 0 holds the bind-time factor, and a slot that never held one is
+/// filled from the active slot when a miss first evicts it. A fixed-flow
+/// session therefore holds one band.
 class BandedLuSolver final : public LinearSolver {
  public:
   BandedLuSolver(const CsrMatrix& a,
                  std::shared_ptr<const SymbolicStructure> structure)
-      : structure_(std::move(structure)),
-        lu_(a, structure_.get()),
-        nnz_(a.nnz()) {
+      : structure_(std::move(structure)), nnz_(a.nnz()) {
     tracked_mask_.assign(static_cast<std::size_t>(a.rows()), 0);
     tracked_rows_.reserve(static_cast<std::size_t>(a.rows()));
     cur_key_.reserve(static_cast<std::size_t>(nnz_));
+    // Allocating the slots here, at bind time, keeps update_values and
+    // solve heap-free.
+    slots_.reserve(static_cast<std::size_t>(kFactorSlots));
+    for (std::int32_t i = 0; i < kFactorSlots; ++i) {
+      slots_.push_back(
+          Slot{i == 0 ? BandedLu(a, structure_.get())
+                      : BandedLu::reserved_like(slots_.front().lu),
+               {}, 0, 0, false, true});
+      slots_.back().key.reserve(static_cast<std::size_t>(nnz_));
+    }
+    active_ = &slots_.front();
   }
 
-  void update_values(const CsrMatrix& a) override {
-    if (active_ != nullptr) {
-      // Untracked values may have changed: the other slots' bases are no
-      // longer reconstructible from tracked rows alone.
+  void update_values(const CsrMatrix& a, const ValueUpdate& update) override {
+    if (update.rows.empty() && update.dirty_fraction == 0.0) return;
+    if (update.rows.empty()) {
+      // Unknown rows: untracked values may have changed, so the other
+      // slots' bases are no longer reconstructible from tracked rows
+      // alone.
       for (Slot& s : slots_) {
         if (&s != active_) {
           s.valid = false;
@@ -58,26 +69,13 @@ class BandedLuSolver final : public LinearSolver {
       active_->valid = true;
       active_->base_tracked = true;
       active_->stamp = ++clock_;
-    } else {
-      lu_.factor(a);
+      ++stats_.refactors;
+      return;
     }
-    ++stats_.refactors;
-  }
-
-  void update_values(const CsrMatrix& a, const ValueUpdate& update) override {
-    if (update.rows.empty() && update.dirty_fraction == 0.0) return;
     // A direct factorization must always be exact, but the partial
     // refactor is exact too: LU rows above the first dirty permuted row
     // are unaffected by the change, so only the band tail is redone.
-    if (!policy_.lazy || update.rows.empty()) {
-      update_values(a);
-      return;
-    }
-    if (active_ == nullptr) {
-      lu_.factor_rows(a, update.rows);
-      ++stats_.partial_refactors;
-      return;
-    }
+    //
     // Grow the tracked flow-row set by union; it is stable (the
     // advection rows) after the first orbit of updates. Growth makes the
     // stored keys incomparable, not the stored factors unusable.
@@ -133,34 +131,8 @@ class BandedLuSolver final : public LinearSolver {
   }
 
   void solve(std::span<const double> b, std::span<double> x) override {
-    (active_ != nullptr ? active_->lu : lu_).solve(b, x);
+    active_->lu.solve(b, x);
     ++stats_.solves;
-  }
-
-  void set_refresh_policy(const RefreshPolicy& policy) override {
-    policy_ = policy;
-    // (Re)build the factor-slot cache. This runs at solver-bind time,
-    // before the stepping loop, so allocating here keeps update_values
-    // and solve heap-free. The first slot takes over the current factor;
-    // the others only reserve theirs. Eager policies bypass the cache
-    // entirely.
-    const std::size_t want =
-        policy_.lazy && policy_.factor_slots > 1
-            ? static_cast<std::size_t>(policy_.factor_slots)
-            : 0;
-    if (slots_.size() != want) {
-      if (active_ != nullptr) lu_ = std::move(active_->lu);
-      slots_.clear();
-      slots_.reserve(want);
-      for (std::size_t i = 0; i < want; ++i) {
-        slots_.push_back(Slot{i == 0 ? std::move(lu_)
-                                     : BandedLu::reserved_like(
-                                           slots_.front().lu),
-                              {}, 0, 0, false, true});
-        slots_.back().key.reserve(static_cast<std::size_t>(nnz_));
-      }
-      active_ = want > 0 ? &slots_.front() : nullptr;
-    }
   }
 
   const char* name() const override { return "banded-lu(rcm)"; }
@@ -199,13 +171,9 @@ class BandedLuSolver final : public LinearSolver {
   }
 
   std::shared_ptr<const SymbolicStructure> structure_;
-  /// The factorization while the slot cache is disabled; the first slot
-  /// takes it over while the cache is enabled.
-  BandedLu lu_;
   std::int64_t nnz_ = 0;
-  RefreshPolicy policy_;
   std::vector<Slot> slots_;
-  Slot* active_ = nullptr;  ///< non-null iff the slot cache is enabled
+  Slot* active_ = nullptr;  ///< the slot whose factor solve() uses
   std::vector<std::int32_t> tracked_rows_;  ///< sorted union of dirty rows
   std::vector<std::uint8_t> tracked_mask_;
   std::vector<double> cur_key_;
@@ -228,12 +196,6 @@ class BicgstabSolver final : public LinearSolver {
         refresh_(a.rows()) {
     ws_.resize(static_cast<std::size_t>(a.rows()));
     warm_start_.assign(static_cast<std::size_t>(a.rows()), 0.0);
-  }
-
-  void update_values(const CsrMatrix& a) override {
-    a_ = &a;
-    sliced_.refill(a);
-    refactor_now(a);
   }
 
   void update_values(const CsrMatrix& a, const ValueUpdate& update) override {
@@ -274,10 +236,6 @@ class BicgstabSolver final : public LinearSolver {
   }
 
   bool uses_initial_guess() const override { return true; }
-
-  void set_refresh_policy(const RefreshPolicy& policy) override {
-    refresh_.set_policy(policy);
-  }
 
   void set_tolerance(double rel_tolerance) override {
     rel_tolerance_ = rel_tolerance;

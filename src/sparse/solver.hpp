@@ -11,14 +11,13 @@
 /// lets solvers bound to matrices with the same sparsity pattern skip
 /// the symbolic analysis.
 ///
-/// Value updates come in two flavors: the legacy full update_values(a)
-/// eagerly refreshes the factorization, while the incremental overload
-/// takes a ValueUpdate (which rows changed, how dirty the matrix is) and
-/// lets each strategy refresh lazily or partially under its
-/// RefreshPolicy (see refresh.hpp). A solve uses the values of the last
-/// notification, not the live matrix (BiCGSTAB+ILU(0) runs its SpMVs on
-/// a sliced-ELL mirror that the notifications refill), so every value
-/// change must be notified before the next solve().
+/// Value updates arrive as a ValueUpdate (which rows changed, how dirty
+/// the matrix is), and each strategy refreshes lazily or partially under
+/// the one refresh rule of refresh.hpp; a ValueUpdate with no rows and a
+/// nonzero dirty fraction means "unknown rows" and refreshes fully. A solve uses the values of the last notification,
+/// not the live matrix (BiCGSTAB+ILU(0) runs its SpMVs on a sliced-ELL
+/// mirror that the notifications refill), so every value change must be
+/// notified before the next solve().
 
 #include <memory>
 #include <span>
@@ -42,20 +41,13 @@ class LinearSolver {
  public:
   virtual ~LinearSolver() = default;
 
-  /// Eagerly refresh internal state after the bound matrix's values
-  /// changed. Never allocates: factors and preconditioners update in
-  /// place.
-  virtual void update_values(const CsrMatrix& a) = 0;
-
-  /// Incremental notification: the bound matrix's values changed only in
-  /// \p update.rows. The solver refreshes under its RefreshPolicy —
-  /// lazily (iterative: keep stale factors until they hurt), partially
-  /// (banded tail re-elimination) or fully. Never allocates. The default
-  /// forwards to the eager update_values(a).
-  virtual void update_values(const CsrMatrix& a, const ValueUpdate& update) {
-    (void)update;
-    update_values(a);
-  }
+  /// The bound matrix's values changed only in \p update.rows (all rows
+  /// when they are unknown). The solver refreshes under the refresh rule
+  /// of refresh.hpp — lazily (iterative: keep stale factors until they
+  /// hurt), partially (banded tail re-elimination) or fully. Never
+  /// allocates: factors and preconditioners update in place.
+  virtual void update_values(const CsrMatrix& a,
+                             const ValueUpdate& update) = 0;
 
   /// Solve A x = b; \p x may carry a warm-start guess for iterative
   /// solvers (ignored by direct ones). Never allocates.
@@ -64,11 +56,6 @@ class LinearSolver {
   /// Does solve() exploit the initial content of x? (False for direct
   /// solvers — callers can skip computing a warm-start guess.)
   virtual bool uses_initial_guess() const { return false; }
-
-  /// Staleness policy for the incremental update_values overload.
-  virtual void set_refresh_policy(const RefreshPolicy& policy) {
-    (void)policy;
-  }
 
   /// Relative residual tolerance ||r||/||b|| for iterative strategies
   /// (no-op for direct solvers, which are exact). Default 1e-12 — far

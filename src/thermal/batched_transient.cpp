@@ -11,25 +11,22 @@ namespace {
 
 /// Lane 0's operator matrix is the shared pattern everyone must match.
 const sparse::CsrMatrix& pattern_of(
-    const std::vector<BatchedTransientSolver::LaneSpec>& lanes) {
-  require(!lanes.empty() && lanes.front().solver != nullptr,
+    const std::vector<TransientSolver*>& lanes) {
+  require(!lanes.empty() && lanes.front() != nullptr,
           "BatchedTransientSolver: no lanes");
-  return lanes.front().solver->system_operator().matrix();
+  return lanes.front()->system_operator().matrix();
 }
 
 /// Verify pattern compatibility and load every lane's current values —
 /// run before the batched preconditioner binds, so each lane's initial
 /// factors equal the ones its scalar twin built at construction.
 const sparse::BatchedCsr& load_all_lanes(
-    sparse::BatchedCsr& a,
-    const std::vector<BatchedTransientSolver::LaneSpec>& lanes) {
+    sparse::BatchedCsr& a, const std::vector<TransientSolver*>& lanes) {
   for (std::size_t l = 0; l < lanes.size(); ++l) {
-    require(lanes[l].solver != nullptr, "BatchedTransientSolver: null lane");
-    require(BatchedTransientSolver::compatible(*lanes.front().solver,
-                                               *lanes[l].solver),
+    require(lanes[l] != nullptr, "BatchedTransientSolver: null lane");
+    require(BatchedTransientSolver::compatible(*lanes.front(), *lanes[l]),
             "BatchedTransientSolver: lanes must share the sparsity pattern");
-    a.load_lane(static_cast<int>(l),
-                lanes[l].solver->system_operator().matrix());
+    a.load_lane(static_cast<int>(l), lanes[l]->system_operator().matrix());
   }
   return a;
 }
@@ -48,14 +45,12 @@ bool BatchedTransientSolver::compatible(const TransientSolver& a,
 }
 
 BatchedTransientSolver::BatchedTransientSolver(
-    const std::vector<LaneSpec>& lanes)
-    : a_(pattern_of(lanes), static_cast<int>(lanes.size())),
-      solver_(load_all_lanes(a_, lanes), lanes.front().solver->structure()) {
+    const std::vector<TransientSolver*>& lanes)
+    : lanes_(lanes),
+      a_(pattern_of(lanes), static_cast<int>(lanes.size())),
+      solver_(load_all_lanes(a_, lanes), lanes.front()->structure()) {
   const int L = static_cast<int>(lanes.size());
-  lanes_.reserve(lanes.size());
   for (int l = 0; l < L; ++l) {
-    lanes_.push_back(lanes[static_cast<std::size_t>(l)].solver);
-    solver_.set_refresh_policy(l, lanes[static_cast<std::size_t>(l)].refresh);
     solver_.set_tolerance(l, lanes_[static_cast<std::size_t>(l)]
                                  ->rel_tolerance());
   }

@@ -32,17 +32,10 @@ namespace tac3d::thermal {
 /// Lockstep driver over K pattern-sharing TransientSolvers.
 class BatchedTransientSolver {
  public:
-  /// One lane: the solver to advance plus the refresh policy its scalar
-  /// twin would run under (TransientSolver doesn't retain it).
-  struct LaneSpec {
-    TransientSolver* solver = nullptr;
-    sparse::RefreshPolicy refresh{};
-  };
-
   /// Every lane's operator must share lane 0's sparsity pattern
   /// (verified). Lane tolerances are taken from each solver's
   /// rel_tolerance(). The lanes must outlive this driver.
-  explicit BatchedTransientSolver(const std::vector<LaneSpec>& lanes);
+  explicit BatchedTransientSolver(const std::vector<TransientSolver*>& lanes);
 
   int lanes() const { return static_cast<int>(lanes_.size()); }
 

@@ -28,7 +28,6 @@ TransientSolver::TransientSolver(RcModel& model, double dt,
 
   if (opts.cache != nullptr) structure_ = opts.cache->get(op_.matrix());
   solver_ = sparse::make_solver(opts.kind, op_.matrix(), structure_);
-  solver_->set_refresh_policy(opts.refresh);
   rel_tolerance_ = opts.rel_tolerance;
   solver_->set_tolerance(rel_tolerance_);
 
@@ -66,7 +65,7 @@ TransientSolver::TransientSolver(RcModel& model, double dt,
 TransientSolver::TransientSolver(RcModel& model, double dt,
                                  sparse::SolverKind kind,
                                  sparse::StructureCache* cache)
-    : TransientSolver(model, dt, Options{kind, cache, {}, 16}) {}
+    : TransientSolver(model, dt, Options{.kind = kind, .cache = cache}) {}
 
 void TransientSolver::set_state(std::vector<double> temps) {
   require(static_cast<std::int32_t>(temps.size()) == model_.node_count(),

@@ -6,11 +6,11 @@
 /// ThermalOperator (see operator.hpp) that keeps the constant
 /// conduction/capacitance part frozen and applies flow changes as
 /// indexed value rewrites. The bound solver refreshes its factorization
-/// under a staleness-aware sparse::RefreshPolicy instead of rebuilding
-/// on every flow change, and a flow-transition warm-start cache predicts
-/// the post-change temperature jump (keyed by the exact cavity flow
-/// state), which collapses the Krylov iteration count of sustained
-/// flow-modulated stepping.
+/// under the staleness-aware refresh rule of sparse/refresh.hpp instead
+/// of rebuilding on every flow change, and a flow-transition warm-start
+/// cache predicts the post-change temperature jump (keyed by the exact
+/// cavity flow state), which collapses the Krylov iteration count of
+/// sustained flow-modulated stepping.
 ///
 /// All storage — the operator, the RHS, the warm-start slots and the
 /// solver's own workspace — is allocated at construction; step()
@@ -39,9 +39,6 @@ class TransientSolver {
     /// solver); models with the same grid pattern then skip the RCM/ILU
     /// symbolic analysis.
     sparse::StructureCache* cache = nullptr;
-    /// When to refresh the factorization/preconditioner after flow
-    /// changes (see sparse/refresh.hpp).
-    sparse::RefreshPolicy refresh{};
     /// Flow-transition warm-start cache: number of distinct flow states
     /// remembered (0 disables the predictor; ignored by direct solvers,
     /// which don't use initial guesses).
@@ -83,7 +80,7 @@ class TransientSolver {
   /// \param dt time step [s]
   TransientSolver(RcModel& model, double dt, const Options& opts);
 
-  /// Convenience overload with default refresh policy and predictor.
+  /// Convenience overload with the default warm starts and predictor.
   TransientSolver(RcModel& model, double dt,
                   sparse::SolverKind kind =
                       sparse::SolverKind::kBicgstabIlu0,

@@ -166,7 +166,7 @@ TEST(UpdateValues, InPlaceEditMatchesFreshlyConstructedSolver) {
     for (std::int32_t i = 0; i < a.rows(); ++i) {
       a.coeff_ref(i, i) = std::abs(a.coeff_ref(i, i)) + 5.0;
     }
-    solver->update_values(a);
+    solver->update_values(a, ValueUpdate{{}, 1.0});  // unknown rows
 
     auto fresh = make_solver(kind, a);
     const std::vector<double> b = random_vec(a.rows(), rng);

@@ -1,8 +1,10 @@
 // Direct and iterative solver tests, including property sweeps on random
-// diagonally dominant systems (the class produced by the RC assembly).
+// diagonally dominant systems (the class produced by the RC assembly),
+// and the lazy refresh rule at its thresholds.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
@@ -12,6 +14,7 @@
 #include "sparse/iterative.hpp"
 #include "sparse/preconditioner.hpp"
 #include "sparse/rcm.hpp"
+#include "sparse/refresh.hpp"
 #include "sparse/solver.hpp"
 #include "sparse/tridiag.hpp"
 
@@ -191,9 +194,9 @@ TEST(SolverFacade, UpdateValuesTracksMatrixChanges) {
   Rng rng(11);
   CsrMatrix a = random_dd(32, 0.15, false, rng);
   auto solver = make_solver(SolverKind::kBandedLu, a);
-  // Change a diagonal value and refresh.
+  // Change a diagonal value and refresh with the rows unknown.
   a.coeff_ref(5, 5) *= 3.0;
-  solver->update_values(a);
+  solver->update_values(a, ValueUpdate{{}, 1.0});
   std::vector<double> b(32, 1.0), x(32, 0.0);
   solver->solve(b, x);
   EXPECT_LT(residual_inf(a, x, b), 1e-8);
@@ -210,6 +213,90 @@ TEST(Ilu0, ExactForTriangularPattern) {
   EXPECT_NEAR(z[0], 1.0, 1e-12);
   EXPECT_NEAR(z[1], 1.0, 1e-12);
   EXPECT_NEAR(z[2], 1.0, 1e-12);
+}
+
+// --- LazyRefresh: the refresh rule at its thresholds ----------------------
+
+static_assert(kMaxDirtyFraction == 0.5 && kMaxIterationGrowth == 3.0 &&
+                  kIterationSlack == 8,
+              "the threshold tests below are written for these values");
+
+TEST(LazyRefresh, DirtyFractionFiresPastHalfTheRows) {
+  LazyRefresh refresh(10);
+  SolverStats stats;
+  const std::vector<std::int32_t> five{0, 1, 2, 3, 4}, sixth{5};
+  EXPECT_FALSE(refresh.update(ValueUpdate{five, 0.5}, stats));  // 5/10
+  EXPECT_TRUE(refresh.stale());
+  EXPECT_TRUE(refresh.update(ValueUpdate{sixth, 0.1}, stats));  // 6/10
+}
+
+TEST(LazyRefresh, RepeatedRowsCountOnce) {
+  LazyRefresh refresh(10);
+  SolverStats stats;
+  const std::vector<std::int32_t> five{0, 1, 2, 3, 4}, again{4, 3};
+  EXPECT_FALSE(refresh.update(ValueUpdate{five, 0.5}, stats));
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_FALSE(refresh.update(ValueUpdate{again, 0.2}, stats));
+  }
+  EXPECT_EQ(stats.deferred_updates, 9u);
+}
+
+TEST(LazyRefresh, UnknownRowsFire) {
+  LazyRefresh refresh(10);
+  SolverStats stats;
+  EXPECT_TRUE(refresh.update(ValueUpdate{{}, 1.0}, stats));
+  EXPECT_EQ(stats.deferred_updates, 0u);
+}
+
+TEST(LazyRefresh, EmptyUpdateDoesNothing) {
+  LazyRefresh refresh(10);
+  SolverStats stats;
+  EXPECT_FALSE(refresh.update(ValueUpdate{{}, 0.0}, stats));
+  EXPECT_FALSE(refresh.stale());
+  EXPECT_EQ(stats.deferred_updates, 0u);
+  EXPECT_EQ(stats.refactors, 0u);
+}
+
+TEST(LazyRefresh, UpdateThatForcesARebuildIsNotDeferred) {
+  LazyRefresh refresh(10);
+  SolverStats stats;
+  const std::vector<std::int32_t> first{0, 1, 2}, second{3, 4, 5};
+  EXPECT_FALSE(refresh.update(ValueUpdate{first, 0.3}, stats));
+  EXPECT_TRUE(refresh.update(ValueUpdate{second, 0.3}, stats));
+  refresh.refactored(stats);
+  EXPECT_FALSE(refresh.stale());
+  EXPECT_EQ(stats.deferred_updates, 1u);
+  EXPECT_EQ(stats.refactors, 1u);
+}
+
+TEST(LazyRefresh, FirstCleanSolveAfterRefactorSetsTheBaseline) {
+  LazyRefresh refresh(10);
+  SolverStats stats;
+  const std::vector<std::int32_t> row{0};
+  refresh.refactored(stats);
+  EXPECT_FALSE(refresh.solved(4, stats));   // baseline 4
+  EXPECT_FALSE(refresh.solved(30, stats));  // later clean solves keep it
+  ASSERT_FALSE(refresh.update(ValueUpdate{row, 0.1}, stats));
+  EXPECT_FALSE(refresh.solved(20, stats));  // limit 3 * 4 + 8 = 20
+  EXPECT_TRUE(refresh.solved(21, stats));
+
+  refresh.refactored(stats);
+  EXPECT_FALSE(refresh.solved(10, stats));  // re-baselined at 10
+  ASSERT_FALSE(refresh.update(ValueUpdate{row, 0.1}, stats));
+  EXPECT_FALSE(refresh.solved(38, stats));  // limit 3 * 10 + 8 = 38
+  EXPECT_TRUE(refresh.solved(39, stats));
+  EXPECT_EQ(stats.solves, 7u);
+  EXPECT_EQ(stats.iterations, 4u + 30u + 20u + 21u + 10u + 38u + 39u);
+}
+
+TEST(LazyRefresh, ZeroBaselineUsesAFloorOfOne) {
+  LazyRefresh refresh(10);
+  SolverStats stats;
+  const std::vector<std::int32_t> row{0};
+  EXPECT_FALSE(refresh.solved(0, stats));  // baseline 0
+  ASSERT_FALSE(refresh.update(ValueUpdate{row, 0.1}, stats));
+  EXPECT_FALSE(refresh.solved(11, stats));  // limit 3 * max(1, 0) + 8 = 11
+  EXPECT_TRUE(refresh.solved(12, stats));
 }
 
 }  // namespace
