@@ -1,8 +1,8 @@
 // Sweep-runner throughput: the paper's seven Fig. 6/7 configurations
 // executed as a batch. Four legs isolate where the time goes:
 //
-//   serial nocache   bank off, structures off — every scenario pays
-//                    full construction (the PR 1/2 baseline regime)
+//   serial nocache   bank off — every scenario pays full construction,
+//                    symbolic analysis included (the reference path)
 //   serial compile   fresh ScenarioBank — first touch of every key,
 //                    misses included
 //   serial cached    the same bank, warm — the steady-state regime of
@@ -20,7 +20,7 @@
 // the batched/serial ratio.
 //
 // Emits BENCH_sweep.json (scenarios/sec, setup-vs-stepping split,
-// bank + structure-cache counters, batched leg) so design-space-
+// bank counters, batched leg) so design-space-
 // exploration throughput is tracked from PR 2 onward, and cross-checks
 // that neither cache tier nor lane batching perturbs a single bit of
 // the metrics.
@@ -112,10 +112,6 @@ int main() {
     opts.jobs = jobs;
     opts.use_bank = use_bank;
     opts.bank = std::move(bank);
-    // The no-cache leg turns off symbolic sharing too (a bank always
-    // shares structures through its own cache, so the flag only matters
-    // there).
-    opts.share_structures = use_bank;
     // These legacy legs track the scalar stepping path; the batched legs
     // below measure lockstep batching separately.
     opts.batch_width = 1;
@@ -356,12 +352,7 @@ int main() {
             << replay_on_leg.cycles << " replay bursts, "
             << replay_on_leg.solves_skipped << " linear solves skipped\n";
 
-  const auto& cache = cached.structure_cache();
   const sim::BankCounters counters = bank->counters();
-  bench::result_line("Distinct patterns analyzed",
-                     static_cast<double>(cache->size()), "");
-  bench::result_line("Structure-cache hits",
-                     static_cast<double>(cache->hits()), "");
   bench::result_line("Bank steady-tier entries",
                      static_cast<double>(bank->steady_entries()), "");
   bench::result_line("Bank steady hits",
@@ -491,9 +482,6 @@ int main() {
            static_cast<std::int64_t>(replay_on_leg.steps_replayed))
       .set("replay_solves_skipped",
            static_cast<std::int64_t>(replay_on_leg.solves_skipped))
-      .set("structure_patterns", static_cast<int>(cache->size()))
-      .set("structure_hits", static_cast<std::int64_t>(cache->hits()))
-      .set("structure_misses", static_cast<std::int64_t>(cache->misses()))
       .set("bitwise_identical", bitwise_ok ? "yes" : "no");
   bench::write_json("BENCH_sweep.json", root);
 

@@ -1,6 +1,7 @@
 #include "arch/mpsoc.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -125,14 +126,15 @@ double Mpsoc3D::chip_power(std::span<const CoreState> cores,
 
 std::vector<double> Mpsoc3D::leakage_consistent_steady(
     std::span<const CoreState> cores, int iterations,
-    sparse::StructureCache* cache) {
+    std::shared_ptr<const sparse::SymbolicStructure> structure) {
   require(iterations >= 1, "leakage_consistent_steady: need >= 1 iteration");
   std::vector<double> temps(model_->node_count(),
                             model_->grid().spec().ambient);
   // Only the power changes between iterations, never G: one solver
   // (one factorization and schedule) serves every iteration.
   const auto solver =
-      model_->steady_solver(sparse::SolverKind::kBicgstabIlu0, cache);
+      model_->steady_solver(sparse::SolverKind::kBicgstabIlu0,
+                            std::move(structure));
   for (int i = 0; i < iterations; ++i) {
     model_->set_element_powers(element_powers(cores, temps));
     temps = model_->steady_state(*solver);

@@ -92,11 +92,11 @@ class Mpsoc3D {
   /// Leakage-consistent steady state: iterate power(T) -> steady(T)
   /// to a fixed point (leakage depends on temperature). Sets the
   /// model's element powers as a side effect and returns the
-  /// temperature field. A non-null \p cache shares the symbolic solver
-  /// analysis across same-geometry models (see sparse::StructureCache).
+  /// temperature field. A non-null \p structure supplies the symbolic
+  /// analysis of the conductance pattern (see sparse/symbolic.hpp).
   std::vector<double> leakage_consistent_steady(
       std::span<const CoreState> cores, int iterations = 4,
-      sparse::StructureCache* cache = nullptr);
+      std::shared_ptr<const sparse::SymbolicStructure> structure = nullptr);
 
  private:
   NiagaraConfig chip_;

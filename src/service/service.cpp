@@ -5,7 +5,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/prepared.hpp"
 #include "sim/sweep.hpp"
 
 namespace tac3d::service {
@@ -95,11 +94,11 @@ std::optional<SweepService::Ticket> SweepService::submit(
   job->scenarios = std::move(scenarios);
   job->on_event = std::move(on_event);
 
-  // The sweep runner's preamble (labels, the shared symbolic cache, LPT
-  // costs): within the job, the longest-estimated scenario is claimed
-  // first so one expensive straggler cannot serialize the job's tail.
-  const std::vector<double> cost = sim::prepare_sweep_scenarios(
-      job->scenarios, bank_->structures(), bank_.get());
+  // The sweep runner's preamble (labels, LPT costs): within the job, the
+  // longest-estimated scenario is claimed first so one expensive
+  // straggler cannot serialize the job's tail.
+  const std::vector<double> cost =
+      sim::prepare_sweep_scenarios(job->scenarios, bank_.get());
   job->order.resize(job->scenarios.size());
   for (std::size_t i = 0; i < job->order.size(); ++i) job->order[i] = i;
   std::stable_sort(job->order.begin(), job->order.end(),
@@ -317,8 +316,7 @@ void SweepService::worker_loop() {
     ev.index = static_cast<std::uint32_t>(task);
     try {
       obs::TraceSpan job_span("sweep/job");
-      sim::PreparedScenario prepared =
-          bank_->prepare(job->scenarios[task]);
+      sim::ScenarioInstance prepared = bank_->prepare(job->scenarios[task]);
       sim::SimulationSession session = prepared.session();
       session.run_to_end();
       ev.metrics = session.metrics();

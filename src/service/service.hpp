@@ -2,13 +2,13 @@
 /// \file service.hpp
 /// \brief SweepService: the long-lived compute core of sweep-as-a-service.
 ///
-/// One process-wide ScenarioBank + StructureCache serves every client:
-/// concurrent submissions that share stacks/traces/steady keys hit the
-/// warm tiers instead of re-compiling, exactly as repeated run_sweep()
-/// calls against a caller-owned bank do — and with the same
-/// bitwise-neutrality guarantee, so a scenario's metrics are identical
-/// whether it ran through the service, a sweep, or a from-scratch
-/// session.
+/// One process-wide ScenarioBank serves every client: concurrent
+/// submissions that share stacks/traces/steady keys hit the warm tiers
+/// (symbolic analysis included) instead of re-compiling, exactly as
+/// repeated run_sweep() calls against a caller-owned bank do — and with
+/// the same bitwise-neutrality guarantee, so a scenario's metrics are
+/// identical whether it ran through the service, a sweep, or a
+/// from-scratch session.
 ///
 /// Admission control: the service owns a fixed pool of core_budget
 /// worker threads. Each submitted job declares how many cores it wants;
@@ -45,7 +45,7 @@ struct ServiceOptions {
   /// Worker threads (= admissible cores). <= 0 defers to TAC3D_JOBS /
   /// hardware concurrency via sim::resolve_jobs.
   int core_budget = 0;
-  /// Shared prepared-scenario bank; null = the service creates its own.
+  /// Shared scenario bank; null = the service creates its own.
   /// Handing in a pre-warmed bank makes the first requests construction-
   /// free too.
   std::shared_ptr<sim::ScenarioBank> bank;

@@ -1,13 +1,13 @@
 #include "sim/bank.hpp"
 
 #include <bit>
-#include <utility>
 
 #include "arch/niagara.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "power/workloads.hpp"
+#include "sparse/symbolic.hpp"
 #include "thermal/operator.hpp"
 
 namespace tac3d::sim {
@@ -30,11 +30,6 @@ obs::Counter& tier_counter(int tier, bool hit) {
 }
 }  // namespace
 
-ScenarioBank::ScenarioBank(std::shared_ptr<sparse::StructureCache> structures)
-    : structures_(structures != nullptr
-                      ? std::move(structures)
-                      : std::make_shared<sparse::StructureCache>()) {}
-
 template <typename Slot>
 std::shared_ptr<Slot> ScenarioBank::slot(
     std::unordered_map<std::string, std::shared_ptr<Slot>>& map,
@@ -45,14 +40,11 @@ std::shared_ptr<Slot> ScenarioBank::slot(
   return s;
 }
 
-PreparedScenario ScenarioBank::prepare(const Scenario& spec) {
+ScenarioInstance ScenarioBank::prepare(const Scenario& spec) {
   obs::TraceSpan prepare_span("bank/prepare");
-  PreparedScenario p;
+  ScenarioInstance p;
   p.spec = spec;
   if (p.spec.label.empty()) p.spec.label = scenario_label(p.spec);
-  if (p.spec.sim.structure_cache == nullptr) {
-    p.spec.sim.structure_cache = structures_;
-  }
   // Keys of the scenario as handed in — before the synthesized trace is
   // attached below — so external key computations over the same list
   // (the sweep scheduler's has_steady probe, tests) agree with the
@@ -94,6 +86,10 @@ PreparedScenario ScenarioBank::prepare(const Scenario& spec) {
       ms->prototype = std::make_unique<const arch::Mpsoc3D>(
           arch::Mpsoc3D::Options{p.spec.tiers, p.spec.effective_cooling(),
                                  p.spec.grid, arch::NiagaraConfig::paper()});
+      // The operators' pattern is the conductance's, so this one analysis
+      // serves the steady solve and every session of the key.
+      ms->structure =
+          sparse::analyze_structure(ms->prototype->model().conductance());
       built = true;
     });
     (built ? model_misses_ : model_hits_)
@@ -101,10 +97,10 @@ PreparedScenario ScenarioBank::prepare(const Scenario& spec) {
     tier_counter(1, !built).add();
   }
   p.soc = std::make_unique<arch::Mpsoc3D>(*ms->prototype);
+  p.shared_.structure = ms->structure;
 
   // Operator prototype for this control_dt (the backward-Euler matrix
   // depends on dt; ThermalOperator validates dt > 0 for us).
-  std::shared_ptr<const thermal::ThermalOperator> op;
   {
     const std::lock_guard<std::mutex> lock(ms->ops_mu);
     auto& entry = ms->ops[std::bit_cast<std::uint64_t>(p.spec.sim.control_dt)];
@@ -112,14 +108,11 @@ PreparedScenario ScenarioBank::prepare(const Scenario& spec) {
       entry = std::make_shared<const thermal::ThermalOperator>(
           ms->prototype->model(), p.spec.sim.control_dt);
     }
-    op = entry;
+    p.shared_.op = entry;
   }
 
   // --- steady tier -------------------------------------------------------
-  // A caller-supplied initial state wins (like structure_cache above):
-  // the scenario starts exactly where the caller said, bank on or off.
-  std::shared_ptr<const InitialThermalState> init = p.spec.sim.initial_state;
-  if (init == nullptr) {
+  {
     obs::TraceSpan steady_span("bank/steady_tier");
     const auto ss = slot(steadies_, steady_key);
     bool built = false;
@@ -128,19 +121,17 @@ PreparedScenario ScenarioBank::prepare(const Scenario& spec) {
       // a from-scratch session would run, so the cached vectors are
       // bitwise equal to what any equal-keyed session would solve.
       ss->value = std::make_shared<const InitialThermalState>(
-          compute_initial_state(*p.soc, *p.trace, p.spec.sim));
+          compute_initial_state(*p.soc, *p.trace, p.spec.sim,
+                                ms->structure));
       built = true;
     });
     (built ? steady_misses_ : steady_hits_)
         .fetch_add(1, std::memory_order_relaxed);
     tier_counter(2, !built).add();
-    init = ss->value;
+    p.shared_.initial = ss->value;
   }
 
   p.policy = make_policy(p.spec.policy, *p.soc, p.spec.sim.pump);
-  p.sim = p.spec.sim;
-  p.sim.initial_state = std::move(init);
-  p.sim.operator_prototype = std::move(op);
   return p;
 }
 

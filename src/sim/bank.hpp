@@ -12,7 +12,10 @@
 ///
 ///   trace tier   one immutable power::UtilizationTrace per synthesis key
 ///   model tier   a pristine Mpsoc3D prototype (deep-cloned per
-///                scenario) plus one ThermalOperator prototype per
+///                scenario), the SymbolicStructure of its conductance
+///                pattern (RCM, band extents, ILU(0) schedule, sliced
+///                layout; shared by the steady solve and every session's
+///                transient solver) and one ThermalOperator prototype per
 ///                control_dt, copy-and-rebound into each session
 ///   steady tier  the InitialThermalState of the leakage-consistent
 ///                fixed point, applied as a vector copy
@@ -36,12 +39,12 @@
 #include <unordered_map>
 
 #include "sim/prepared.hpp"
-#include "sparse/structure_cache.hpp"
 
 namespace tac3d::sim {
 
-/// Per-tier hit/miss counters (a "miss" built the artifact; approximate
-/// under concurrent races, like sparse::StructureCache's). Scenarios
+/// Per-tier hit/miss counters: a "miss" built the artifact. They are
+/// exact under concurrency, since one request per key builds it and the
+/// others wait for it and count as hits. Scenarios
 /// carrying their own usable trace bypass the trace tier entirely and
 /// are not counted — the counters report cache behavior, not
 /// pass-throughs.
@@ -59,29 +62,19 @@ struct BankCounters {
   }
 };
 
-/// Thread-safe prepared-scenario compilation cache.
+/// Thread-safe scenario compilation cache.
 class ScenarioBank {
  public:
-  /// \param structures symbolic-structure cache injected into every
-  /// prepared scenario (and used by the cached steady solves); null =
-  /// create a private one, so prepared sessions always share symbolic
-  /// analysis through the bank.
-  explicit ScenarioBank(
-      std::shared_ptr<sparse::StructureCache> structures = nullptr);
-
   /// Compile \p spec: resolve the label, attach the shared trace, clone
-  /// the model prototype, inject the cached initial state and operator
-  /// prototype. Everything the returned PreparedScenario references is
-  /// either owned by it or kept alive by shared ownership, but the
-  /// operator prototypes reference model prototypes owned by the bank —
-  /// the bank must outlive the sessions it prepares.
-  PreparedScenario prepare(const Scenario& spec);
+  /// the model prototype and fill the instance's shared set-up with the
+  /// model's symbolic structure, the operator prototype of its
+  /// control_dt and the cached initial state. Everything the returned
+  /// instance references is either owned by it or kept alive by shared
+  /// ownership, but the operator prototypes reference model prototypes
+  /// owned by the bank — the bank must outlive the sessions it prepares.
+  ScenarioInstance prepare(const Scenario& spec);
 
   BankCounters counters() const;
-
-  const std::shared_ptr<sparse::StructureCache>& structures() const {
-    return structures_;
-  }
 
   /// Distinct artifacts currently cached per tier.
   std::size_t trace_entries() const;
@@ -101,6 +94,8 @@ class ScenarioBank {
   struct ModelSlot {
     std::once_flag once;
     std::unique_ptr<const arch::Mpsoc3D> prototype;
+    /// Symbolic analysis of the prototype's conductance pattern.
+    std::shared_ptr<const sparse::SymbolicStructure> structure;
     /// One operator prototype per control_dt (keyed by the dt bits).
     std::mutex ops_mu;
     std::map<std::uint64_t, std::shared_ptr<const thermal::ThermalOperator>>
@@ -120,7 +115,6 @@ class ScenarioBank {
   std::unordered_map<std::string, std::shared_ptr<TraceSlot>> traces_;
   std::unordered_map<std::string, std::shared_ptr<ModelSlot>> models_;
   std::unordered_map<std::string, std::shared_ptr<SteadySlot>> steadies_;
-  std::shared_ptr<sparse::StructureCache> structures_;
 
   std::atomic<std::uint64_t> trace_hits_{0}, trace_misses_{0};
   std::atomic<std::uint64_t> model_hits_{0}, model_misses_{0};

@@ -74,7 +74,7 @@ struct BatchSession::TailPlan {
   std::vector<double> fz_flow;  ///< lanes
 };
 
-BatchSession::BatchSession(std::vector<PreparedScenario> prepared)
+BatchSession::BatchSession(std::vector<ScenarioInstance> prepared)
     : prepared_(std::move(prepared)) {
   require(!prepared_.empty(), "BatchSession: no lanes");
   const std::size_t n = prepared_.size();
@@ -84,9 +84,8 @@ BatchSession::BatchSession(std::vector<PreparedScenario> prepared)
   failed_.assign(n, 0);
 
   for (std::size_t l = 0; l < n; ++l) {
-    PreparedScenario& p = prepared_[l];
     try {
-      sessions_[l].emplace(*p.soc, *p.trace, *p.policy, p.sim);
+      sessions_[l].emplace(prepared_[l].session());
     } catch (const std::exception& e) {
       errors_[l] = e.what();
     } catch (...) {
@@ -114,9 +113,8 @@ BatchSession::BatchSession(std::vector<PreparedScenario> prepared)
   std::vector<thermal::TransientSolver*> lanes;
   lanes.reserve(n);
   for (const int l : live) {
-    PreparedScenario& p = prepared_[static_cast<std::size_t>(l)];
     SimulationSession& s = *sessions_[static_cast<std::size_t>(l)];
-    if (p.sim.solver != sparse::SolverKind::kBicgstabIlu0 ||
+    if (s.config().solver != sparse::SolverKind::kBicgstabIlu0 ||
         !thermal::BatchedTransientSolver::compatible(first.thermal_solver(),
                                                      s.thermal_solver()) ||
         !same_floorplan(first.soc(), s.soc())) {

@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/prepared.hpp"
+#include "sim/experiment.hpp"
 
 namespace tac3d::thermal {
 class BatchedTransientSolver;
@@ -43,9 +43,9 @@ namespace tac3d::sim {
 /// K prepared scenarios advancing in lockstep.
 class BatchSession {
  public:
-  /// Take ownership of \p prepared (one lane each) and construct the
+  /// Take ownership of \p prepared (one lane each) and start their
   /// sessions. Construction failures are captured per lane, not thrown.
-  explicit BatchSession(std::vector<PreparedScenario> prepared);
+  explicit BatchSession(std::vector<ScenarioInstance> prepared);
   ~BatchSession();
   BatchSession(BatchSession&&) noexcept;
 
@@ -116,7 +116,7 @@ class BatchSession {
   void build_tail_plan();
   void step_batched_fused();
 
-  std::vector<PreparedScenario> prepared_;
+  std::vector<ScenarioInstance> prepared_;
   std::vector<std::optional<SimulationSession>> sessions_;
   std::vector<std::string> errors_;
   std::unique_ptr<thermal::BatchedTransientSolver> batched_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/fnv.hpp"
@@ -59,15 +60,16 @@ std::vector<arch::CoreState> initial_cores(
 /// Pump at full flow (liquid stacks) + the leakage-consistent steady
 /// fixed point for the given core states; captures the temperatures and
 /// the element powers the solve left applied.
-InitialThermalState steady_for_cores(arch::Mpsoc3D& soc,
-                                     const SimulationConfig& cfg,
-                                     std::span<const arch::CoreState> cores) {
+InitialThermalState steady_for_cores(
+    arch::Mpsoc3D& soc, const SimulationConfig& cfg,
+    std::span<const arch::CoreState> cores,
+    std::shared_ptr<const sparse::SymbolicStructure> structure) {
   if (soc.cooling() == arch::CoolingKind::kLiquidCooled) {
     apply_pump(soc, cfg.pump, cfg.pump.levels() - 1);
   }
   InitialThermalState state;
   state.temperatures = soc.leakage_consistent_steady(
-      cores, cfg.init_iterations, cfg.structure_cache.get());
+      cores, cfg.init_iterations, std::move(structure));
   const std::span<const double> powers = soc.model().element_powers();
   state.element_powers.assign(powers.begin(), powers.end());
   return state;
@@ -75,9 +77,10 @@ InitialThermalState steady_for_cores(arch::Mpsoc3D& soc,
 
 }  // namespace
 
-InitialThermalState compute_initial_state(arch::Mpsoc3D& soc,
-                                          const power::UtilizationTrace& trace,
-                                          const SimulationConfig& cfg) {
+InitialThermalState compute_initial_state(
+    arch::Mpsoc3D& soc, const power::UtilizationTrace& trace,
+    const SimulationConfig& cfg,
+    std::shared_ptr<const sparse::SymbolicStructure> structure) {
   require(trace.threads() == soc.chip().hardware_threads(),
           "compute_initial_state: trace thread count must match the chip");
   Scheduler scheduler(trace.threads(), soc.n_cores(),
@@ -86,13 +89,20 @@ InitialThermalState compute_initial_state(arch::Mpsoc3D& soc,
   std::vector<double> core_demand;
   const std::vector<arch::CoreState> cores =
       initial_cores(soc, trace, scheduler, thread_demand, core_demand);
-  return steady_for_cores(soc, cfg, cores);
+  return steady_for_cores(soc, cfg, cores, std::move(structure));
 }
 
 SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
                                      const power::UtilizationTrace& trace,
                                      control::ThermalPolicy& policy,
                                      const SimulationConfig& cfg)
+    : SimulationSession(soc, trace, policy, cfg, SharedSetup{}) {}
+
+SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
+                                     const power::UtilizationTrace& trace,
+                                     control::ThermalPolicy& policy,
+                                     const SimulationConfig& cfg,
+                                     const SharedSetup& shared)
     : soc_(soc),
       trace_(trace),
       policy_(policy),
@@ -118,17 +128,17 @@ SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
   // ScenarioBank prepared this scenario, the cached result of the very
   // same computation: applying the vectors reproduces the post-solve
   // model state exactly, so both paths step identical arithmetic.
-  std::shared_ptr<const InitialThermalState> init = cfg_.initial_state;
+  std::shared_ptr<const InitialThermalState> init = shared.initial;
   if (init != nullptr) {
     require(static_cast<std::int32_t>(init->temperatures.size()) ==
                 soc_.model().node_count(),
-            "simulate: initial_state temperature size mismatch");
+            "simulate: initial state temperature size mismatch");
     require(static_cast<int>(init->element_powers.size()) ==
                 soc_.model().grid().element_count(),
-            "simulate: initial_state element power size mismatch");
+            "simulate: initial state element power size mismatch");
   } else {
     init = std::make_shared<InitialThermalState>(
-        steady_for_cores(soc_, cfg_, cores_));
+        steady_for_cores(soc_, cfg_, cores_, shared.structure));
   }
   soc_.model().set_element_powers(init->element_powers);
 
@@ -136,8 +146,8 @@ SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
       soc_.model(), cfg_.control_dt,
       thermal::TransientSolver::Options{
           .kind = cfg_.solver,
-          .cache = cfg_.structure_cache.get(),
-          .operator_prototype = cfg_.operator_prototype.get(),
+          .structure = shared.structure,
+          .operator_prototype = shared.op.get(),
           .rel_tolerance = cfg_.solver_tolerance});
   thermal_->set_state(init->temperatures);
 

@@ -30,6 +30,8 @@ class TransientSolver;
 
 namespace tac3d::sim {
 
+struct ScenarioInstance;
+
 /// The model state a session starts from: the leakage-consistent steady
 /// temperature field plus the element powers that produced it. Computed
 /// by compute_initial_state() (the fixed-point solve every session runs
@@ -40,6 +42,26 @@ namespace tac3d::sim {
 struct InitialThermalState {
   std::vector<double> temperatures;    ///< one value per thermal cell [K]
   std::vector<double> element_powers;  ///< one value per floorplan element [W]
+};
+
+/// The set-up artifacts a ScenarioBank (sim/bank.hpp) shares between the
+/// sessions of one stack, so their construction degenerates to vector
+/// copies. Only ScenarioBank::prepare fills one, and it reaches a
+/// session only through ScenarioInstance::session(). Every member is
+/// optional (null = the session computes it), and each is the result of
+/// the very computation it replaces, so sharing is bitwise neutral.
+struct SharedSetup {
+  /// Symbolic analysis of the model's conductance pattern, which the
+  /// backward-Euler operator shares: serves the steady solve and the
+  /// transient solver whatever the control_dt or solver kind.
+  std::shared_ptr<const sparse::SymbolicStructure> structure;
+  /// Backward-Euler operator of an equal model at the session's
+  /// control_dt, copied and rebound instead of materialized (see
+  /// thermal::ThermalOperator).
+  std::shared_ptr<const thermal::ThermalOperator> op;
+  /// compute_initial_state() of an equal scenario: applied instead of
+  /// solving the leakage-consistent fixed point (sizes are validated).
+  std::shared_ptr<const InitialThermalState> initial;
 };
 
 /// Knobs of a simulation run.
@@ -68,24 +90,6 @@ struct SimulationConfig {
   /// air-cooled result. The simulation stays bitwise deterministic for a
   /// fixed value.
   double solver_tolerance = 1e-8;
-  /// Optional symbolic-structure cache shared between sessions (the
-  /// sweep runner injects one so same-geometry scenarios reuse the RCM
-  /// ordering and ILU/banded symbolic analysis). Null = private
-  /// analysis, identical numerics either way.
-  std::shared_ptr<sparse::StructureCache> structure_cache;
-  /// Precomputed initial state (see InitialThermalState). When set,
-  /// session construction applies the vectors instead of running the
-  /// leakage-consistent fixed-point solve; the caller guarantees they
-  /// came from compute_initial_state() on an equivalent configuration
-  /// (sizes are validated, equivalence is not). Null = solve from
-  /// scratch, identical numerics either way.
-  std::shared_ptr<const InitialThermalState> initial_state;
-  /// Prototype backward-Euler operator to copy-and-rebind instead of
-  /// materializing A = C/dt + G from scratch (see
-  /// thermal::ThermalOperator). Must come from a model with the same
-  /// stack/grid and the same control_dt; null = build fresh. Bitwise
-  /// neutral.
-  std::shared_ptr<const thermal::ThermalOperator> operator_prototype;
   /// Limit-cycle fast-forward (sim/replay.hpp): when the attached trace
   /// is exactly periodic and the closed-loop state bitwise-recurs at the
   /// workload period, run_until/run_to_end replay journaled cycles with
@@ -106,10 +110,12 @@ struct SimulationConfig {
 /// returned powers/flows applied — exactly the state a freshly
 /// constructed session would leave it in. Deterministic in its inputs,
 /// so the result can be cached and shared across sessions (the steady
-/// tier of sim/bank.hpp).
-InitialThermalState compute_initial_state(arch::Mpsoc3D& soc,
-                                          const power::UtilizationTrace& trace,
-                                          const SimulationConfig& cfg);
+/// tier of sim/bank.hpp). A non-null \p structure supplies the symbolic
+/// analysis of the steady solve (see SharedSetup::structure).
+InitialThermalState compute_initial_state(
+    arch::Mpsoc3D& soc, const power::UtilizationTrace& trace,
+    const SimulationConfig& cfg,
+    std::shared_ptr<const sparse::SymbolicStructure> structure = nullptr);
 
 /// A resumable closed-loop simulation.
 ///
@@ -261,6 +267,13 @@ class SimulationSession {
   const arch::Mpsoc3D& soc() const { return soc_; }
 
  private:
+  friend struct ScenarioInstance;
+  /// A session that starts from a bank's shared set-up (the public
+  /// constructor passes an empty one).
+  SimulationSession(arch::Mpsoc3D& soc, const power::UtilizationTrace& trace,
+                    control::ThermalPolicy& policy,
+                    const SimulationConfig& cfg, const SharedSetup& shared);
+
   arch::Mpsoc3D& soc_;
   const power::UtilizationTrace& trace_;
   control::ThermalPolicy& policy_;

@@ -78,6 +78,8 @@ std::string scenario_label(const Scenario& s) {
 
 ScenarioInstance instantiate(const Scenario& spec) {
   ScenarioInstance inst;
+  inst.spec = spec;
+  inst.spec.label = scenario_label(spec);
   inst.soc = std::make_unique<arch::Mpsoc3D>(arch::Mpsoc3D::Options{
       spec.tiers, spec.effective_cooling(), spec.grid,
       arch::NiagaraConfig::paper()});
@@ -89,7 +91,6 @@ ScenarioInstance instantiate(const Scenario& spec) {
                                         spec.trace_seconds, spec.seed);
   }
   inst.policy = make_policy(spec.policy, *inst.soc, spec.sim.pump);
-  inst.sim = spec.sim;
   return inst;
 }
 

@@ -67,17 +67,33 @@ struct Scenario {
 /// "2-tier LC_FUZZY web s1" (or the explicit label when set).
 std::string scenario_label(const Scenario& s);
 
+class ScenarioBank;
+
 /// A Scenario materialized into live objects, ready to drive a
 /// SimulationSession. Owns (or shares, for the immutable trace)
-/// everything the session references.
+/// everything the session references. instantiate() builds every object
+/// from scratch and shares nothing: the reference path. A ScenarioBank
+/// (sim/bank.hpp) prepares the same objects from its cached prototypes
+/// and adds the shared set-up, and the session that starts is bitwise
+/// identical.
 struct ScenarioInstance {
-  std::unique_ptr<arch::Mpsoc3D> soc;
+  Scenario spec;  ///< resolved copy (label filled); its sim configures the run
   std::shared_ptr<const power::UtilizationTrace> trace;
+  std::unique_ptr<arch::Mpsoc3D> soc;
   std::unique_ptr<control::ThermalPolicy> policy;
-  SimulationConfig sim;
 
   /// Start a session over the owned objects (instance must outlive it).
-  SimulationSession session() { return {*soc, *trace, *policy, sim}; }
+  SimulationSession session() {
+    return {*soc, *trace, *policy, spec.sim, shared_};
+  }
+
+  /// The set-up artifacts the session starts from (all null unless a
+  /// ScenarioBank prepared this instance).
+  const SharedSetup& shared() const { return shared_; }
+
+ private:
+  friend class ScenarioBank;
+  SharedSetup shared_;
 };
 
 /// Build the MPSoC, generate the trace and instantiate the policy.

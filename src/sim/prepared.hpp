@@ -1,14 +1,9 @@
 #pragma once
 /// \file prepared.hpp
-/// \brief A Scenario compiled into ready-to-run artifacts, plus the
-/// equivalence keys that decide which artifacts two scenarios may share.
+/// \brief The equivalence keys that decide which set-up artifacts two
+/// scenarios may share through a ScenarioBank (sim/bank.hpp).
 ///
-/// A PreparedScenario is the clone-and-reset counterpart of
-/// ScenarioInstance: the trace is a shared immutable object, the MPSoC
-/// is a cheap deep copy of a cached prototype, and the simulation config
-/// carries the cached initial steady state and the prototype thermal
-/// operator, so SimulationSession construction degenerates to vector
-/// copies. The keys are explicit strings (cheap to hash, trivial to log)
+/// The keys are explicit strings (cheap to hash, trivial to log)
 /// derived only from the Scenario fields that the corresponding artifact
 /// actually depends on:
 ///
@@ -23,14 +18,9 @@
 /// test_scenario_bank asserts the resulting sessions are bitwise
 /// identical to from-scratch materialization.
 
-#include <memory>
 #include <string>
 
 #include "sim/experiment.hpp"
-
-namespace tac3d::thermal {
-class ThermalOperator;
-}
 
 namespace tac3d::sim {
 
@@ -45,8 +35,9 @@ bool scenario_trace_usable(const Scenario& s);
 /// (workload, seed, trace_seconds).
 std::string scenario_trace_key(const Scenario& s);
 
-/// Model-tier key: identifies the assembled Mpsoc3D / RcModel and the
-/// ThermalOperator pattern — (tiers, effective cooling, grid options).
+/// Model-tier key: identifies the assembled Mpsoc3D / RcModel, the
+/// ThermalOperator pattern and its symbolic analysis — (tiers, effective
+/// cooling, grid options).
 std::string scenario_model_key(const Scenario& s);
 
 /// Steady-tier key: identifies the leakage-consistent initial state —
@@ -60,22 +51,5 @@ std::string scenario_model_key(const Scenario& s);
 /// always runs BiCGSTAB+ILU0, so scenarios differing only in the
 /// stepping solver share their start.
 std::string scenario_steady_key(const Scenario& s);
-
-/// A Scenario compiled by a ScenarioBank (sim/bank.hpp): shared trace,
-/// cloned MPSoC, fresh policy, and a SimulationConfig with the cached
-/// initial state and operator prototype injected. Drop-in replacement
-/// for ScenarioInstance — the session it starts is bitwise identical to
-/// one materialized from scratch.
-struct PreparedScenario {
-  Scenario spec;  ///< resolved copy (label filled, caches injected)
-  std::shared_ptr<const power::UtilizationTrace> trace;
-  std::unique_ptr<arch::Mpsoc3D> soc;  ///< private clone of the prototype
-  std::unique_ptr<control::ThermalPolicy> policy;
-  SimulationConfig sim;  ///< initial_state / operator_prototype set
-
-  /// Start a session over the prepared objects (this PreparedScenario
-  /// must outlive it).
-  SimulationSession session() { return {*soc, *trace, *policy, sim}; }
-};
 
 }  // namespace tac3d::sim

@@ -135,16 +135,13 @@ double estimated_scenario_cost(const Scenario& s,
   return cells * (duration / dt) * flow_weight + setup;
 }
 
-std::vector<double> prepare_sweep_scenarios(
-    std::span<Scenario> scenarios,
-    const std::shared_ptr<sparse::StructureCache>& cache,
-    const ScenarioBank* bank) {
+std::vector<double> prepare_sweep_scenarios(std::span<Scenario> scenarios,
+                                            const ScenarioBank* bank) {
   std::vector<double> cost(scenarios.size(), 0.0);
   std::unordered_set<std::string> seen_steady;
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     Scenario& s = scenarios[i];
     if (s.label.empty()) s.label = scenario_label(s);
-    if (cache && !s.sim.structure_cache) s.sim.structure_cache = cache;
     // Only the first scenario of each steady-tier key pays construction;
     // later equal-keyed ones are clone-and-reset, so the scheduler must
     // not overrate them.
@@ -152,7 +149,7 @@ std::vector<double> prepare_sweep_scenarios(
     if (bank != nullptr) {
       const std::string key = scenario_steady_key(s);
       if (!seen_steady.insert(key).second || bank->has_steady(key)) {
-        setup_factor = kPreparedScenarioSetupFactor;
+        setup_factor = kSteadyHitSetupFactor;
       }
     }
     cost[i] = estimated_scenario_cost(s, setup_factor);
@@ -335,23 +332,12 @@ TextTable SweepReport::table() const {
 SweepReport run_sweep(const std::vector<Scenario>& scenarios,
                       const SweepOptions& opts) {
   const auto sweep_start = std::chrono::steady_clock::now();
-  std::shared_ptr<sparse::StructureCache> cache;
-  if (opts.share_structures) {
-    cache = opts.structure_cache
-                ? opts.structure_cache
-                : std::make_shared<sparse::StructureCache>();
-  }
   std::shared_ptr<ScenarioBank> bank;
   if (opts.use_bank) {
-    bank = opts.bank ? opts.bank : std::make_shared<ScenarioBank>(cache);
-    // One symbolic cache per sweep: the bank always carries one (a
-    // caller-supplied bank brings its own), and every scenario shares it
-    // — share_structures only governs the bank-off path (see its doc).
-    cache = bank->structures();
+    bank = opts.bank ? opts.bank : std::make_shared<ScenarioBank>();
   }
   std::vector<Scenario> specs = scenarios;
-  const std::vector<double> cost =
-      prepare_sweep_scenarios(specs, cache, bank.get());
+  const std::vector<double> cost = prepare_sweep_scenarios(specs, bank.get());
   std::vector<SweepResult> results(specs.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     results[i].index = i;
@@ -456,7 +442,7 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
   // Materialize (bank: compile), time the construction and the stepping
   // separately, and run to the end. The owner keeps the session's
   // referenced objects alive for its whole scope.
-  auto run_one = [&](SweepResult& r, auto owner,
+  auto run_one = [&](SweepResult& r, ScenarioInstance owner,
                      std::chrono::steady_clock::time_point t0) {
     SimulationSession session = owner.session();
     r.setup_seconds = seconds_since(t0);
@@ -486,11 +472,10 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
     r.worker = worker_id;
     const auto t0 = std::chrono::steady_clock::now();
     try {
-      if (bank != nullptr) {
-        run_one(r, bank->prepare(r.scenario), t0);
-      } else {
-        run_one(r, instantiate(r.scenario), t0);
-      }
+      run_one(r,
+              bank != nullptr ? bank->prepare(r.scenario)
+                              : instantiate(r.scenario),
+              t0);
     } catch (const std::exception& e) {
       r.error = e.what();
     } catch (...) {
@@ -507,7 +492,7 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
   // lanes by their step counts.
   auto run_batch = [&](const SweepJob& job, int worker_id) {
     obs::TraceSpan job_span("sweep/job");
-    std::vector<PreparedScenario> prep;
+    std::vector<ScenarioInstance> prep;
     std::vector<std::size_t> lane_slots;
     prep.reserve(job.slots.size());
     for (const std::size_t slot : job.slots) {
@@ -604,7 +589,6 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
   }
 
   SweepReport report(std::move(results), jobs, seconds_since(sweep_start));
-  report.set_structure_cache(std::move(cache));
   report.set_bank(std::move(bank));
   report.set_batch_telemetry(batch_width_used,
                              compaction_total.load(std::memory_order_relaxed));

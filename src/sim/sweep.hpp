@@ -5,8 +5,9 @@
 /// sortable result table.
 ///
 /// By default scenarios are compiled through a shared ScenarioBank
-/// (sim/bank.hpp): traces, assembled models and initial steady states
-/// are cached under explicit equivalence keys and handed out as
+/// (sim/bank.hpp): traces, assembled models with their symbolic
+/// analysis and initial steady states are cached under explicit
+/// equivalence keys and handed out as
 /// clone-and-reset sessions, so scenarios that share a stack/trace skip
 /// re-construction. The sharing is bitwise-neutral — every session steps
 /// arithmetic identical to independent materialization — so a sweep
@@ -46,7 +47,7 @@ int resolve_jobs(int requested);
 /// scheduling: thermal cells x control steps, weighted up for policies
 /// that modulate the coolant flow, plus a construction term for the
 /// leakage-consistent steady init. \p prepared_setup_factor discounts
-/// that term (see kPreparedScenarioSetupFactor) for scenarios whose
+/// that term (see kSteadyHitSetupFactor) for scenarios whose
 /// steady-tier key a ScenarioBank already holds. Only the ordering
 /// matters, not the absolute scale. Shared by run_sweep's LPT dispatch
 /// and the sweep service's per-job task ordering (service/service.hpp).
@@ -56,20 +57,16 @@ double estimated_scenario_cost(const Scenario& s,
 /// Setup-term discount of estimated_scenario_cost for scenarios that
 /// will hit a bank's steady tier (clone-and-reset instead of a
 /// fixed-point solve).
-inline constexpr double kPreparedScenarioSetupFactor = 0.05;
+inline constexpr double kSteadyHitSetupFactor = 0.05;
 
 /// The per-scenario preamble of run_sweep and the sweep service
-/// (service/service.hpp): fill empty labels with scenario_label(),
-/// inject \p cache into scenarios that carry no structure cache of
-/// their own (null = leave them alone), and return each scenario's
-/// estimated_scenario_cost, the LPT dispatch key. With a \p bank, a
-/// scenario whose steady-tier key the bank already holds, or an earlier
-/// scenario of the list shares, is costed as clone-and-reset
-/// (kPreparedScenarioSetupFactor).
-std::vector<double> prepare_sweep_scenarios(
-    std::span<Scenario> scenarios,
-    const std::shared_ptr<sparse::StructureCache>& cache,
-    const ScenarioBank* bank);
+/// (service/service.hpp): fill empty labels with scenario_label() and
+/// return each scenario's estimated_scenario_cost, the LPT dispatch key.
+/// With a \p bank, a scenario whose steady-tier key the bank already
+/// holds, or an earlier scenario of the list shares, is costed as
+/// clone-and-reset (kSteadyHitSetupFactor).
+std::vector<double> prepare_sweep_scenarios(std::span<Scenario> scenarios,
+                                            const ScenarioBank* bank);
 
 /// The registry publication point of one finished session: add its step
 /// count, limit-cycle replay counters, solver counters \p st and
@@ -128,27 +125,20 @@ struct SweepOptions {
   /// Invoked after each scenario completes (from worker threads, but
   /// serialized — no locking needed inside). Useful for progress output.
   std::function<void(const SweepResult&)> on_result;
-  /// Share one sparse::StructureCache across the sweep so scenarios with
-  /// the same stack geometry reuse the CSR symbolic analysis (RCM
-  /// ordering, ILU/banded structure). Purely symbolic — results are
-  /// bitwise identical with sharing on or off, serial or parallel.
-  /// Only meaningful with use_bank off: a ScenarioBank always carries a
-  /// structure cache of its own (scenarios it prepares share symbolic
-  /// analysis through it regardless of this flag) — to A/B structure
-  /// sharing, disable the bank too.
+  /// No effect; deleted once perfbench's reference path stops setting
+  /// it. (Symbolic analysis is shared by the bank's model tier, and
+  /// with use_bank off nothing is shared.)
   bool share_structures = true;
-  /// Cache to share when share_structures is set; null = run_sweep
-  /// creates a fresh one for this sweep. Scenarios that already carry
-  /// their own cache keep it.
-  std::shared_ptr<sparse::StructureCache> structure_cache;
   /// Compile scenarios through a ScenarioBank (sim/bank.hpp): cache
-  /// synthesized traces, assembled models and initial steady states
-  /// under equivalence keys and start clone-and-reset sessions instead
-  /// of materializing every scenario from scratch. Bitwise-neutral like
-  /// structure sharing — results are identical with the bank on or off.
+  /// synthesized traces, assembled models with their symbolic analysis
+  /// and initial steady states under equivalence keys and start
+  /// clone-and-reset sessions instead of materializing every scenario
+  /// from scratch. Bitwise-neutral — results are identical with the bank
+  /// on or off. Off is the reference path: every scenario is
+  /// instantiate()d and shares nothing.
   bool use_bank = true;
   /// Bank to compile through when use_bank is set; null = run_sweep
-  /// creates a fresh one (wrapping the sweep's structure cache). Handing
+  /// creates a fresh one. Handing
   /// the same bank to several sweeps keeps its artifacts warm across
   /// them — repeated sweeps over a shared design space then pay setup
   /// only on first touch.
@@ -239,15 +229,6 @@ class SweepReport {
   /// Per-worker utilization busy/wall in [0, 1].
   std::vector<double> job_utilization() const;
 
-  /// The structure cache the sweep ran with (null when sharing was off);
-  /// exposes hit/miss counters for benches and telemetry.
-  const std::shared_ptr<sparse::StructureCache>& structure_cache() const {
-    return structure_cache_;
-  }
-  void set_structure_cache(std::shared_ptr<sparse::StructureCache> cache) {
-    structure_cache_ = std::move(cache);
-  }
-
   /// The ScenarioBank the sweep compiled through (null when the bank was
   /// off); exposes per-tier hit/miss counters for benches and telemetry,
   /// and can be handed to the next sweep to keep its artifacts warm.
@@ -274,7 +255,6 @@ class SweepReport {
   std::vector<SweepResult> results_;
   int jobs_used_ = 1;
   double wall_seconds_ = 0.0;
-  std::shared_ptr<sparse::StructureCache> structure_cache_;
   std::shared_ptr<ScenarioBank> bank_;
   int batch_width_used_ = 0;
   std::uint64_t batch_compaction_events_ = 0;

@@ -5,7 +5,7 @@
 
 #include "common/error.hpp"
 #include "sparse/rcm.hpp"
-#include "sparse/structure_cache.hpp"
+#include "sparse/symbolic.hpp"
 
 namespace tac3d::sparse {
 

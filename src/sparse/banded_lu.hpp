@@ -27,7 +27,7 @@ class BandedLu {
   explicit BandedLu(const CsrMatrix& a, std::vector<std::int32_t> perm = {});
 
   /// Reuse a precomputed symbolic analysis (RCM permutation and band
-  /// extents, see StructureCache) instead of recomputing it; a null
+  /// extents, see symbolic.hpp) instead of recomputing it; a null
   /// \p structure falls back to the analyzing constructor.
   BandedLu(const CsrMatrix& a, const SymbolicStructure* structure);
 

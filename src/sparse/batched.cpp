@@ -7,7 +7,7 @@
 
 #include "common/error.hpp"
 #include "sparse/ilu_schedule.hpp"
-#include "sparse/structure_cache.hpp"
+#include "sparse/symbolic.hpp"
 
 namespace tac3d::sparse {
 

@@ -33,7 +33,7 @@
 
 #include "sparse/csr.hpp"
 #include "sparse/refresh.hpp"
-#include "sparse/structure_cache.hpp"
+#include "sparse/symbolic.hpp"
 
 namespace tac3d::sparse {
 
@@ -149,7 +149,7 @@ void batched_residual_norms(const BatchedCsr& a, std::span<const double> x,
 class BatchedIlu0Preconditioner {
  public:
   /// \p structure optionally supplies the shared level schedule (see
-  /// StructureCache); without it the pattern is analyzed here.
+  /// symbolic.hpp); without it the pattern is analyzed here.
   explicit BatchedIlu0Preconditioner(
       const BatchedCsr& a, const SymbolicStructure* structure = nullptr);
   /// z = M^{-1} r for every lane (interleaved vectors).
@@ -212,7 +212,7 @@ int batched_bicgstab(const BatchedCsr& a, std::span<const double> b,
 class BatchedBicgstabSolver {
  public:
   /// Factors are built from the lane values currently loaded in \p a. A
-  /// non-null \p structure (the lanes' shared StructureCache entry)
+  /// non-null \p structure (the lanes' shared symbolic analysis)
   /// supplies the ILU(0) level schedule.
   explicit BatchedBicgstabSolver(const BatchedCsr& a,
                                  const SymbolicStructure* structure = nullptr);

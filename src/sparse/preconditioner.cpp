@@ -1,7 +1,7 @@
 #include "sparse/preconditioner.hpp"
 
 #include "common/error.hpp"
-#include "sparse/structure_cache.hpp"
+#include "sparse/symbolic.hpp"
 
 namespace tac3d::sparse {
 

@@ -47,7 +47,7 @@ class JacobiPreconditioner final : public Preconditioner {
 class Ilu0Preconditioner final : public Preconditioner {
  public:
   /// \p structure optionally supplies the precomputed level schedule
-  /// (see StructureCache); without it the pattern is analyzed here.
+  /// (see symbolic.hpp); without it the pattern is analyzed here.
   explicit Ilu0Preconditioner(const CsrMatrix& a,
                               const SymbolicStructure* structure = nullptr);
 

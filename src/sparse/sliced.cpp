@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "sparse/structure_cache.hpp"
+#include "sparse/symbolic.hpp"
 
 namespace tac3d::sparse {
 

@@ -100,7 +100,7 @@ std::shared_ptr<const SlicedPattern> build_sliced_pattern(
 class SlicedMatrix {
  public:
   /// Copy \p a into the sliced layout. \p structure optionally supplies
-  /// the precomputed layout (see StructureCache); without it the pattern
+  /// the precomputed layout (see symbolic.hpp); without it the pattern
   /// is analyzed here. Throws InvalidArgument if \p structure is not
   /// \p a's pattern.
   explicit SlicedMatrix(const CsrMatrix& a,

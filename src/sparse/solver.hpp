@@ -7,7 +7,7 @@
 /// factorization storage, preconditioner factors and Krylov scratch
 /// vectors. update_values() and solve() then run without touching the
 /// heap, which keeps the transient thermal stepping loop allocation-
-/// free. An optional shared SymbolicStructure (see structure_cache.hpp)
+/// free. An optional shared SymbolicStructure (see symbolic.hpp)
 /// lets solvers bound to matrices with the same sparsity pattern skip
 /// the symbolic analysis.
 ///
@@ -24,7 +24,7 @@
 
 #include "sparse/csr.hpp"
 #include "sparse/refresh.hpp"
-#include "sparse/structure_cache.hpp"
+#include "sparse/symbolic.hpp"
 
 namespace tac3d::sparse {
 
@@ -75,7 +75,8 @@ class LinearSolver {
 };
 
 /// Create a solver of the requested kind bound to \p a. A non-null
-/// \p structure (typically from a StructureCache shared across a sweep)
+/// \p structure (typically a ScenarioBank model tier's, shared by every
+/// session of that stack)
 /// supplies the precomputed symbolic analysis of \p a's pattern.
 std::unique_ptr<LinearSolver> make_solver(
     SolverKind kind, const CsrMatrix& a,

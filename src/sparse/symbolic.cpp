@@ -1,4 +1,4 @@
-#include "sparse/structure_cache.hpp"
+#include "sparse/symbolic.hpp"
 
 #include <algorithm>
 
@@ -6,28 +6,6 @@
 #include "sparse/rcm.hpp"
 
 namespace tac3d::sparse {
-
-namespace {
-
-/// FNV-1a over the pattern arrays (dims + row_ptr + col_idx).
-std::uint64_t pattern_hash(const CsrMatrix& a) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t x) {
-    h ^= x;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(a.rows()));
-  mix(static_cast<std::uint64_t>(a.cols()));
-  for (const std::int32_t v : a.row_ptr()) {
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)));
-  }
-  for (const std::int32_t v : a.col_idx()) {
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)));
-  }
-  return h;
-}
-
-}  // namespace
 
 bool SymbolicStructure::matches(const CsrMatrix& a) const {
   return a.cols() == rows && matches(a.row_ptr(), a.col_idx());
@@ -78,29 +56,6 @@ std::shared_ptr<const SymbolicStructure> analyze_structure(
   }
   s->sliced = build_sliced_pattern(rp, ci);
   return s;
-}
-
-std::shared_ptr<const SymbolicStructure> StructureCache::get(
-    const CsrMatrix& a) {
-  const std::uint64_t h = pattern_hash(a);
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto& bucket = buckets_[h];
-  for (const auto& s : bucket) {
-    if (s->matches(a)) {
-      ++hits_;
-      return s;
-    }
-  }
-  ++misses_;
-  bucket.push_back(analyze_structure(a));
-  return bucket.back();
-}
-
-std::size_t StructureCache::size() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [h, bucket] : buckets_) n += bucket.size();
-  return n;
 }
 
 }  // namespace tac3d::sparse

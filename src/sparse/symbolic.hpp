@@ -1,25 +1,22 @@
 #pragma once
-/// \file structure_cache.hpp
-/// \brief Shared symbolic analysis for solvers bound to matrices with
-/// the same sparsity pattern.
+/// \file symbolic.hpp
+/// \brief Symbolic analysis of a sparsity pattern, shareable between
+/// solvers bound to matrices with that pattern.
 ///
 /// A design-space sweep instantiates one RC model per scenario, but
 /// scenarios with the same stack geometry produce bit-identical CSR
 /// patterns. The expensive symbolic work — RCM ordering, banded-LU band
 /// extents, the ILU(0) diagonal index map and level schedule, the
-/// sliced-ELL layout of the Krylov SpMVs — depends
-/// only on the pattern, so a StructureCache computes it once and hands
-/// out a shared immutable SymbolicStructure to every solver. Symbolic
-/// analysis is a pure function of the pattern, so a solver built from a
-/// cached structure is bitwise identical to one that analyzed the matrix
-/// itself; sweeps stay deterministic with the cache on or off, serial or
-/// parallel.
+/// sliced-ELL layout of the Krylov SpMVs — depends only on the pattern,
+/// so it can be computed once and handed out as a shared immutable
+/// SymbolicStructure to every solver on that pattern (a ScenarioBank's
+/// model tier does, see sim/bank.hpp). Symbolic analysis is a pure
+/// function of the pattern, so a solver built from a shared structure is
+/// bitwise identical to one that analyzed the matrix itself.
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -47,7 +44,8 @@ struct SymbolicStructure {
   /// Slice offsets and padded columns of the sliced-ELL copy the
   /// BiCGSTAB solvers on this pattern traverse (sliced.hpp).
   std::shared_ptr<const SlicedPattern> sliced;
-  /// Pattern copy for exact identity checks on hash-bucket collisions.
+  /// Pattern copy, so a solver handed this structure can verify that it
+  /// describes the matrix it binds.
   std::vector<std::int32_t> row_ptr;
   std::vector<std::int32_t> col_idx;
 
@@ -57,32 +55,7 @@ struct SymbolicStructure {
                std::span<const std::int32_t> col_idx) const;
 };
 
-/// Run the symbolic analysis of \p a directly (no cache).
+/// Run the symbolic analysis of \p a.
 std::shared_ptr<const SymbolicStructure> analyze_structure(const CsrMatrix& a);
-
-/// Thread-safe, pattern-keyed cache of SymbolicStructure. Lookups hash
-/// the pattern and verify exact equality, so distinct patterns never
-/// alias. Safe to share across sweep workers.
-class StructureCache {
- public:
-  /// Return the shared structure of \p a's pattern, computing it on the
-  /// first request.
-  std::shared_ptr<const SymbolicStructure> get(const CsrMatrix& a);
-
-  /// Distinct patterns analyzed so far.
-  std::size_t size() const;
-
-  /// Lookup counters (for bench/telemetry; approximate under races).
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::shared_ptr<const SymbolicStructure>>>
-      buckets_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
 
 }  // namespace tac3d::sparse

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "microchannel/duct.hpp"
@@ -434,15 +435,16 @@ void RcModel::rhs_plus_scaled_into(std::span<double> out,
   }
 }
 
-std::vector<double> RcModel::steady_state(sparse::SolverKind kind,
-                                          sparse::StructureCache* cache) const {
-  return steady_state(*steady_solver(kind, cache));
+std::vector<double> RcModel::steady_state(
+    sparse::SolverKind kind,
+    std::shared_ptr<const sparse::SymbolicStructure> structure) const {
+  return steady_state(*steady_solver(kind, std::move(structure)));
 }
 
 std::unique_ptr<sparse::LinearSolver> RcModel::steady_solver(
-    sparse::SolverKind kind, sparse::StructureCache* cache) const {
-  return sparse::make_solver(kind, g_,
-                             cache != nullptr ? cache->get(g_) : nullptr);
+    sparse::SolverKind kind,
+    std::shared_ptr<const sparse::SymbolicStructure> structure) const {
+  return sparse::make_solver(kind, g_, std::move(structure));
 }
 
 std::vector<double> RcModel::steady_state(sparse::LinearSolver& solver) const {

@@ -163,22 +163,24 @@ class RcModel {
 
   // --- solves ----------------------------------------------------------
   /// Steady-state temperatures [K] for the current power and flows.
-  /// A non-null \p cache shares the symbolic solver analysis across
-  /// models with the same grid pattern (see sparse::StructureCache).
+  /// A non-null \p structure supplies the symbolic analysis of
+  /// conductance()'s pattern (see sparse/symbolic.hpp).
   std::vector<double> steady_state(
       sparse::SolverKind kind = sparse::SolverKind::kBicgstabIlu0,
-      sparse::StructureCache* cache = nullptr) const;
+      std::shared_ptr<const sparse::SymbolicStructure> structure =
+          nullptr) const;
 
   /// A solver bound to conductance(), for callers that solve several
   /// steady states while only the power changes (G must not change in
   /// between): factor and schedule once, then steady_state(solver).
   std::unique_ptr<sparse::LinearSolver> steady_solver(
       sparse::SolverKind kind = sparse::SolverKind::kBicgstabIlu0,
-      sparse::StructureCache* cache = nullptr) const;
+      std::shared_ptr<const sparse::SymbolicStructure> structure =
+          nullptr) const;
 
   /// Steady-state temperatures [K] for the current power and flows,
   /// solved with \p solver (from steady_solver(), values unchanged since)
-  /// from the same flat initial guess as steady_state(kind, cache), so
+  /// from the same flat initial guess as steady_state(kind, structure), so
   /// the result is bitwise that overload's.
   std::vector<double> steady_state(sparse::LinearSolver& solver) const;
 

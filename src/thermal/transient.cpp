@@ -16,7 +16,7 @@ TransientSolver::TransientSolver(RcModel& model, double dt,
       op_(opts.operator_prototype != nullptr
               ? ThermalOperator(*opts.operator_prototype, model, dt)
               : ThermalOperator(model, dt)),
-      cache_(opts.cache) {
+      structure_(opts.structure) {
   require(dt > 0.0, "TransientSolver: dt must be positive");
   const std::int32_t n = model_.node_count();
   state_.assign(n, std::max(model_.grid().spec().ambient,
@@ -26,7 +26,6 @@ TransientSolver::TransientSolver(RcModel& model, double dt,
   const std::span<const double> c = model_.capacitance();
   for (std::int32_t i = 0; i < n; ++i) c_over_dt_[i] = c[i] / dt_;
 
-  if (opts.cache != nullptr) structure_ = opts.cache->get(op_.matrix());
   solver_ = sparse::make_solver(opts.kind, op_.matrix(), structure_);
   rel_tolerance_ = opts.rel_tolerance;
   solver_->set_tolerance(rel_tolerance_);
@@ -63,9 +62,8 @@ TransientSolver::TransientSolver(RcModel& model, double dt,
 }
 
 TransientSolver::TransientSolver(RcModel& model, double dt,
-                                 sparse::SolverKind kind,
-                                 sparse::StructureCache* cache)
-    : TransientSolver(model, dt, Options{.kind = kind, .cache = cache}) {}
+                                 sparse::SolverKind kind)
+    : TransientSolver(model, dt, Options{.kind = kind}) {}
 
 void TransientSolver::set_state(std::vector<double> temps) {
   require(static_cast<std::int32_t>(temps.size()) == model_.node_count(),
@@ -75,7 +73,8 @@ void TransientSolver::set_state(std::vector<double> temps) {
 }
 
 void TransientSolver::initialize_steady() {
-  set_state(model_.steady_state(sparse::SolverKind::kBicgstabIlu0, cache_));
+  set_state(
+      model_.steady_state(sparse::SolverKind::kBicgstabIlu0, structure_));
 }
 
 TransientSolver::WarmStartSlot* TransientSolver::find_slot() {

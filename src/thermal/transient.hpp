@@ -35,10 +35,11 @@ class TransientSolver {
   struct Options {
     /// Linear solver strategy.
     sparse::SolverKind kind = sparse::SolverKind::kBicgstabIlu0;
-    /// Optional shared symbolic-structure cache (must outlive this
-    /// solver); models with the same grid pattern then skip the RCM/ILU
-    /// symbolic analysis.
-    sparse::StructureCache* cache = nullptr;
+    /// Optional symbolic analysis of the model's conductance pattern,
+    /// which the operator shares (see sparse/symbolic.hpp): the solvers
+    /// of models with the same grid then skip the RCM/ILU analysis.
+    /// Null = each solver analyzes what it needs. Bitwise neutral.
+    std::shared_ptr<const sparse::SymbolicStructure> structure = nullptr;
     /// Flow-transition warm-start cache: number of distinct flow states
     /// remembered (0 disables the predictor; ignored by direct solvers,
     /// which don't use initial guesses).
@@ -83,8 +84,7 @@ class TransientSolver {
   /// Convenience overload with the default warm starts and predictor.
   TransientSolver(RcModel& model, double dt,
                   sparse::SolverKind kind =
-                      sparse::SolverKind::kBicgstabIlu0,
-                  sparse::StructureCache* cache = nullptr);
+                      sparse::SolverKind::kBicgstabIlu0);
 
   double dt() const { return dt_; }
 
@@ -179,8 +179,9 @@ class TransientSolver {
   /// telemetry: dirty fractions, update counts).
   const ThermalOperator& system_operator() const { return op_; }
 
-  /// Shared symbolic analysis of the operator's pattern (null without a
-  /// StructureCache); batched drivers reuse its ILU(0) level schedule.
+  /// Shared symbolic analysis of the operator's pattern (null unless
+  /// Options::structure supplied one); batched drivers reuse its ILU(0)
+  /// level schedule.
   const sparse::SymbolicStructure* structure() const {
     return structure_.get();
   }
@@ -244,7 +245,6 @@ class TransientSolver {
   RcModel& model_;
   double dt_;
   ThermalOperator op_;
-  sparse::StructureCache* cache_ = nullptr;
   std::shared_ptr<const sparse::SymbolicStructure> structure_;
   std::vector<double> c_over_dt_;  ///< C_i / dt, precomputed
   std::unique_ptr<sparse::LinearSolver> solver_;

@@ -67,7 +67,7 @@ std::vector<LaneReference> scalar_reference(ScenarioBank& bank,
                                             const std::vector<Scenario>& v) {
   std::vector<LaneReference> out;
   for (const Scenario& s : v) {
-    PreparedScenario p = bank.prepare(s);
+    ScenarioInstance p = bank.prepare(s);
     SimulationSession session = p.session();
     session.run_to_end();
     const auto t = session.temperatures();
@@ -109,7 +109,7 @@ TEST_P(BatchParityTest, LanesMatchScalarPathBitwise) {
   ScenarioBank bank;
   const std::vector<LaneReference> refs = scalar_reference(bank, lanes);
 
-  std::vector<PreparedScenario> prepared;
+  std::vector<ScenarioInstance> prepared;
   for (const Scenario& s : lanes) prepared.push_back(bank.prepare(s));
   BatchSession batch(std::move(prepared));
   // BiCGSTAB+ILU(0) batches the thermal solves and fuses the tail; the
@@ -138,7 +138,7 @@ TEST(BatchSession, SingleLaneFallsBackToScalar) {
                                    power::WorkloadKind::kWebServer, 1);
   const std::vector<LaneReference> refs = scalar_reference(bank, {s});
 
-  std::vector<PreparedScenario> prepared;
+  std::vector<ScenarioInstance> prepared;
   prepared.push_back(bank.prepare(s));
   BatchSession batch(std::move(prepared));
   EXPECT_FALSE(batch.thermal_batched());
@@ -151,7 +151,7 @@ TEST(BatchSession, WiderThanKernelCapFallsBackToScalar) {
   // BatchSession must degrade to scalar lockstep, not throw (the sweep
   // runner chunks below the cap — this guards direct users).
   ScenarioBank bank;
-  std::vector<PreparedScenario> prepared;
+  std::vector<ScenarioInstance> prepared;
   for (std::uint64_t seed = 1;
        seed <= static_cast<std::uint64_t>(sparse::kMaxBatchLanes) + 1;
        ++seed) {
@@ -170,17 +170,16 @@ TEST(BatchSession, WiderThanKernelCapFallsBackToScalar) {
 /// \p s materialized without the bank on a paper chip whose cores have
 /// \p core_scale times the paper's area: the same stack and grid, hence
 /// the same matrix pattern, but a different floorplan.
-PreparedScenario on_scaled_chip(const Scenario& s, double core_scale) {
+ScenarioInstance on_scaled_chip(const Scenario& s, double core_scale) {
   arch::NiagaraConfig chip = arch::NiagaraConfig::paper();
   chip.core_area *= core_scale;
-  PreparedScenario p;
+  ScenarioInstance p;
   p.spec = s;
   p.soc = std::make_unique<arch::Mpsoc3D>(arch::Mpsoc3D::Options{
       s.tiers, s.effective_cooling(), s.grid, chip});
   p.trace = power::shared_workload(s.workload, chip.hardware_threads(),
                                    s.trace_seconds, s.seed);
   p.policy = make_policy(s.policy, *p.soc, s.sim.pump);
-  p.sim = s.sim;
   return p;
 }
 
@@ -194,9 +193,9 @@ TEST(BatchSession, MismatchedFloorplansFallBackToScalar) {
   };
   const double core_scale[] = {1.0, 0.9};
   std::vector<LaneReference> refs;
-  std::vector<PreparedScenario> prepared;
+  std::vector<ScenarioInstance> prepared;
   for (std::size_t l = 0; l < lanes.size(); ++l) {
-    PreparedScenario p = on_scaled_chip(lanes[l], core_scale[l]);
+    ScenarioInstance p = on_scaled_chip(lanes[l], core_scale[l]);
     SimulationSession session = p.session();
     session.run_to_end();
     const auto t = session.temperatures();
@@ -243,7 +242,7 @@ TEST(BatchSession, ThrowingLaneLeavesOtherLanesIntact) {
   ScenarioBank bank;
   const std::vector<LaneReference> refs = scalar_reference(bank, lanes);
 
-  std::vector<PreparedScenario> prepared;
+  std::vector<ScenarioInstance> prepared;
   for (const Scenario& s : lanes) prepared.push_back(bank.prepare(s));
   // Lane 1 blows up mid-run (after 5 control intervals).
   prepared[1].policy =
@@ -279,7 +278,7 @@ TEST(BatchSession, AirCooledLanesFuseTailAndMatchScalar) {
   ScenarioBank bank;
   const std::vector<LaneReference> refs = scalar_reference(bank, lanes);
 
-  std::vector<PreparedScenario> prepared;
+  std::vector<ScenarioInstance> prepared;
   for (const Scenario& s : lanes) prepared.push_back(bank.prepare(s));
   BatchSession batch(std::move(prepared));
   EXPECT_TRUE(batch.thermal_batched());
@@ -307,7 +306,7 @@ TEST(BatchSession, AllFuzzyBatchSharesInferenceBitwise) {
   ScenarioBank bank;
   const std::vector<LaneReference> refs = scalar_reference(bank, lanes);
 
-  std::vector<PreparedScenario> prepared;
+  std::vector<ScenarioInstance> prepared;
   for (const Scenario& s : lanes) prepared.push_back(bank.prepare(s));
   BatchSession batch(std::move(prepared));
   EXPECT_TRUE(batch.thermal_batched());

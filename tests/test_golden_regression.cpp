@@ -1,7 +1,7 @@
 // Golden-reference regression suite: the paper's seven Fig. 6/7
 // stack x policy configurations run as one sweep and every metric is
 // compared against the recorded CSVs in tests/golden/. Numeric refactors
-// of the solver stack (kernel fusion, structure sharing, workspace
+// of the solver stack (kernel fusion, set-up sharing, workspace
 // reuse) must not drift the paper's results — the tolerances are tight
 // enough to catch a single misplaced operation while absorbing
 // last-digit libm differences across platforms.
@@ -13,6 +13,8 @@
 // with the change that explains it.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -200,26 +202,43 @@ TEST_F(GoldenRegression, EnergyMetricsMatchGolden) {
   }
 }
 
-// The structural invariant behind the golden numbers: sharing symbolic
-// solver structure across the sweep must not move a single bit, serial
-// or parallel.
-TEST_F(GoldenRegression, StructureSharingIsBitwiseNeutral) {
+/// Bit pattern of a double, so a comparison tells -0.0 from 0.0 and
+/// matches equal NaNs.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The structural invariant behind the golden numbers. The fixture's
+// sweep shares set-up through the bank (traces, models with their
+// symbolic analysis, operator prototypes, initial states) and runs on
+// two workers with batched lanes; the reference path (bank off, one
+// job) shares nothing. Every metric must agree bit for bit.
+TEST_F(GoldenRegression, SharedSetupIsBitwiseNeutral) {
   ASSERT_TRUE(report_->all_ok());
-  SweepOptions no_share;
-  no_share.jobs = 1;
-  no_share.share_structures = false;
-  const SweepReport isolated = run_sweep(golden_scenarios(), no_share);
+  ASSERT_NE(report_->bank(), nullptr);
+  SweepOptions reference;
+  reference.jobs = 1;
+  reference.use_bank = false;
+  const SweepReport isolated = run_sweep(golden_scenarios(), reference);
   ASSERT_TRUE(isolated.all_ok());
+  ASSERT_EQ(isolated.bank(), nullptr);
   ASSERT_EQ(isolated.size(), report_->size());
   for (std::size_t i = 0; i < isolated.size(); ++i) {
     const SimMetrics& a = isolated.at(i).metrics;
     const SimMetrics& b = report_->at(i).metrics;
-    EXPECT_EQ(a.peak_temp, b.peak_temp) << i;
-    EXPECT_EQ(a.chip_energy, b.chip_energy) << i;
-    EXPECT_EQ(a.pump_energy, b.pump_energy) << i;
-    EXPECT_EQ(a.any_hot_time, b.any_hot_time) << i;
-    EXPECT_EQ(a.lost_work, b.lost_work) << i;
-    EXPECT_EQ(a.migrations, b.migrations) << i;
+    const std::string& what = isolated.at(i).scenario.label;
+    EXPECT_EQ(bits(a.duration), bits(b.duration)) << what;
+    EXPECT_EQ(bits(a.any_hot_time), bits(b.any_hot_time)) << what;
+    EXPECT_EQ(bits(a.peak_temp), bits(b.peak_temp)) << what;
+    EXPECT_EQ(bits(a.chip_energy), bits(b.chip_energy)) << what;
+    EXPECT_EQ(bits(a.pump_energy), bits(b.pump_energy)) << what;
+    EXPECT_EQ(bits(a.offered_work), bits(b.offered_work)) << what;
+    EXPECT_EQ(bits(a.lost_work), bits(b.lost_work)) << what;
+    EXPECT_EQ(a.migrations, b.migrations) << what;
+    EXPECT_EQ(bits(a.avg_flow_fraction), bits(b.avg_flow_fraction)) << what;
+    ASSERT_EQ(a.core_hot_time.size(), b.core_hot_time.size()) << what;
+    for (std::size_t c = 0; c < a.core_hot_time.size(); ++c) {
+      EXPECT_EQ(bits(a.core_hot_time[c]), bits(b.core_hot_time[c]))
+          << what << " core " << c;
+    }
   }
 }
 

@@ -17,7 +17,7 @@
 #include "sparse/csr.hpp"
 #include "sparse/ilu_schedule.hpp"
 #include "sparse/preconditioner.hpp"
-#include "sparse/structure_cache.hpp"
+#include "sparse/symbolic.hpp"
 
 namespace tac3d::sparse {
 namespace {
@@ -211,13 +211,12 @@ TEST(IluSchedule, LevelsRespectEveryDependency) {
 
 TEST(IluSchedule, ScalarApplyIsBitwiseNatural) {
   Rng rng(11);
-  StructureCache cache;
   for (int trial = 0; trial < 25; ++trial) {
     const CsrMatrix a = random_pattern(rng);
     const std::int32_t n = a.rows();
     const std::string what = "trial " + std::to_string(trial);
     Ilu0Preconditioner plain(a);
-    const auto structure = cache.get(a);
+    const auto structure = analyze_structure(a);
     Ilu0Preconditioner shared(a, structure.get());
     const std::vector<double> r = random_vec(static_cast<std::size_t>(n), rng);
     std::vector<double> z(static_cast<std::size_t>(n)),
@@ -325,10 +324,9 @@ void batched_case(const CsrMatrix& a, int width, Rng& rng,
 
 TEST(IluSchedule, BatchedAndCompactedApplyAreBitwiseNatural) {
   Rng rng(23);
-  StructureCache cache;
   for (int trial = 0; trial < 6; ++trial) {
     const CsrMatrix a = random_pattern(rng);
-    const auto structure = cache.get(a);
+    const auto structure = analyze_structure(a);
     for (const int width : kDispatchWidths) {
       SCOPED_TRACE("trial " + std::to_string(trial));
       batched_case(a, width, rng, trial % 2 == 0 ? structure.get() : nullptr);
@@ -336,14 +334,13 @@ TEST(IluSchedule, BatchedAndCompactedApplyAreBitwiseNatural) {
   }
 }
 
-TEST(IluSchedule, StructureCacheSharesOneSchedulePerPattern) {
+TEST(IluSchedule, SharedStructureSharesOneSchedule) {
   Rng rng(41);
   const CsrMatrix a = random_pattern(rng);
-  StructureCache cache;
-  const auto s = cache.get(a);
+  const auto s = analyze_structure(a);
   ASSERT_NE(s->ilu_schedule, nullptr);
   Ilu0Preconditioner m1(a, s.get());
-  Ilu0Preconditioner m2(revalue(a, rng), cache.get(a).get());
+  Ilu0Preconditioner m2(revalue(a, rng), s.get());
   EXPECT_EQ(&m1.schedule(), s->ilu_schedule.get());
   EXPECT_EQ(&m2.schedule(), s->ilu_schedule.get());
 }

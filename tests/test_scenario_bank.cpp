@@ -1,9 +1,10 @@
-// Tests of the ScenarioBank prepared-scenario subsystem: prepared /
-// cloned sessions must be bitwise identical to from-scratch
-// materialization across all three solver kinds, serial and parallel,
-// bank on and off; the steady tier must miss whenever cooling or grid
-// differ; ScenarioMatrix must dedupe trace synthesis even without a
-// bank; and a bank shared across sweeps must stay warm (and neutral).
+// Tests of the ScenarioBank: prepared / cloned sessions must be bitwise
+// identical to from-scratch materialization across solver kinds, serial
+// and parallel, bank on and off; the model tier must hand one symbolic
+// structure to every session of a stack; the steady tier must miss
+// whenever cooling or grid differ; ScenarioMatrix must dedupe trace
+// synthesis even without a bank; and a bank shared across sweeps must
+// stay warm (and neutral).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -70,7 +71,7 @@ TEST(ScenarioBank, PreparedSessionsMatchFromScratchAcrossSolverKinds) {
       const auto [m_fresh, t_fresh] = run_session(fresh.session());
 
       ScenarioBank bank;
-      PreparedScenario prepared = bank.prepare(spec);
+      ScenarioInstance prepared = bank.prepare(spec);
       const auto [m_prep, t_prep] = run_session(prepared.session());
 
       expect_same_metrics(m_fresh, m_prep, what);
@@ -86,7 +87,7 @@ TEST(ScenarioBank, SecondPreparationHitsEveryTierAndStaysBitwise) {
   const Scenario spec = quick_scenario();
   ScenarioBank bank;
 
-  PreparedScenario first = bank.prepare(spec);
+  ScenarioInstance first = bank.prepare(spec);
   const auto [m1, t1] = run_session(first.session());
   const BankCounters after_first = bank.counters();
   EXPECT_EQ(after_first.trace_misses, 1u);
@@ -94,7 +95,7 @@ TEST(ScenarioBank, SecondPreparationHitsEveryTierAndStaysBitwise) {
   EXPECT_EQ(after_first.steady_misses, 1u);
   EXPECT_EQ(after_first.hits(), 0u);
 
-  PreparedScenario second = bank.prepare(spec);
+  ScenarioInstance second = bank.prepare(spec);
   const auto [m2, t2] = run_session(second.session());
   const BankCounters after_second = bank.counters();
   EXPECT_EQ(after_second.trace_hits, 1u);
@@ -109,9 +110,54 @@ TEST(ScenarioBank, SecondPreparationHitsEveryTierAndStaysBitwise) {
   // their mutable model clones.
   EXPECT_EQ(first.trace.get(), second.trace.get());
   EXPECT_NE(first.soc.get(), second.soc.get());
-  EXPECT_EQ(first.sim.initial_state.get(), second.sim.initial_state.get());
-  EXPECT_EQ(first.sim.operator_prototype.get(),
-            second.sim.operator_prototype.get());
+  ASSERT_NE(first.shared().structure, nullptr);
+  ASSERT_NE(first.shared().op, nullptr);
+  ASSERT_NE(first.shared().initial, nullptr);
+  EXPECT_EQ(first.shared().structure, second.shared().structure);
+  EXPECT_EQ(first.shared().op, second.shared().op);
+  EXPECT_EQ(first.shared().initial, second.shared().initial);
+}
+
+TEST(ScenarioBank, ModelTierSharesOneStructure) {
+  // One symbolic analysis per model key serves every session of the key,
+  // whatever its policy, solver kind or control interval: the operator
+  // A = C/dt + G has G's pattern.
+  const Scenario base = quick_scenario(2, PolicyKind::kLcLb);
+  Scenario banded = quick_scenario(2, PolicyKind::kLcFuzzy);
+  banded.sim.solver = sparse::SolverKind::kBandedLu;
+  Scenario slower = base;
+  slower.sim.control_dt = 0.5;
+  Scenario other_grid = base;
+  other_grid.grid = thermal::GridOptions{10, 10};
+  const Scenario other_tiers = quick_scenario(4, PolicyKind::kLcLb);
+
+  ScenarioBank bank;
+  std::vector<ScenarioInstance> inst;
+  std::vector<SimulationSession> sessions;
+  for (const Scenario& s : {base, banded, slower, other_grid, other_tiers}) {
+    inst.push_back(bank.prepare(s));
+  }
+  for (ScenarioInstance& i : inst) sessions.push_back(i.session());
+  const auto structure_of = [&](std::size_t i) {
+    return sessions[i].thermal_solver().structure();
+  };
+  ASSERT_NE(structure_of(0), nullptr);
+  for (std::size_t i = 0; i < inst.size(); ++i) {
+    EXPECT_EQ(structure_of(i), inst[i].shared().structure.get()) << i;
+  }
+  EXPECT_EQ(structure_of(1), structure_of(0));
+  EXPECT_EQ(structure_of(2), structure_of(0));
+  EXPECT_NE(structure_of(3), structure_of(0));
+  EXPECT_NE(structure_of(4), structure_of(0));
+  EXPECT_NE(structure_of(4), structure_of(3));
+  EXPECT_EQ(bank.model_entries(), 3u);
+
+  // The reference path shares nothing: each solver analyzes its own.
+  ScenarioInstance fresh = instantiate(base);
+  EXPECT_EQ(fresh.shared().structure, nullptr);
+  EXPECT_EQ(fresh.shared().op, nullptr);
+  EXPECT_EQ(fresh.shared().initial, nullptr);
+  EXPECT_EQ(fresh.session().thermal_solver().structure(), nullptr);
 }
 
 // --- key discrimination --------------------------------------------------
@@ -333,7 +379,7 @@ TEST(ScenarioBank, ChipIncompatibleAttachedTraceFallsBackToSynthesis) {
   const auto [m_fresh, t_fresh] = run_session(fresh.session());
 
   ScenarioBank bank;
-  PreparedScenario prepared = bank.prepare(spec);
+  ScenarioInstance prepared = bank.prepare(spec);
   EXPECT_NE(prepared.trace.get(), spec.trace.get());
   const auto [m_prep, t_prep] = run_session(prepared.session());
 
@@ -410,9 +456,9 @@ TEST(ScenarioBank, SteadyTierKeysAttachedTracesByTZeroDemand) {
   // The coarser key is sound: b started from the shared solve must step
   // bitwise like b prepared in a bank of its own.
   ScenarioBank lone;
-  PreparedScenario pb = lone.prepare(b);
+  ScenarioInstance pb = lone.prepare(b);
   const auto [m_lone, t_lone] = run_session(pb.session());
-  PreparedScenario shared_b = bank.prepare(b);
+  ScenarioInstance shared_b = bank.prepare(b);
   const auto [m_shared, t_shared] = run_session(shared_b.session());
   expect_same_metrics(m_lone, m_shared, "t0-shared steady");
   EXPECT_EQ(t_lone, t_shared);

@@ -52,7 +52,7 @@ TEST(SimulationSession, StepwiseRunMatchesSimulateWrapper) {
 
   ScenarioInstance one_shot = instantiate(spec);
   const SimMetrics reference = simulate(*one_shot.soc, *one_shot.trace,
-                                        *one_shot.policy, one_shot.sim);
+                                        *one_shot.policy, one_shot.spec.sim);
 
   ScenarioInstance stepped = instantiate(spec);
   SimulationSession session = stepped.session();

@@ -25,7 +25,7 @@
 #include "sparse/preconditioner.hpp"
 #include "sparse/sliced.hpp"
 #include "sparse/solver.hpp"
-#include "sparse/structure_cache.hpp"
+#include "sparse/symbolic.hpp"
 
 namespace tac3d::sparse {
 namespace {

@@ -1,7 +1,7 @@
 // Property tests for the sparse layer: solver-kind agreement on random
 // diagonally-dominant SPD systems, RCM permutation validity and
 // bandwidth monotonicity, in-place update_values() equivalence with a
-// freshly constructed solver, StructureCache sharing, and the fused
+// freshly constructed solver, shared symbolic analysis, and the fused
 // kernels against their naive formulations.
 #include <gtest/gtest.h>
 
@@ -17,7 +17,7 @@
 #include "sparse/preconditioner.hpp"
 #include "sparse/rcm.hpp"
 #include "sparse/solver.hpp"
-#include "sparse/structure_cache.hpp"
+#include "sparse/symbolic.hpp"
 
 namespace tac3d::sparse {
 namespace {
@@ -178,50 +178,16 @@ TEST(UpdateValues, InPlaceEditMatchesFreshlyConstructedSolver) {
   }
 }
 
-// --- StructureCache -------------------------------------------------------
+// --- shared symbolic analysis --------------------------------------------
 
-TEST(StructureCacheTest, SharesOneAnalysisPerPattern) {
-  Rng rng(9);
-  const CsrMatrix a = random_dd(64, 0.1, /*symmetric=*/false, rng);
-  CsrMatrix same_pattern = a;
-  auto v = same_pattern.values_mut();
-  for (auto& x : v) x *= 2.0;
-
-  StructureCache cache;
-  const auto s1 = cache.get(a);
-  const auto s2 = cache.get(same_pattern);
-  EXPECT_EQ(s1.get(), s2.get()) << "same pattern must share one structure";
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-
-  Rng rng2(10);
-  const CsrMatrix other = random_dd(64, 0.2, /*symmetric=*/false, rng2);
-  const auto s3 = cache.get(other);
-  EXPECT_NE(s1.get(), s3.get());
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(StructureCacheTest, AnalysisMatchesDirectComputation) {
-  Rng rng(21);
-  const CsrMatrix a = random_dd(100, 0.05, /*symmetric=*/true, rng);
-  const auto cached = StructureCache().get(a);
-  const auto direct = analyze_structure(a);
-  EXPECT_EQ(cached->rcm_perm, direct->rcm_perm);
-  EXPECT_EQ(cached->ilu_diag, direct->ilu_diag);
-  EXPECT_EQ(cached->band_lower, direct->band_lower);
-  EXPECT_EQ(cached->band_upper, direct->band_upper);
-  EXPECT_TRUE(cached->matches(a));
-}
-
-TEST(StructureCacheTest, CachedStructureGivesBitIdenticalSolutions) {
+TEST(SymbolicStructureTest, SharedStructureGivesBitIdenticalSolutions) {
   Rng rng(31);
   const CsrMatrix a = random_dd(120, 0.05, /*symmetric=*/false, rng);
   const std::vector<double> b = random_vec(a.rows(), rng);
-  StructureCache cache;
+  const auto structure = analyze_structure(a);
   for (const SolverKind kind : kAllKinds) {
     auto plain = make_solver(kind, a);
-    auto shared = make_solver(kind, a, cache.get(a));
+    auto shared = make_solver(kind, a, structure);
     std::vector<double> x_plain(a.rows(), 0.0), x_shared(a.rows(), 0.0);
     plain->solve(b, x_plain);
     shared->solve(b, x_shared);

@@ -217,7 +217,7 @@ TEST(SessionAlloc, BatchedFusedTailIsAllocationFree) {
   GTEST_SKIP() << "allocation hook disabled under sanitizers";
 #endif
   sim::ScenarioBank bank;
-  std::vector<sim::PreparedScenario> prepared;
+  std::vector<sim::ScenarioInstance> prepared;
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     prepared.push_back(
         bank.prepare(session_scenario(sim::PolicyKind::kLcFuzzy, seed)));
