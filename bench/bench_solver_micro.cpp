@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -59,10 +60,14 @@ BENCHMARK(BM_SpMV)->Arg(8)->Arg(16)->Arg(24)->Arg(32);
 /// against the sliced-ELL copy the solver runs; arguments: sliced (0 =
 /// CSR), tiers, air (1 = air-cooled, whose heat-sink row is a long row).
 /// ns_per_nnz divides by the CSR nonzeros for both layouts;
-/// bytes_per_apply is computed from the array sizes (each array once:
-/// values, column indices, row or slice pointers, x and w read, y
-/// written), padding included for the sliced layout; padding is the
-/// sliced layout's extra slots per nonzero.
+/// bytes_per_apply counts what one apply reads and writes, each array
+/// once: x and w read, y written, and for CSR the values, column indices
+/// and row pointers; for the sliced layout 8 B per value slot (padding
+/// included), one 4 B column index per contiguous slice column and eight
+/// per gathered one, the slice pointers and contiguity masks, and the long
+/// rows' column indices and pointers. padding is the sliced layout's
+/// extra slots per nonzero; contiguous is the share of its slice columns
+/// that load x in one piece.
 void BM_SpmvDot(benchmark::State& state) {
   const bool sliced = state.range(0) != 0;
   const auto a = rc_matrix(16, static_cast<int>(state.range(1)),
@@ -90,13 +95,25 @@ void BM_SpmvDot(benchmark::State& state) {
   const double nnz = static_cast<double>(a.nnz());
   const sparse::SlicedPattern& p = s.pattern();
   const double slots = static_cast<double>(p.slots());
+  double contiguous = 0.0, slice_columns = 0.0;
+  for (std::int32_t sl = 0; sl < p.slices(); ++sl) {
+    contiguous += std::popcount(p.contiguous[sl]);
+    slice_columns +=
+        (p.slice_ptr[sl + 1] - p.slice_ptr[sl]) / sparse::kSliceRows;
+  }
+  const double long_entries =
+      static_cast<double>(p.long_ptr.back() - p.long_ptr.front());
   state.counters["ns_per_nnz"] =
       ns / (static_cast<double>(state.iterations()) * nnz);
   state.counters["bytes_per_apply"] =
-      sliced ? 12.0 * slots + 4.0 * (p.slices() + 1.0) +
+      sliced ? 8.0 * slots + 4.0 * contiguous +
+                   32.0 * (slice_columns - contiguous) +
+                   8.0 * p.slices() + 4.0 +
+                   4.0 * long_entries +
                    8.0 * static_cast<double>(p.long_rows.size()) + 24.0 * n
              : 12.0 * nnz + 4.0 * (n + 1.0) + 24.0 * n;
   state.counters["padding"] = sliced ? slots / nnz - 1.0 : 0.0;
+  state.counters["contiguous"] = sliced ? contiguous / slice_columns : 0.0;
 }
 BENCHMARK(BM_SpmvDot)
     ->ArgNames({"sliced", "tiers", "air"})

@@ -164,28 +164,45 @@ sim::Scenario decode_scenario(Reader& r) {
   const std::uint8_t has_cooling = r.u8();
   const std::uint8_t cooling = r.u8();
   const std::uint8_t workload = r.u8();
-  s.trace_seconds = static_cast<int>(r.u32());
+  const std::uint32_t trace_seconds = r.u32();
   s.seed = r.u64();
-  s.grid.rows = r.u16();
-  s.grid.cols = r.u16();
+  const std::uint16_t rows = r.u16();
+  const std::uint16_t cols = r.u16();
   s.grid.discrete_channels = r.u8() != 0;
-  s.grid.x_refine = r.u16();
-  s.grid.z_refine = r.u16();
+  const std::uint16_t x_refine = r.u16();
+  const std::uint16_t z_refine = r.u16();
   const std::uint8_t solver = r.u8();
   s.sim.control_dt = r.f64();
   s.sim.duration = r.f64();
   s.sim.solver_tolerance = r.f64();
-  s.sim.init_iterations = static_cast<int>(r.u32());
+  const std::uint32_t init_iterations = r.u32();
   if (!r.ok()) return s;
-  // Range-validate every enum before the cast becomes a live value.
+  // Range-validate every enum before the cast becomes a live value, and
+  // every size field against its documented limit.
+  const auto within = [](std::uint32_t v, int lo, int hi) {
+    return v >= static_cast<std::uint32_t>(lo) &&
+           v <= static_cast<std::uint32_t>(hi);
+  };
   if (policy > static_cast<std::uint8_t>(sim::PolicyKind::kLcFuzzy) ||
       has_cooling > 1 ||
       cooling > static_cast<std::uint8_t>(arch::CoolingKind::kLiquidCooled) ||
       workload > static_cast<std::uint8_t>(power::WorkloadKind::kPeriodic) ||
-      solver > static_cast<std::uint8_t>(sparse::SolverKind::kBicgstabIlu0)) {
+      solver > static_cast<std::uint8_t>(sparse::SolverKind::kBicgstabIlu0) ||
+      !within(rows, kMinGridCells, kMaxGridCells) ||
+      !within(cols, kMinGridCells, kMaxGridCells) ||
+      !within(x_refine, 1, kMaxGridRefine) ||
+      !within(z_refine, 1, kMaxGridRefine) ||
+      !within(trace_seconds, 1, kMaxTraceSeconds) ||
+      !within(init_iterations, 1, kMaxInitIterations)) {
     r.fail(DecodeError::kBadValue);
     return s;
   }
+  s.trace_seconds = static_cast<int>(trace_seconds);
+  s.grid.rows = rows;
+  s.grid.cols = cols;
+  s.grid.x_refine = x_refine;
+  s.grid.z_refine = z_refine;
+  s.sim.init_iterations = static_cast<int>(init_iterations);
   s.policy = static_cast<sim::PolicyKind>(policy);
   if (has_cooling) s.cooling = static_cast<arch::CoolingKind>(cooling);
   s.workload = static_cast<power::WorkloadKind>(workload);

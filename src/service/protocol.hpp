@@ -15,9 +15,9 @@
 /// as their IEEE-754 bit pattern.
 ///
 /// Decoding is defensive by contract: every read is bounds-checked, enum
-/// fields are range-validated, strings carry explicit lengths, and a
-/// payload must be consumed exactly — any violation yields a typed
-/// DecodeError (never UB, never an exception), which
+/// fields and scenario sizes are range-validated, strings carry explicit
+/// lengths, and a payload must be consumed exactly — any violation
+/// yields a typed DecodeError (never UB, never an exception), which
 /// tests/test_service_protocol.cpp exercises adversarially under
 /// ASan/UBSan.
 ///
@@ -53,6 +53,24 @@ inline constexpr std::uint32_t kMaxScenariosPerSubmit = 4096;
 
 /// Maximum bytes of any string field (labels, error texts).
 inline constexpr std::uint32_t kMaxStringBytes = 1u << 14;
+
+/// Documented ranges of a scenario's size fields. A scenario outside
+/// them decodes to DecodeError::kBadValue: the grid, the trace length
+/// and the leakage fixed-point iterations set a scenario's memory and
+/// its time before the first solve, so one hostile request could
+/// otherwise exhaust the server or pin a worker. control_dt, duration
+/// and solver_tolerance are left to the per-scenario checks, which fail
+/// only that scenario.
+///
+/// grid.rows and grid.cols: [kMinGridCells, kMaxGridCells].
+inline constexpr int kMinGridCells = 2;
+inline constexpr int kMaxGridCells = 64;
+/// grid.x_refine and grid.z_refine: [1, kMaxGridRefine].
+inline constexpr int kMaxGridRefine = 4;
+/// trace_seconds: [1, kMaxTraceSeconds] (one day).
+inline constexpr int kMaxTraceSeconds = 86400;
+/// sim.init_iterations: [1, kMaxInitIterations].
+inline constexpr int kMaxInitIterations = 64;
 
 /// Message tags. Requests are < 64, responses >= 64; unknown values are
 /// rejected with DecodeError::kUnknownType.

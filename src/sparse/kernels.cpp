@@ -58,32 +58,6 @@ double spmv_dot(const CsrMatrix& a, std::span<const double> x,
   return acc_dot;
 }
 
-double residual(const CsrMatrix& a, std::span<const double> x,
-                std::span<const double> b, std::span<double> r) {
-  check(static_cast<std::int32_t>(x.size()) == a.cols() &&
-            static_cast<std::int32_t>(r.size()) == a.rows() &&
-            b.size() == r.size(),
-        "residual: size mismatch");
-  const std::int32_t* __restrict rp = a.row_ptr().data();
-  const std::int32_t* __restrict ci = a.col_idx().data();
-  const double* __restrict v = a.values().data();
-  const double* __restrict xs = x.data();
-  const double* __restrict bs = b.data();
-  double* __restrict rs = r.data();
-  const std::int32_t n = a.rows();
-  double acc_dot = 0.0;
-  for (std::int32_t row = 0; row < n; ++row) {
-    double acc = 0.0;
-    for (std::int32_t k = rp[row]; k < rp[row + 1]; ++k) {
-      acc += v[k] * xs[ci[k]];
-    }
-    const double res = bs[row] - acc;
-    rs[row] = res;
-    acc_dot += res * res;
-  }
-  return acc_dot;
-}
-
 double residual_norms(const CsrMatrix& a, std::span<const double> x,
                       std::span<const double> b, std::span<double> r,
                       double* bb) {

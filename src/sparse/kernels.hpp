@@ -25,10 +25,6 @@ void spmv(const CsrMatrix& a, std::span<const double> x, std::span<double> y);
 double spmv_dot(const CsrMatrix& a, std::span<const double> x,
                 std::span<double> y, std::span<const double> w);
 
-/// r = b - A x in one pass (fused SpMV + axpy); returns dot(r, r).
-double residual(const CsrMatrix& a, std::span<const double> x,
-                std::span<const double> b, std::span<double> r);
-
 /// r = b - A x, returning dot(r, r) and setting *bb = dot(b, b), all in
 /// one pass (a Krylov solve needs ||b|| for its relative tolerance).
 double residual_norms(const CsrMatrix& a, std::span<const double> x,

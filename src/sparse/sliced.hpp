@@ -7,24 +7,47 @@
 /// one dependent add chain, so a CSR SpMV runs at the latency of that
 /// chain. SlicedMatrix cuts the rows into slices of kSliceRows
 /// consecutive rows (natural order) and stores each slice column-major:
-/// entry k of the slice's rows sits in kSliceRows consecutive slots. A
-/// row shorter than its slice's longest row is padded with value 0.0 at
-/// a column the row already reads, so the rows of a slice accumulate
-/// side by side, with no per-row branch and kSliceRows independent add
-/// chains.
+/// slice column k of the slice's rows sits in kSliceRows consecutive
+/// slots. The rows of a slice accumulate side by side, with no per-row
+/// branch and kSliceRows independent add chains.
+///
+/// Layout by stencil offset: a slice column holds one column offset
+/// (col - row) for all of the slice's rows, so on a grid stencil it
+/// reads kSliceRows consecutive entries of x with one load. The slice
+/// columns are the union of the offsets of the slice's rows, merged in
+/// ascending order; since a CSR row is sorted by column, which is
+/// sorted by offset, each row still meets its own entries in CSR order.
+/// A row that lacks a slice column's offset is padded there with value
+/// 0.0 at column row + offset, so the load stays in one piece; when that
+/// column falls outside [0, rows) the row pads at its own last column
+/// instead and the slice column is gathered. On the paper's operators
+/// (2 and 4 tiers, 8x8 to 16x16 grids) 99.4-99.9% of the slice columns
+/// of the liquid-cooled stacks and 87-96% of the air-cooled ones read x
+/// in one piece (53-65% and 39-56% under the positional layout below),
+/// for the same slot count.
+///
+/// Positional fallback: a slice whose offset union is wider than its
+/// longest row keeps the positional layout (entry k of every row in
+/// slice column k, padding at the row's last column), so no slice has
+/// more slots than its longest row needs. On the paper stacks that is
+/// the top-layer slices of the air-cooled stacks, whose heat-sink
+/// column has a different offset in every row; random patterns mostly
+/// fall back too. So does a slice holding a row whose columns are not
+/// strictly ascending.
 ///
 /// Bitwise contract: every row still adds its own entries in CSR order,
-/// starting from +0.0, followed by its padding. The accumulator can
-/// never become -0.0 (x + y is -0.0 in round-to-nearest only when both
-/// are -0.0), so for finite x adding a padding product 0.0 * x[c] = ±0.0
-/// leaves it unchanged, and each y[i] is bit for bit the CSR row loop's.
-/// The kernels' dot products are summed row by row in natural order, as
-/// the CSR kernels of kernels.hpp sum them.
+/// starting from +0.0, with padding products interleaved anywhere. The
+/// accumulator can never become -0.0 (x + y is -0.0 in round-to-nearest
+/// only when both are -0.0), so for finite x adding a padding product
+/// 0.0 * x[c] = ±0.0 leaves it unchanged, and each y[i] is bit for bit
+/// the CSR row loop's. The contract covers finite x only: 0.0 * inf is
+/// NaN. The kernels' dot products are summed row by row in natural
+/// order, as the CSR kernels of kernels.hpp sum them.
 ///
-/// On a grid stencil the k-th entries of consecutive rows mostly read
-/// consecutive columns (53-65% of the slice columns of the paper's
-/// liquid-cooled operators); the pattern marks those columns, and the
-/// kernels read them with one contiguous load instead of a gather.
+/// Kernels: a slice whose columns are all contiguous runs a fixed trip
+/// count (up to 8 slice columns; wider ones a runtime count) of
+/// contiguous loads, with no per-column branch; other slices load their
+/// contiguous columns and gather the rest.
 ///
 /// Long rows: a row with more than kSliceMaxRowLength entries (on the
 /// paper stacks only the heat-sink node of the air-cooled stacks) would
@@ -32,10 +55,11 @@
 /// accumulated by the plain CSR row loop, at its natural position in
 /// the same pass.
 ///
-/// The layout splits in two halves: SlicedPattern (slice offsets and
-/// padded columns) depends only on the CSR pattern and is shared through
-/// SymbolicStructure; a SlicedMatrix adds the values, a mirror of one
-/// CSR matrix that the owner refills after the CSR values change.
+/// The layout splits in two halves: SlicedPattern (slice offsets, padded
+/// columns and each row's slice columns) depends only on the CSR
+/// pattern and is shared through SymbolicStructure; a SlicedMatrix adds
+/// the values, a mirror of one CSR matrix that the owner refills after
+/// the CSR values change.
 
 #include <cstdint>
 #include <memory>
@@ -63,8 +87,8 @@ struct SlicedPattern {
   std::int64_t nnz = 0;  ///< CSR entries (padding excluded)
   /// Slice s covers rows [s * kSliceRows, (s + 1) * kSliceRows) (the last
   /// one may be partial); its slots are [slice_ptr[s], slice_ptr[s + 1]),
-  /// kSliceRows per column: entry k of the slice's row j at slot
-  /// slice_ptr[s] + k * kSliceRows + j.
+  /// kSliceRows per slice column: slice column k of the slice's row j at
+  /// slot slice_ptr[s] + k * kSliceRows + j.
   std::vector<std::int32_t> slice_ptr;
   /// Long rows in ascending order, closed by a sentinel above every row
   /// (so a scan can stop at it without a bounds check); their CSR entries
@@ -75,13 +99,17 @@ struct SlicedPattern {
   std::vector<std::int32_t> long_ptr;
   /// Column of every slot.
   std::vector<std::int32_t> cols;
-  /// Bit k of contiguous[s] is set when column k of slice s reads
+  /// Bit k of contiguous[s] is set when slice column k of slice s reads
   /// kSliceRows consecutive columns: the kernels then load x there
   /// instead of gathering it (same values, same order).
   std::vector<std::uint32_t> contiguous;
-  /// Slot of each row's first CSR entry; its entry k follows at stride
-  /// kSliceRows (sliced row) or 1 (long row).
+  /// Sliced row: slot of the row in slice column 0. Long row: slot of its
+  /// first CSR entry, the others following at stride 1.
   std::vector<std::int32_t> row_first;
+  /// Sliced row: bit k is set when slice column k holds one of the row's
+  /// CSR entries; its i-th entry sits in the slice column of the i-th set
+  /// bit. Unused (0) for long rows.
+  std::vector<std::uint16_t> row_columns;
 
   std::int32_t slices() const {
     return static_cast<std::int32_t>(slice_ptr.size()) - 1;
@@ -112,7 +140,7 @@ class SlicedMatrix {
   std::span<const double> values() const { return values_; }
 
   /// Copy every value of \p a (same pattern) into the mirror. Never
-  /// allocates.
+  /// allocates; padding slots are never written.
   void refill(const CsrMatrix& a);
 
   /// Copy only \p rows of \p a (same pattern) into the mirror — the

@@ -237,6 +237,8 @@ class BicgstabSolver final : public LinearSolver {
 
   bool uses_initial_guess() const override { return true; }
 
+  const SlicedMatrix* mirror() const override { return &sliced_; }
+
   void set_tolerance(double rel_tolerance) override {
     rel_tolerance_ = rel_tolerance;
   }

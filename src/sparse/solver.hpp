@@ -24,6 +24,7 @@
 
 #include "sparse/csr.hpp"
 #include "sparse/refresh.hpp"
+#include "sparse/sliced.hpp"
 #include "sparse/symbolic.hpp"
 
 namespace tac3d::sparse {
@@ -63,6 +64,12 @@ class LinearSolver {
   /// elsewhere (e.g. a time integrator's truncation error) can trade
   /// unneeded digits for iterations.
   virtual void set_tolerance(double rel_tolerance) { (void)rel_tolerance; }
+
+  /// The sliced-ELL copy of the bound matrix's values that solve() runs
+  /// its SpMVs on, as of the last notification; null for solvers without
+  /// one (direct solvers). Its kernels (sliced.hpp) give bitwise the CSR
+  /// row loops' values, so callers can evaluate residuals on it.
+  virtual const SlicedMatrix* mirror() const { return nullptr; }
 
   /// Refresh/solve counters (all zero for strategies that don't track).
   const SolverStats& stats() const { return stats_; }

@@ -10,7 +10,8 @@
 /// advances all of them per matrix traversal with
 /// sparse::BatchedBicgstabSolver, while every per-lane decision — flow
 /// sync, RHS build, warm-start/predictor selection — runs through the
-/// very same TransientSolver::begin_step / end_step code, and each
+/// very same TransientSolver::begin_step_prepare / begin_step_commit /
+/// end_step code, and each
 /// lane's refresh decisions through the same sparse::LazyRefresh as the
 /// serial solver, so each lane's trajectory is bitwise identical to
 /// stepping it alone.
@@ -44,8 +45,9 @@ class BatchedTransientSolver {
   static bool compatible(const TransientSolver& a, const TransientSolver& b);
 
   /// Advance every lane with active[l] != 0 by its own dt, in lockstep:
-  /// per-lane begin_step, one batched value-refresh + Krylov solve, per-
-  /// lane end_step. failed[l] is set (and end_step skipped — the lane's
+  /// per-lane begin_step_prepare, one batched value refresh and guard
+  /// evaluation, per-lane begin_step_commit, one batched Krylov solve,
+  /// per-lane end_step. failed[l] is set (and end_step skipped — the lane's
   /// state is unspecified, like a scalar step that threw) for lanes
   /// whose linear solve did not converge or whose per-lane phase threw
   /// (the exception text is kept in lane_error; lanes are isolated, the

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -16,6 +18,11 @@ ThermalGrid::ThermalGrid(StackSpec spec, GridOptions opts)
           "ThermalGrid: refinement factors must be >= 1");
   build_columns();
   build_layers();
+  // Node indices are int32 (cell_node, the CSR patterns).
+  require(static_cast<std::int64_t>(n_layers()) * opts_.rows * n_cols_ +
+                  (spec_.sink.present ? 1 : 0) <=
+              std::numeric_limits<std::int32_t>::max(),
+          "ThermalGrid: too many cells for int32 node indices");
   map_elements();
 }
 

@@ -5,7 +5,7 @@
 
 #include "common/error.hpp"
 #include "obs/trace.hpp"
-#include "sparse/kernels.hpp"
+#include "sparse/sliced.hpp"
 
 namespace tac3d::thermal {
 
@@ -290,38 +290,6 @@ void TransientSolver::begin_step_commit(double rr_predicted,
   pending_ = StepPrep{};
 }
 
-TransientSolver::StepPrep TransientSolver::begin_step() {
-  const StepPrep prep = begin_step_prepare();
-  // Serial guard evaluation, lazy like it always was: the plain warm
-  // start's residual is only spent when a candidate is not already at
-  // the solve tolerance, and the trajectory guard is skipped once the
-  // flow prediction wins. begin_step_commit re-derives the same
-  // decisions from these values.
-  const double tol2 = rel_tolerance_ * rel_tolerance_;
-  double rr_pred = 0.0, rr_traj = 0.0, bb = 0.0;
-  double rr_plain = -1.0;  // plain warm start ||b - A T_n||², lazily computed
-  bool traj_pending = prep.want_trajectory;
-  if (prep.want_predicted) {
-    rr_pred = sparse::residual_norms(op_.matrix(), predicted_, rhs_,
-                                     residual_, &bb);
-    if (rr_pred <= bb * tol2) {
-      traj_pending = false;  // prediction accepted at tolerance
-    } else {
-      rr_plain = sparse::residual(op_.matrix(), state_, rhs_, residual_);
-      if (rr_pred < rr_plain) traj_pending = false;  // prediction wins
-    }
-  }
-  if (traj_pending) {
-    rr_traj = sparse::residual_norms(op_.matrix(), traj_guess_, rhs_,
-                                     residual_, &bb);
-    if (rr_traj > bb * tol2 && rr_plain < 0.0) {
-      rr_plain = sparse::residual(op_.matrix(), state_, rhs_, residual_);
-    }
-  }
-  begin_step_commit(rr_pred, rr_traj, rr_plain, bb);
-  return prep;
-}
-
 void TransientSolver::end_step() {
   if (pending_slot_ != nullptr) {
     WarmStartSlot* slot = pending_slot_;
@@ -340,14 +308,45 @@ void TransientSolver::end_step() {
 }
 
 void TransientSolver::step() {
-  const StepPrep prep = begin_step();
-  // The refresh notification may run after the warm-start guards (which
-  // read only the matrix, already synced by begin_step), as long as it
-  // precedes the solve.
+  const StepPrep prep = begin_step_prepare();
+  // Notify the refresh first: it reads no guard value, and the guards
+  // below read the mirror it refills (and no factors).
   if (prep.flow_changed) {
     obs::TraceSpan span("solver/refresh");
     solver_->update_values(op_.matrix(), prep.update);
   }
+  // Guard evaluation, lazy: the plain warm start's residual is only
+  // spent when a candidate is not already at the solve tolerance, and
+  // the trajectory guard is skipped once the flow prediction wins.
+  // begin_step_commit re-derives the same decisions from these values.
+  double rr_pred = 0.0, rr_traj = 0.0, bb = 0.0;
+  double rr_plain = -1.0;  // plain warm start ||b - A T_n||², lazily computed
+  if (prep.want_predicted || prep.want_trajectory) {
+    // Candidates exist only for solvers that use an initial guess, and
+    // those run on a mirror.
+    const sparse::SlicedMatrix& a = *solver_->mirror();
+    const double tol2 = rel_tolerance_ * rel_tolerance_;
+    double bb_plain = 0.0;
+    bool traj_pending = prep.want_trajectory;
+    if (prep.want_predicted) {
+      rr_pred = sparse::residual_norms(a, predicted_, rhs_, residual_, &bb);
+      if (rr_pred <= bb * tol2) {
+        traj_pending = false;  // prediction accepted at tolerance
+      } else {
+        rr_plain = sparse::residual_norms(a, state_, rhs_, residual_,
+                                          &bb_plain);
+        if (rr_pred < rr_plain) traj_pending = false;  // prediction wins
+      }
+    }
+    if (traj_pending) {
+      rr_traj = sparse::residual_norms(a, traj_guess_, rhs_, residual_, &bb);
+      if (rr_traj > bb * tol2 && rr_plain < 0.0) {
+        rr_plain = sparse::residual_norms(a, state_, rhs_, residual_,
+                                          &bb_plain);
+      }
+    }
+  }
+  begin_step_commit(rr_pred, rr_traj, rr_plain, bb);
   {
     obs::TraceSpan span("solver/krylov");
     solver_->solve(rhs_, state_);

@@ -119,25 +119,25 @@ class TransientSolver {
     bool want_trajectory = false;
   };
 
-  /// Lockstep phase API (used by BatchedTransientSolver; step() is
-  /// exactly begin_step() + solver update/solve + end_step()).
-  /// begin_step() runs everything up to the linear solve — flow sync,
-  /// RHS build, warm-start/predictor selection — leaving step_rhs() as b
-  /// and step_solution() primed with the initial guess. The caller then
-  /// solves A x = b its own way (writing the solution into
-  /// step_solution()) and must call end_step() exactly once to commit
-  /// (transition-slot bookkeeping, time advance). Performs no heap
-  /// allocations.
-  StepPrep begin_step();
-
-  /// Finer split of begin_step() for drivers that evaluate the warm-
-  /// start guard residuals themselves (the batched driver runs them as
-  /// shared multi-lane matrix traversals):
-  ///   prepare -> caller computes ||rhs - A c||² for the candidates the
-  ///   returned StepPrep requests (and the plain warm start) -> commit.
-  /// The commit decisions are pure comparisons of those values, so
-  /// eager external evaluation selects exactly the state the lazy
-  /// serial evaluation in begin_step() would.
+  /// Lockstep phase API, used by BatchedTransientSolver, which evaluates
+  /// the warm-start guard residuals itself as shared multi-lane matrix
+  /// traversals. step() runs the same phases in this order:
+  ///   begin_step_prepare() — flow sync, RHS build, warm-start/predictor
+  ///     candidates; step_rhs() is then b;
+  ///   the refresh notification of the rewritten rows to the solver;
+  ///   the guard residuals ||rhs - A c||² of the requested candidates
+  ///     (and of the plain warm start), lazily, on the solver's sliced
+  ///     mirror, which the notification has just refilled;
+  ///   begin_step_commit() — primes step_solution() with the chosen
+  ///     initial guess;
+  ///   the linear solve A x = b into step_solution();
+  ///   end_step() — transition-slot bookkeeping, time advance.
+  /// The order is valid because the guards read no factors and the
+  /// refresh reads no guard value. The commit decisions are pure
+  /// comparisons of the guard values, and every guard traversal gives
+  /// bitwise the CSR row loop's value, so eager external evaluation
+  /// selects exactly the state the lazy serial evaluation in step()
+  /// would. None of the phases allocates.
   StepPrep begin_step_prepare();
   std::span<const double> predicted_candidate() const { return predicted_; }
   std::span<const double> trajectory_candidate() const { return traj_guess_; }
@@ -149,11 +149,11 @@ class TransientSolver {
   void begin_step_commit(double rr_predicted, double rr_trajectory,
                          double rr_plain, double bb);
 
-  /// The backward-Euler RHS built by the last begin_step().
+  /// The backward-Euler RHS built by the last begin_step_prepare().
   std::span<const double> step_rhs() const { return rhs_; }
 
-  /// Between begin_step() and end_step(): the initial guess on entry,
-  /// the solution on exit (aliases temperatures()).
+  /// Between begin_step_commit() and end_step(): the initial guess on
+  /// entry, the solution on exit (aliases temperatures()).
   std::span<double> step_solution() { return state_; }
 
   /// Commit the solve the caller wrote into step_solution().
@@ -255,7 +255,7 @@ class TransientSolver {
   std::vector<double> predicted_;   ///< scratch: predicted T_{n+1}
   std::vector<double> prev_state_;  ///< scratch: T_n for the slot update
   std::vector<double> residual_;    ///< scratch for the predictor guard
-  WarmStartSlot* pending_slot_ = nullptr;  ///< begin_step -> end_step
+  WarmStartSlot* pending_slot_ = nullptr;  ///< prepare -> end_step
   StepPrep pending_;  ///< candidates awaiting begin_step_commit
   std::uint64_t predictor_hits_ = 0;
   std::uint64_t predictor_interp_hits_ = 0;

@@ -440,6 +440,76 @@ TEST(ServiceProtocol, OutOfRangeEnumsAreBadValue) {
   EXPECT_EQ(d.error, DecodeError::kBadValue) << d.detail;
 }
 
+TEST(ServiceProtocol, ScenarioSizesPastTheirLimitsAreBadValue) {
+  WhatIfMsg msg;
+  msg.client_tag = 1;
+  msg.scenario = sample_scenario();
+  const std::vector<std::uint8_t> good = payload_of(msg);
+  ASSERT_TRUE(decode(good).ok());
+  const auto decode_with = [&](auto mutate) {
+    WhatIfMsg other = msg;
+    mutate(other.scenario);
+    return decode(payload_of(other)).error;
+  };
+
+  // The largest grid the u16 fields carry would map ~2.7e8 cells per
+  // floorplan element.
+  EXPECT_EQ(decode_with([](sim::Scenario& s) {
+              s.grid.rows = 65535;
+              s.grid.cols = 65535;
+            }),
+            DecodeError::kBadValue);
+
+  // u32 fields past int range: locate the field by differential
+  // encoding (its low byte differs first), then overwrite its 4 bytes.
+  const auto with_u32 = [&](auto mutate, std::uint32_t value) {
+    WhatIfMsg other = msg;
+    mutate(other.scenario);
+    const std::vector<std::uint8_t> alt = payload_of(other);
+    std::size_t at = 0;
+    while (at < good.size() && good[at] == alt[at]) ++at;
+    EXPECT_LE(at + 4, good.size());
+    std::vector<std::uint8_t> evil = good;
+    for (std::size_t i = 0; i < 4 && at + i < evil.size(); ++i) {
+      evil[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+    }
+    return decode(evil).error;
+  };
+  EXPECT_EQ(with_u32([](sim::Scenario& s) { s.trace_seconds += 1; },
+                     0xFFFFFFFFu),
+            DecodeError::kBadValue);
+  EXPECT_EQ(with_u32([](sim::Scenario& s) { s.sim.init_iterations += 1; },
+                     0x80000000u),
+            DecodeError::kBadValue);
+
+  // Every limit is inclusive, and one past it (or below 1) is rejected.
+  const auto check_limits = [&](const char* name, auto set, int lo, int hi) {
+    const auto with = [&](int v) {
+      return decode_with([&](sim::Scenario& s) { set(s, v); });
+    };
+    EXPECT_EQ(with(lo), DecodeError::kOk) << name;
+    EXPECT_EQ(with(hi), DecodeError::kOk) << name;
+    EXPECT_EQ(with(lo - 1), DecodeError::kBadValue) << name;
+    EXPECT_EQ(with(hi + 1), DecodeError::kBadValue) << name;
+  };
+  check_limits("rows", [](sim::Scenario& s, int v) { s.grid.rows = v; },
+               kMinGridCells, kMaxGridCells);
+  check_limits("cols", [](sim::Scenario& s, int v) { s.grid.cols = v; },
+               kMinGridCells, kMaxGridCells);
+  check_limits("x_refine",
+               [](sim::Scenario& s, int v) { s.grid.x_refine = v; }, 1,
+               kMaxGridRefine);
+  check_limits("z_refine",
+               [](sim::Scenario& s, int v) { s.grid.z_refine = v; }, 1,
+               kMaxGridRefine);
+  check_limits("trace_seconds",
+               [](sim::Scenario& s, int v) { s.trace_seconds = v; }, 1,
+               kMaxTraceSeconds);
+  check_limits("init_iterations",
+               [](sim::Scenario& s, int v) { s.sim.init_iterations = v; }, 1,
+               kMaxInitIterations);
+}
+
 TEST(ServiceProtocol, MetricEntryBadKindIsTyped) {
   // Same differential trick as the policy enum: two payloads identical
   // except for the entry's kind byte locate it, then an out-of-range

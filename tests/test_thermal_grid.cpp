@@ -55,6 +55,18 @@ TEST(Grid, SinkNodeAppendedWhenPresent) {
   EXPECT_EQ(grid.sink_node(), 16);
 }
 
+TEST(Grid, RejectsCellCountBeyondInt32Indices) {
+  // 3 layers x 65535 x 65535 cells: the node indices would not fit
+  // int32. Rejected before any element maps onto the cells.
+  EXPECT_THROW(ThermalGrid(two_die_spec(), GridOptions{65535, 65535}),
+               InvalidArgument);
+  // One layer of 65535 x 32769 cells: INT32_MAX + 32768.
+  StackSpec one_die = two_die_spec();
+  one_die.layers.resize(1);
+  EXPECT_THROW(ThermalGrid(one_die, GridOptions{65535, 32769}),
+               InvalidArgument);
+}
+
 TEST(Grid, HomogenizedChannelFractionMatchesGeometry) {
   ThermalGrid grid(two_die_spec(), GridOptions{6, 5});
   for (int c = 0; c < grid.cols(); ++c) {
