@@ -21,12 +21,15 @@ Checks, in order:
    bank, solver, and batched control-tail phases.
 
 Usage: check_trace.py TRACE.json [--require sweep/job --require ...]
+       check_trace.py --self-test
 Exit status: 0 = valid, 1 = invalid trace, 2 = usage/IO error.
 """
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from collections import defaultdict
 
 
@@ -95,13 +98,78 @@ def check(path, required):
     return 0
 
 
+def self_test():
+    """Run the checker on built-in traces: the well-formed one must pass
+    and every broken one must fail. Run by CI before the real trace
+    checks, so a checker that stopped catching a fault fails there."""
+
+    def ev(name, ph, ts, tid=1):
+        return {"name": name, "ph": ph, "ts": ts, "pid": 1, "tid": tid}
+
+    good = [ev("sweep/job", "B", 0), ev("bank/prepare", "B", 1),
+            ev("bank/prepare", "E", 2), ev("sweep/job", "E", 3),
+            ev("sweep/job", "B", 1, tid=2), ev("sweep/job", "E", 4, tid=2)]
+    no_pid = [ev("a", "B", 0), ev("a", "E", 1)]
+    del no_pid[1]["pid"]
+    cases = [
+        # (name, file content, --require names, expected to pass)
+        ("well-formed", {"traceEvents": good}, ["bank/prepare"], True),
+        ("not JSON", "{ this is not json", [], False),
+        ("no traceEvents", {"events": good}, [], False),
+        ("missing field", {"traceEvents": no_pid}, [], False),
+        ("phase other than B/E",
+         {"traceEvents": [ev("a", "B", 0), ev("a", "X", 1)]}, [], False),
+        ("timestamp goes back",
+         {"traceEvents": [ev("a", "B", 5), ev("a", "E", 4)]}, [], False),
+        ("E with no open span", {"traceEvents": [ev("a", "E", 0)]}, [],
+         False),
+        ("mis-nested E",
+         {"traceEvents": [ev("a", "B", 0), ev("b", "B", 1), ev("a", "E", 2),
+                          ev("b", "E", 3)]}, [], False),
+        ("unclosed span",
+         {"traceEvents": [ev("a", "B", 0), ev("b", "B", 1),
+                          ev("b", "E", 2)]}, [], False),
+        ("absent --require name", {"traceEvents": good}, ["solver/krylov"],
+         False),
+    ]
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (name, content, required, should_pass) in enumerate(cases):
+            path = os.path.join(tmp, f"case{i}.json")
+            with open(path, "w") as f:
+                f.write(content if isinstance(content, str)
+                        else json.dumps(content))
+            print(f"--- self-test: {name}")
+            passed = check(path, required) == 0
+            if passed != should_pass:
+                failures.append(f"{name}: "
+                                f"{'passed' if passed else 'failed'}, "
+                                f"expected to {'pass' if should_pass else 'fail'}")
+    if failures:
+        print("check_trace: self-test FAILED:", file=sys.stderr)
+        for f in failures:
+            print(f"  - {f}", file=sys.stderr)
+        return 1
+    print(f"check_trace: self-test OK ({len(cases)} cases)")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("trace", help="Chrome trace-event JSON file")
+    parser.add_argument("trace", nargs="?",
+                        help="Chrome trace-event JSON file")
     parser.add_argument("--require", action="append", default=[],
                         metavar="NAME",
                         help="span name that must appear (repeatable)")
+    parser.add_argument("--self-test", action="store_true",
+                        help="check that the checker passes a well-formed "
+                             "trace and fails each kind of broken one, "
+                             "then exit")
     args = parser.parse_args()
+    if args.self_test:
+        return self_test()
+    if args.trace is None:
+        parser.error("TRACE is required unless --self-test")
     return check(args.trace, args.require)
 
 

@@ -50,8 +50,8 @@ UtilizationTrace generate_workload(WorkloadKind kind, int threads,
 
 /// generate_workload() wrapped in a shared immutable handle, so one
 /// synthesized trace can back every scenario that shares its
-/// (kind, threads, seconds, seed) — the trace tier of sim/bank.hpp and
-/// the ScenarioMatrix trace dedupe both hand these out.
+/// (kind, threads, seconds, seed) — the trace tier of sim/bank.hpp hands
+/// these out, and instantiate() holds its own one the same way.
 std::shared_ptr<const UtilizationTrace> shared_workload(WorkloadKind kind,
                                                         int threads,
                                                         int seconds,

@@ -125,7 +125,11 @@ proto::SubmitAckMsg ServiceClient::submit_sweep(
       std::clamp(cores_requested, 1, 0xFFFF));
   req.scenarios = std::move(scenarios);
   send(req);
+  return read_ack(client_tag, "submit");
+}
 
+proto::SubmitAckMsg ServiceClient::read_ack(std::uint32_t client_tag,
+                                            const char* what) {
   const proto::Message reply = read_matching([&](const proto::Message& m) {
     if (const auto* ack = std::get_if<proto::SubmitAckMsg>(&m)) {
       return ack->client_tag == client_tag;
@@ -136,8 +140,8 @@ proto::SubmitAckMsg ServiceClient::submit_sweep(
     return false;
   });
   if (const auto* err = std::get_if<proto::ErrorMsg>(&reply)) {
-    throw Error("submit rejected (code " + std::to_string(err->code) +
-                "): " + err->text);
+    throw Error(std::string(what) + " rejected (code " +
+                std::to_string(err->code) + "): " + err->text);
   }
   return std::get<proto::SubmitAckMsg>(reply);
 }
@@ -180,18 +184,11 @@ SweepOutcome ServiceClient::run_sweep(std::vector<sim::Scenario> scenarios,
 
 proto::ScenarioResultMsg ServiceClient::what_if(const sim::Scenario& scenario) {
   proto::WhatIfMsg req;
+  if (++what_if_tag_ == 0) ++what_if_tag_;  // 0 stays the sweeps' default
+  req.client_tag = what_if_tag_;
   req.scenario = scenario;
   send(req);
-  const proto::Message reply = read_matching([&](const proto::Message& m) {
-    return std::holds_alternative<proto::SubmitAckMsg>(m) ||
-           std::holds_alternative<proto::ErrorMsg>(m);
-  });
-  if (const auto* err = std::get_if<proto::ErrorMsg>(&reply)) {
-    throw Error("what-if rejected (code " + std::to_string(err->code) +
-                "): " + err->text);
-  }
-  const std::uint32_t job_id = std::get<proto::SubmitAckMsg>(reply).job_id;
-  SweepOutcome out = collect(job_id);
+  SweepOutcome out = collect(read_ack(req.client_tag, "what-if").job_id);
   require(out.results.size() == 1, "what-if job streamed an unexpected count");
   return out.results.front();
 }

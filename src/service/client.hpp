@@ -72,7 +72,10 @@ class ServiceClient {
   SweepOutcome run_sweep(std::vector<sim::Scenario> scenarios,
                          int cores_requested = 1);
 
-  /// Single-scenario submit; returns its result message.
+  /// Single-scenario submit; returns its result message. Each call tags
+  /// its request with a fresh nonzero client_tag from this client's
+  /// counter and takes only the ack or error carrying it, so sweeps
+  /// pipelined on the same connection keep their own acks.
   protocol::ScenarioResultMsg what_if(const sim::Scenario& scenario);
 
   protocol::StatusMsg query_status();
@@ -98,9 +101,14 @@ class ServiceClient {
   template <typename Pred>
   protocol::Message read_matching(Pred pred);
 
+  /// The ack of the request tagged \p client_tag; throws on its
+  /// ErrorMsg, naming the request \p what.
+  protocol::SubmitAckMsg read_ack(std::uint32_t client_tag, const char* what);
+
   int fd_ = -1;
   std::vector<std::uint8_t> buffer_;
   std::deque<protocol::Message> inbox_;
+  std::uint32_t what_if_tag_ = 0;  ///< last tag what_if() used
 };
 
 }  // namespace tac3d::service

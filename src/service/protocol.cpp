@@ -1,6 +1,7 @@
 #include "service/protocol.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 
 namespace tac3d::service::protocol {
@@ -193,7 +194,11 @@ sim::Scenario decode_scenario(Reader& r) {
       !within(x_refine, 1, kMaxGridRefine) ||
       !within(z_refine, 1, kMaxGridRefine) ||
       !within(trace_seconds, 1, kMaxTraceSeconds) ||
-      !within(init_iterations, 1, kMaxInitIterations)) {
+      !within(init_iterations, 1, kMaxInitIterations) ||
+      !(std::isfinite(s.sim.control_dt) && s.sim.control_dt > 0.0) ||
+      !(std::isfinite(s.sim.duration) && s.sim.duration >= 0.0) ||
+      !(sim::control_steps(s.sim, static_cast<int>(trace_seconds)) <=
+        kMaxControlSteps)) {
     r.fail(DecodeError::kBadValue);
     return s;
   }
@@ -431,7 +436,7 @@ Decoded decode_payload(std::span<const std::uint8_t> payload) {
   switch (static_cast<MsgType>(tag)) {
     case MsgType::kSubmitSweep: {
       SubmitSweepMsg m;
-      m.client_tag = r.u32();
+      m.client_tag = d.client_tag = r.u32();
       m.cores_requested = r.u16();
       const std::uint32_t n = r.count(kMaxScenariosPerSubmit);
       for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
@@ -442,7 +447,7 @@ Decoded decode_payload(std::span<const std::uint8_t> payload) {
     }
     case MsgType::kWhatIf: {
       WhatIfMsg m;
-      m.client_tag = r.u32();
+      m.client_tag = d.client_tag = r.u32();
       m.scenario = decode_scenario(r);
       d.msg = std::move(m);
       break;

@@ -55,12 +55,12 @@ inline constexpr std::uint32_t kMaxScenariosPerSubmit = 4096;
 inline constexpr std::uint32_t kMaxStringBytes = 1u << 14;
 
 /// Documented ranges of a scenario's size fields. A scenario outside
-/// them decodes to DecodeError::kBadValue: the grid, the trace length
-/// and the leakage fixed-point iterations set a scenario's memory and
-/// its time before the first solve, so one hostile request could
-/// otherwise exhaust the server or pin a worker. control_dt, duration
-/// and solver_tolerance are left to the per-scenario checks, which fail
-/// only that scenario.
+/// them decodes to DecodeError::kBadValue: the grid, the trace length,
+/// the control step count and the leakage fixed-point iterations set a
+/// scenario's memory and its time, so one hostile request could
+/// otherwise exhaust the server or pin a worker (cancel cannot stop a
+/// running scenario). solver_tolerance is left to the per-scenario
+/// checks, which fail only that scenario.
 ///
 /// grid.rows and grid.cols: [kMinGridCells, kMaxGridCells].
 inline constexpr int kMinGridCells = 2;
@@ -69,6 +69,10 @@ inline constexpr int kMaxGridCells = 64;
 inline constexpr int kMaxGridRefine = 4;
 /// trace_seconds: [1, kMaxTraceSeconds] (one day).
 inline constexpr int kMaxTraceSeconds = 86400;
+/// sim.control_dt must be finite and positive, sim.duration finite and
+/// non-negative, and sim::control_steps() — the count a session steps —
+/// at most kMaxControlSteps: a one-day trace at 1/48 s.
+inline constexpr int kMaxControlSteps = 1 << 22;
 /// sim.init_iterations: [1, kMaxInitIterations].
 inline constexpr int kMaxInitIterations = 64;
 
@@ -175,8 +179,10 @@ struct StatusMsg {
 };
 
 struct ErrorMsg {
-  std::uint16_t code = 0;        ///< DecodeError or ServiceError value
-  std::uint32_t client_tag = 0;  ///< 0 when the request never decoded
+  std::uint16_t code = 0;  ///< DecodeError or ServiceError value
+  /// The request's client_tag, also when its body failed to decode; 0
+  /// when the tag itself could not be read.
+  std::uint32_t client_tag = 0;
   std::string text;
 };
 
@@ -229,6 +235,9 @@ struct Decoded {
   DecodeError error = DecodeError::kOk;
   std::string detail;  ///< human-readable context on failure
   Message msg;         ///< valid when ok()
+  /// A submit or what-if request's client_tag, read before its body, so
+  /// a rejection can still name the request (0 otherwise).
+  std::uint32_t client_tag = 0;
 
   bool ok() const { return error == DecodeError::kOk; }
 };

@@ -195,6 +195,7 @@ void ServiceServer::connection_loop(const std::shared_ptr<Connection>& conn) {
         if (!decoded.ok()) {
           proto::ErrorMsg err;
           err.code = static_cast<std::uint16_t>(decoded.error);
+          err.client_tag = decoded.client_tag;
           err.text = decoded.detail;
           send_frame(*conn, err);
         } else {

@@ -1,14 +1,11 @@
 #include "sim/bank.hpp"
 
-#include <bit>
-
 #include "arch/niagara.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "power/workloads.hpp"
 #include "sparse/symbolic.hpp"
-#include "thermal/operator.hpp"
 
 namespace tac3d::sim {
 
@@ -98,18 +95,6 @@ ScenarioInstance ScenarioBank::prepare(const Scenario& spec) {
   }
   p.soc = std::make_unique<arch::Mpsoc3D>(*ms->prototype);
   p.shared_.structure = ms->structure;
-
-  // Operator prototype for this control_dt (the backward-Euler matrix
-  // depends on dt; ThermalOperator validates dt > 0 for us).
-  {
-    const std::lock_guard<std::mutex> lock(ms->ops_mu);
-    auto& entry = ms->ops[std::bit_cast<std::uint64_t>(p.spec.sim.control_dt)];
-    if (entry == nullptr) {
-      entry = std::make_shared<const thermal::ThermalOperator>(
-          ms->prototype->model(), p.spec.sim.control_dt);
-    }
-    p.shared_.op = entry;
-  }
 
   // --- steady tier -------------------------------------------------------
   {

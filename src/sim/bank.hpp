@@ -11,12 +11,13 @@
 /// sim/prepared.hpp for the exact keys):
 ///
 ///   trace tier   one immutable power::UtilizationTrace per synthesis key
+///                (the one place traces are deduplicated: a
+///                ScenarioMatrix attaches none)
 ///   model tier   a pristine Mpsoc3D prototype (deep-cloned per
-///                scenario), the SymbolicStructure of its conductance
+///                scenario) and the SymbolicStructure of its conductance
 ///                pattern (RCM, band extents, ILU(0) schedule, sliced
 ///                layout; shared by the steady solve and every session's
-///                transient solver) and one ThermalOperator prototype per
-///                control_dt, copy-and-rebound into each session
+///                transient solver)
 ///   steady tier  the InitialThermalState of the leakage-consistent
 ///                fixed point, applied as a vector copy
 ///
@@ -32,7 +33,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -67,11 +67,9 @@ class ScenarioBank {
  public:
   /// Compile \p spec: resolve the label, attach the shared trace, clone
   /// the model prototype and fill the instance's shared set-up with the
-  /// model's symbolic structure, the operator prototype of its
-  /// control_dt and the cached initial state. Everything the returned
-  /// instance references is either owned by it or kept alive by shared
-  /// ownership, but the operator prototypes reference model prototypes
-  /// owned by the bank — the bank must outlive the sessions it prepares.
+  /// model's symbolic structure and the cached initial state. The
+  /// returned instance owns or co-owns everything its session reads, so
+  /// it may outlive the bank.
   ScenarioInstance prepare(const Scenario& spec);
 
   BankCounters counters() const;
@@ -96,10 +94,6 @@ class ScenarioBank {
     std::unique_ptr<const arch::Mpsoc3D> prototype;
     /// Symbolic analysis of the prototype's conductance pattern.
     std::shared_ptr<const sparse::SymbolicStructure> structure;
-    /// One operator prototype per control_dt (keyed by the dt bits).
-    std::mutex ops_mu;
-    std::map<std::uint64_t, std::shared_ptr<const thermal::ThermalOperator>>
-        ops;
   };
   struct SteadySlot {
     std::once_flag once;

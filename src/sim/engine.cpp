@@ -29,11 +29,11 @@ void apply_pump(arch::Mpsoc3D& soc, const microchannel::PumpModel& pump,
 int count_steps(const SimulationConfig& cfg,
                 const power::UtilizationTrace& trace) {
   require(cfg.control_dt > 0.0, "simulate: control_dt must be positive");
-  const double duration =
-      cfg.duration > 0.0 ? cfg.duration
-                         : static_cast<double>(trace.seconds() - 1);
-  return std::max(1,
-                  static_cast<int>(std::llround(duration / cfg.control_dt)));
+  const double steps = control_steps(cfg, trace.seconds());
+  require(std::fabs(steps) <= std::numeric_limits<int>::max(),
+          "simulate: duration / control_dt does not fit in an int step "
+          "count");
+  return std::max(1, static_cast<int>(steps));
 }
 
 /// The loop state every session starts from: t=0 demand balanced onto
@@ -57,25 +57,14 @@ std::vector<arch::CoreState> initial_cores(
   return cores;
 }
 
-/// Pump at full flow (liquid stacks) + the leakage-consistent steady
-/// fixed point for the given core states; captures the temperatures and
-/// the element powers the solve left applied.
-InitialThermalState steady_for_cores(
-    arch::Mpsoc3D& soc, const SimulationConfig& cfg,
-    std::span<const arch::CoreState> cores,
-    std::shared_ptr<const sparse::SymbolicStructure> structure) {
-  if (soc.cooling() == arch::CoolingKind::kLiquidCooled) {
-    apply_pump(soc, cfg.pump, cfg.pump.levels() - 1);
-  }
-  InitialThermalState state;
-  state.temperatures = soc.leakage_consistent_steady(
-      cores, cfg.init_iterations, std::move(structure));
-  const std::span<const double> powers = soc.model().element_powers();
-  state.element_powers.assign(powers.begin(), powers.end());
-  return state;
-}
-
 }  // namespace
+
+double control_steps(const SimulationConfig& cfg, int trace_seconds) {
+  const double duration = cfg.duration > 0.0
+                              ? cfg.duration
+                              : static_cast<double>(trace_seconds - 1);
+  return std::round(duration / cfg.control_dt);
+}
 
 InitialThermalState compute_initial_state(
     arch::Mpsoc3D& soc, const power::UtilizationTrace& trace,
@@ -89,7 +78,13 @@ InitialThermalState compute_initial_state(
   std::vector<double> core_demand;
   const std::vector<arch::CoreState> cores =
       initial_cores(soc, trace, scheduler, thread_demand, core_demand);
-  return steady_for_cores(soc, cfg, cores, std::move(structure));
+  apply_pump(soc, cfg.pump, cfg.pump.levels() - 1);
+  InitialThermalState state;
+  state.temperatures = soc.leakage_consistent_steady(
+      cores, cfg.init_iterations, std::move(structure));
+  const std::span<const double> powers = soc.model().element_powers();
+  state.element_powers.assign(powers.begin(), powers.end());
+  return state;
 }
 
 SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
@@ -121,25 +116,23 @@ SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
   cores_ = initial_cores(soc_, trace_, scheduler_, thread_demand_,
                          core_demand_);
   pump_level_ = liquid_ ? cfg_.pump.levels() - 1 : -1;
-  if (liquid_) {
-    apply_pump(soc_, cfg_.pump, pump_level_);
-  }
-  // Leakage-consistent initial steady state (fixed point) — or, when a
-  // ScenarioBank prepared this scenario, the cached result of the very
-  // same computation: applying the vectors reproduces the post-solve
-  // model state exactly, so both paths step identical arithmetic.
-  std::shared_ptr<const InitialThermalState> init = shared.initial;
-  if (init != nullptr) {
-    require(static_cast<std::int32_t>(init->temperatures.size()) ==
-                soc_.model().node_count(),
-            "simulate: initial state temperature size mismatch");
-    require(static_cast<int>(init->element_powers.size()) ==
-                soc_.model().grid().element_count(),
-            "simulate: initial state element power size mismatch");
-  } else {
-    init = std::make_shared<InitialThermalState>(
-        steady_for_cores(soc_, cfg_, cores_, shared.structure));
-  }
+  apply_pump(soc_, cfg_.pump, pump_level_);
+  // Leakage-consistent initial steady state (fixed point): the cached
+  // result when a ScenarioBank prepared this scenario, else computed
+  // here by the same function. Applying the vectors reproduces the
+  // post-solve model state exactly, so both paths step identical
+  // arithmetic.
+  const std::shared_ptr<const InitialThermalState> init =
+      shared.initial != nullptr
+          ? shared.initial
+          : std::make_shared<const InitialThermalState>(compute_initial_state(
+                soc_, trace_, cfg_, shared.structure));
+  require(static_cast<std::int32_t>(init->temperatures.size()) ==
+              soc_.model().node_count(),
+          "simulate: initial state temperature size mismatch");
+  require(static_cast<int>(init->element_powers.size()) ==
+              soc_.model().grid().element_count(),
+          "simulate: initial state element power size mismatch");
   soc_.model().set_element_powers(init->element_powers);
 
   thermal_ = std::make_unique<thermal::TransientSolver>(
@@ -147,7 +140,6 @@ SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
       thermal::TransientSolver::Options{
           .kind = cfg_.solver,
           .structure = shared.structure,
-          .operator_prototype = shared.op.get(),
           .rel_tolerance = cfg_.solver_tolerance});
   thermal_->set_state(init->temperatures);
 

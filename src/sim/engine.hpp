@@ -24,7 +24,6 @@
 #include "sparse/solver.hpp"
 
 namespace tac3d::thermal {
-class ThermalOperator;
 class TransientSolver;
 }
 
@@ -33,32 +32,29 @@ namespace tac3d::sim {
 struct ScenarioInstance;
 
 /// The model state a session starts from: the leakage-consistent steady
-/// temperature field plus the element powers that produced it. Computed
-/// by compute_initial_state() (the fixed-point solve every session runs
-/// at construction) and cacheable across sessions: two scenarios whose
-/// stack, grid, cooling, initial flow and t=0 workload demand agree
-/// start from bitwise-identical state, so a ScenarioBank (sim/bank.hpp)
-/// can hand the vectors out instead of re-solving.
+/// temperature field plus the element powers that produced it. Its one
+/// producer is compute_initial_state(), and it is cacheable across
+/// sessions: two scenarios whose stack, grid, cooling, initial flow and
+/// t=0 workload demand agree start from bitwise-identical state, so a
+/// ScenarioBank (sim/bank.hpp) can hand the vectors out instead of
+/// re-solving.
 struct InitialThermalState {
   std::vector<double> temperatures;    ///< one value per thermal cell [K]
   std::vector<double> element_powers;  ///< one value per floorplan element [W]
 };
 
 /// The set-up artifacts a ScenarioBank (sim/bank.hpp) shares between the
-/// sessions of one stack, so their construction degenerates to vector
-/// copies. Only ScenarioBank::prepare fills one, and it reaches a
-/// session only through ScenarioInstance::session(). Every member is
-/// optional (null = the session computes it), and each is the result of
-/// the very computation it replaces, so sharing is bitwise neutral.
+/// sessions of one stack. Only ScenarioBank::prepare fills one, and it
+/// reaches a session only through ScenarioInstance::session(). Both
+/// members are optional (null = the session computes it), and each is
+/// the result of the very computation it replaces, so sharing is bitwise
+/// neutral. Both are shared-owned, so the instance holding them does not
+/// depend on its bank staying alive.
 struct SharedSetup {
   /// Symbolic analysis of the model's conductance pattern, which the
   /// backward-Euler operator shares: serves the steady solve and the
   /// transient solver whatever the control_dt or solver kind.
   std::shared_ptr<const sparse::SymbolicStructure> structure;
-  /// Backward-Euler operator of an equal model at the session's
-  /// control_dt, copied and rebound instead of materialized (see
-  /// thermal::ThermalOperator).
-  std::shared_ptr<const thermal::ThermalOperator> op;
   /// compute_initial_state() of an equal scenario: applied instead of
   /// solving the leakage-consistent fixed point (sizes are validated).
   std::shared_ptr<const InitialThermalState> initial;
@@ -67,7 +63,7 @@ struct SharedSetup {
 /// Knobs of a simulation run.
 struct SimulationConfig {
   double control_dt = 0.25;   ///< control & thermal step [s]
-  double duration = 0.0;      ///< 0 = full trace length
+  double duration = 0.0;      ///< 0 = full trace length (see control_steps)
   microchannel::PumpModel pump = microchannel::PumpModel::table1(16);
   double hot_threshold_k = 273.15 + 85.0;  ///< hot-spot threshold [K]
   double lb_imbalance = 0.25;
@@ -103,15 +99,23 @@ struct SimulationConfig {
   bool limit_cycle_replay = true;
 };
 
-/// The initial state SimulationSession computes at construction: apply
-/// the maximum pump level (liquid stacks), balance the trace's t=0
-/// demand onto the cores at the maximum V/f level, and run the
+/// Control intervals a run of \p cfg takes over a trace of
+/// \p trace_seconds: duration / control_dt rounded half away from zero,
+/// where a duration of 0 means the whole trace (trace_seconds - 1 s).
+/// Unchecked, so request validation can bound it without throwing: a
+/// session takes at least one step and throws InvalidArgument when
+/// control_dt is not positive or the count is not finite or does not
+/// fit in int.
+double control_steps(const SimulationConfig& cfg, int trace_seconds);
+
+/// The initial state every SimulationSession starts from: apply the
+/// maximum pump level (liquid stacks), balance the trace's t=0 demand
+/// onto the cores at the maximum V/f level, and run the
 /// leakage-consistent steady fixed point. Leaves \p soc with the
-/// returned powers/flows applied — exactly the state a freshly
-/// constructed session would leave it in. Deterministic in its inputs,
-/// so the result can be cached and shared across sessions (the steady
-/// tier of sim/bank.hpp). A non-null \p structure supplies the symbolic
-/// analysis of the steady solve (see SharedSetup::structure).
+/// returned powers/flows applied. Deterministic in its inputs, so the
+/// result can be cached and shared across sessions (the steady tier of
+/// sim/bank.hpp). A non-null \p structure supplies the symbolic analysis
+/// of the steady solve (see SharedSetup::structure).
 InitialThermalState compute_initial_state(
     arch::Mpsoc3D& soc, const power::UtilizationTrace& trace,
     const SimulationConfig& cfg,
@@ -119,12 +123,12 @@ InitialThermalState compute_initial_state(
 
 /// A resumable closed-loop simulation.
 ///
-/// Construction computes the leakage-consistent initial steady state
-/// (the paper: "we initialize the simulations with steady state
-/// temperature values"); each step() advances one control interval:
-/// load balancing, policy decision, execution/power model, thermal
-/// step, metrics accumulation. The referenced MPSoC, trace and policy
-/// must outlive the session.
+/// Construction applies the leakage-consistent initial steady state of
+/// compute_initial_state() (the paper: "we initialize the simulations
+/// with steady state temperature values"); each step() advances one
+/// control interval: load balancing, policy decision, execution/power
+/// model, thermal step, metrics accumulation. The referenced MPSoC,
+/// trace and policy must outlive the session.
 class SimulationSession {
  public:
   SimulationSession(arch::Mpsoc3D& soc, const power::UtilizationTrace& trace,

@@ -1,7 +1,5 @@
 #include "sim/experiment.hpp"
 
-#include <map>
-#include <tuple>
 #include <utility>
 
 #include "arch/calibration.hpp"
@@ -84,7 +82,7 @@ ScenarioInstance instantiate(const Scenario& spec) {
       spec.tiers, spec.effective_cooling(), spec.grid,
       arch::NiagaraConfig::paper()});
   if (scenario_trace_usable(spec)) {
-    inst.trace = spec.trace;  // shared immutable trace (matrix dedupe)
+    inst.trace = spec.trace;  // the caller's attached trace
   } else {
     inst.trace = power::shared_workload(spec.workload,
                                         inst.soc->chip().hardware_threads(),
@@ -156,28 +154,6 @@ ScenarioMatrix& ScenarioMatrix::filter(
 }
 
 std::vector<Scenario> ScenarioMatrix::build() const {
-  std::vector<Scenario> out = expand();
-  // One synthesized trace per distinct (workload, seed, trace_seconds):
-  // scenarios that share the axes share the immutable trace object. A
-  // trace carried in from the base scenario is kept as-is.
-  const int threads = arch::NiagaraConfig::paper().hardware_threads();
-  std::map<std::tuple<power::WorkloadKind, std::uint64_t, int>,
-           std::shared_ptr<const power::UtilizationTrace>>
-      traces;
-  for (Scenario& s : out) {
-    if (s.trace != nullptr) continue;
-    auto& shared =
-        traces[std::make_tuple(s.workload, s.seed, s.trace_seconds)];
-    if (shared == nullptr) {
-      shared = power::shared_workload(s.workload, threads, s.trace_seconds,
-                                      s.seed);
-    }
-    s.trace = shared;
-  }
-  return out;
-}
-
-std::vector<Scenario> ScenarioMatrix::expand() const {
   require(!tiers_.empty() && !policies_.empty() && !workloads_.empty() &&
               !solvers_.empty() && !seeds_.empty(),
           "ScenarioMatrix: every sweep axis needs at least one value");

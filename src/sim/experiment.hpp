@@ -51,12 +51,11 @@ struct Scenario {
   std::uint64_t seed = 1;
   thermal::GridOptions grid{16, 16};
   SimulationConfig sim;  ///< control interval, pump, solver kind, ...
-  /// Optional pre-synthesized trace. When set (and its thread count
-  /// matches the chip), instantiate() references it instead of
-  /// synthesizing from (workload, seed, trace_seconds) — this is how
-  /// ScenarioMatrix::build() shares one immutable trace across every
-  /// scenario with the same trace axes, and how callers inject measured
-  /// traces. Scenarios sharing the pointer share the trace.
+  /// Optional caller-attached trace (a measured or hand-built one). When
+  /// set and its thread count matches the chip, instantiate() and the
+  /// bank run it instead of synthesizing from (workload, seed,
+  /// trace_seconds); the bank keys it by its content and its t=0 column
+  /// (sim/prepared.hpp). Scenarios sharing the pointer share the trace.
   std::shared_ptr<const power::UtilizationTrace> trace;
 
   arch::CoolingKind effective_cooling() const {
@@ -70,12 +69,11 @@ std::string scenario_label(const Scenario& s);
 class ScenarioBank;
 
 /// A Scenario materialized into live objects, ready to drive a
-/// SimulationSession. Owns (or shares, for the immutable trace)
-/// everything the session references. instantiate() builds every object
-/// from scratch and shares nothing: the reference path. A ScenarioBank
-/// (sim/bank.hpp) prepares the same objects from its cached prototypes
-/// and adds the shared set-up, and the session that starts is bitwise
-/// identical.
+/// SimulationSession. Owns or co-owns everything the session reads.
+/// instantiate() builds every object from scratch and shares nothing:
+/// the reference path. A ScenarioBank (sim/bank.hpp) prepares the same
+/// objects from its cached prototypes and adds the shared set-up, and
+/// the session that starts is bitwise identical.
 struct ScenarioInstance {
   Scenario spec;  ///< resolved copy (label filled); its sim configures the run
   std::shared_ptr<const power::UtilizationTrace> trace;
@@ -96,7 +94,8 @@ struct ScenarioInstance {
   SharedSetup shared_;
 };
 
-/// Build the MPSoC, generate the trace and instantiate the policy.
+/// Build the MPSoC, synthesize the trace (unless a usable one is
+/// attached) and instantiate the policy.
 ScenarioInstance instantiate(const Scenario& spec);
 
 /// Instantiate the scenario, run it to completion, return metrics.
@@ -122,16 +121,14 @@ class ScenarioMatrix {
   /// Keep only scenarios for which \p pred returns true (cumulative).
   ScenarioMatrix& filter(std::function<bool(const Scenario&)> pred);
 
-  /// Expand the cartesian product (labels auto-filled). Every distinct
-  /// (workload, seed, trace_seconds) combination is synthesized once and
-  /// shared immutably across the scenarios that use it (Scenario::trace)
-  /// — instantiate() then references instead of re-synthesizing, with or
-  /// without a ScenarioBank. A trace already set on the base scenario is
-  /// left untouched.
+  /// Expand the cartesian product (labels auto-filled). Attaches no
+  /// trace: each scenario synthesizes its own from its axes, and a
+  /// ScenarioBank's trace tier is where equal axes share one. A trace
+  /// already set on the base scenario is kept on every scenario.
   std::vector<Scenario> build() const;
 
-  /// Number of scenarios build() would return (no trace synthesis).
-  std::size_t size() const { return expand().size(); }
+  /// Number of scenarios build() returns.
+  std::size_t size() const { return build().size(); }
 
   /// The paper's seven Fig. 6/7 stack x policy configurations:
   /// {2,4} tiers x {AC_LB, AC_TDVFS_LB, LC_LB, LC_FUZZY} minus the
@@ -140,9 +137,6 @@ class ScenarioMatrix {
   static ScenarioMatrix paper_fig67();
 
  private:
-  /// Cartesian expansion without the shared-trace attachment.
-  std::vector<Scenario> expand() const;
-
   Scenario base_;
   std::vector<int> tiers_{2};
   std::vector<PolicyKind> policies_{PolicyKind::kLcFuzzy};

@@ -85,7 +85,7 @@ bool batchable(const Scenario& s) {
 
 /// Grouping key of batched lockstep jobs: the bank's model key (stack/
 /// grid -> sparsity pattern and floorplan) plus the control interval
-/// (operator values prototype). Policies, workloads, seeds and
+/// (the operator's C/dt values). Policies, workloads, seeds and
 /// tolerances may differ per lane — but continuously flow-modulating
 /// (fuzzy) scenarios group separately from the rest: a batch iterates
 /// until its slowest lane converges, so coupling ~0-iteration warm-

@@ -25,35 +25,6 @@ ThermalOperator::ThermalOperator(const RcModel& model, double dt)
     base_values_[d] += c[i] / dt_;
   }
 
-  seed_from_base();
-}
-
-ThermalOperator::ThermalOperator(const ThermalOperator& prototype,
-                                 const RcModel& model, double dt)
-    : model_(&model),
-      dt_(prototype.dt_),
-      a_(prototype.a_),
-      base_values_(prototype.base_values_) {
-  require(dt == prototype.dt_,
-          "ThermalOperator: prototype time step differs from the session's");
-  // Exact sparsity-pattern identity (O(nnz) integer compare — cheap next
-  // to the value copies above). Equality of the frozen base VALUES is
-  // the caller's contract: checking it would mean recomputing them,
-  // which is exactly the work the rebind exists to skip — pass a
-  // prototype built from an equivalently-constructed model (same stack,
-  // grid and calibration), e.g. the geometry-keyed prototypes of
-  // sim::ScenarioBank.
-  const sparse::CsrMatrix& g = model.conductance();
-  require(g.rows() == a_.rows() && g.nnz() == a_.nnz() &&
-              std::equal(g.row_ptr().begin(), g.row_ptr().end(),
-                         a_.row_ptr().begin()) &&
-              std::equal(g.col_idx().begin(), g.col_idx().end(),
-                         a_.col_idx().begin()),
-          "ThermalOperator: prototype pattern does not match the model");
-  seed_from_base();
-}
-
-void ThermalOperator::seed_from_base() {
   // Apply the current flows on top of the constant part through the
   // regular update path (one advection-composition loop to maintain):
   // every cavity is seeded stale so update_flow() rewrites it.

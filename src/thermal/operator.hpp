@@ -30,20 +30,11 @@ class ThermalOperator {
  public:
   /// Materialize the operator for \p model at time step \p dt [s]; the
   /// model must outlive the operator. All storage (matrix copy, frozen
-  /// constant values, dirty-row scratch) is allocated here.
+  /// constant values, dirty-row scratch) is allocated here. Every cavity
+  /// starts out stale and is synced through update_flow(), so one
+  /// advection loop composes the flow values at construction and at run
+  /// time.
   ThermalOperator(const RcModel& model, double dt);
-
-  /// Copy-and-rebind: adopt \p prototype's materialized matrix and
-  /// frozen constant values, bound to \p model — which must come from an
-  /// equivalently-constructed stack (the exact sparsity pattern and time
-  /// step are verified; equal conductance/capacitance VALUES are the
-  /// caller's contract, e.g. the geometry-keyed clones a ScenarioBank
-  /// hands out). Skips the per-row diagonal index resolution of a fresh
-  /// materialization; the seeded update_flow syncs the advection values
-  /// to \p model's current flows, so the result is bitwise identical to
-  /// ThermalOperator(model, dt).
-  ThermalOperator(const ThermalOperator& prototype, const RcModel& model,
-                  double dt);
 
   const RcModel& model() const { return *model_; }
   double dt() const { return dt_; }
@@ -68,14 +59,6 @@ class ThermalOperator {
   std::uint64_t flow_updates() const { return flow_updates_; }
 
  private:
-  /// Shared ctor tail: reset the matrix values to the frozen constant
-  /// part, size the dirty-row scratch, seed every cavity stale and sync
-  /// the advection values through the regular update path — the one
-  /// seeding protocol both the fresh and the copy-and-rebind ctor run,
-  /// which is what keeps a rebound operator bitwise identical to fresh
-  /// materialization.
-  void seed_from_base();
-
   const RcModel* model_;
   double dt_;
   sparse::CsrMatrix a_;

@@ -13,9 +13,7 @@ TransientSolver::TransientSolver(RcModel& model, double dt,
                                  const Options& opts)
     : model_(model),
       dt_(dt),
-      op_(opts.operator_prototype != nullptr
-              ? ThermalOperator(*opts.operator_prototype, model, dt)
-              : ThermalOperator(model, dt)),
+      op_(model, dt),
       structure_(opts.structure) {
   require(dt > 0.0, "TransientSolver: dt must be positive");
   const std::int32_t n = model_.node_count();

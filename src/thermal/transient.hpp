@@ -44,11 +44,6 @@ class TransientSolver {
     /// remembered (0 disables the predictor; ignored by direct solvers,
     /// which don't use initial guesses).
     int warm_start_slots = 16;
-    /// Optional prototype operator to copy-and-rebind instead of
-    /// materializing A = C/dt + G from scratch (must match the model's
-    /// pattern and this solver's dt; see ThermalOperator). Only read
-    /// during construction; null = build fresh. Bitwise neutral.
-    const ThermalOperator* operator_prototype = nullptr;
     /// Relative residual tolerance of the per-step linear solves
     /// (iterative kinds only; the direct solver is exact). The default
     /// keeps the historical near-machine-precision contract; integrators

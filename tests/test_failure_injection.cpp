@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "arch/mpsoc.hpp"
+#include "common/error.hpp"
 #include "common/units.hpp"
 #include "control/policy.hpp"
 #include "power/workloads.hpp"
@@ -261,14 +262,19 @@ TEST(FailureInjection, ServiceScenarioErrorDoesNotPoisonOtherClients) {
   service::ServiceServer server(opts);
   server.start();
 
-  // Client A submits a sweep whose middle scenario is invalid
-  // (non-positive control interval — the bank-layer forcing idiom).
+  // Client A submits a sweep whose middle scenario is invalid in a way
+  // only the stack builder sees (a tier count other than 2 or 4 — the
+  // bank-layer forcing idiom; decode rejects a non-positive control
+  // interval for the whole request, with the request's tag).
   service::ServiceClient poisoned;
   poisoned.connect("127.0.0.1", server.port());
   std::vector<sim::Scenario> bad_sweep = {quick_service_scenario(1),
                                           quick_service_scenario(2),
                                           quick_service_scenario(3)};
-  bad_sweep[1].sim.control_dt = -1.0;
+  std::vector<sim::Scenario> undecodable = bad_sweep;
+  undecodable[1].sim.control_dt = -1.0;
+  EXPECT_THROW(poisoned.submit_sweep(undecodable, 1, 7), Error);
+  bad_sweep[1].tiers = 3;
   const auto bad_ack = poisoned.submit_sweep(bad_sweep, 1);
 
   // Client B runs a clean sweep concurrently.

@@ -208,9 +208,9 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 // The structural invariant behind the golden numbers. The fixture's
 // sweep shares set-up through the bank (traces, models with their
-// symbolic analysis, operator prototypes, initial states) and runs on
-// two workers with batched lanes; the reference path (bank off, one
-// job) shares nothing. Every metric must agree bit for bit.
+// symbolic analysis, initial states) and runs on two workers with
+// batched lanes; the reference path (bank off, one job) shares nothing,
+// not even a trace. Every metric must agree bit for bit.
 TEST_F(GoldenRegression, SharedSetupIsBitwiseNeutral) {
   ASSERT_TRUE(report_->all_ok());
   ASSERT_NE(report_->bank(), nullptr);

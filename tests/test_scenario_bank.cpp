@@ -1,10 +1,11 @@
 // Tests of the ScenarioBank: prepared / cloned sessions must be bitwise
 // identical to from-scratch materialization across solver kinds, serial
-// and parallel, bank on and off; the model tier must hand one symbolic
-// structure to every session of a stack; the steady tier must miss
-// whenever cooling or grid differ; ScenarioMatrix must dedupe trace
-// synthesis even without a bank; and a bank shared across sweeps must
-// stay warm (and neutral).
+// and parallel, bank on and off, also when the bank is gone before the
+// session starts; the model tier must hand one symbolic structure to
+// every session of a stack; the steady tier must miss whenever cooling
+// or grid differ; the trace tier must be the one place equal traces are
+// shared (ScenarioMatrix attaches none); and a bank shared across sweeps
+// must stay warm (and neutral).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -111,11 +112,32 @@ TEST(ScenarioBank, SecondPreparationHitsEveryTierAndStaysBitwise) {
   EXPECT_EQ(first.trace.get(), second.trace.get());
   EXPECT_NE(first.soc.get(), second.soc.get());
   ASSERT_NE(first.shared().structure, nullptr);
-  ASSERT_NE(first.shared().op, nullptr);
   ASSERT_NE(first.shared().initial, nullptr);
   EXPECT_EQ(first.shared().structure, second.shared().structure);
-  EXPECT_EQ(first.shared().op, second.shared().op);
   EXPECT_EQ(first.shared().initial, second.shared().initial);
+}
+
+TEST(ScenarioBank, PreparedInstanceOutlivesItsBank) {
+  // A prepared instance owns or co-owns everything its session reads, so
+  // its session steps like the reference path after the bank is gone
+  // (the sanitizer builds check every read).
+  for (const sparse::SolverKind kind :
+       {sparse::SolverKind::kBicgstabIlu0, sparse::SolverKind::kBandedLu}) {
+    Scenario spec = quick_scenario();
+    spec.sim.solver = kind;
+    const std::string what =
+        "solver " + std::to_string(static_cast<int>(kind));
+    ScenarioInstance prepared = [&] {
+      ScenarioBank bank;
+      bank.prepare(spec);
+      return bank.prepare(spec);  // every tier hits
+    }();
+    ScenarioInstance fresh = instantiate(spec);
+    const auto [m_fresh, t_fresh] = run_session(fresh.session());
+    const auto [m_prep, t_prep] = run_session(prepared.session());
+    expect_same_metrics(m_fresh, m_prep, what);
+    EXPECT_EQ(t_fresh, t_prep) << what;
+  }
 }
 
 TEST(ScenarioBank, ModelTierSharesOneStructure) {
@@ -155,7 +177,6 @@ TEST(ScenarioBank, ModelTierSharesOneStructure) {
   // The reference path shares nothing: each solver analyzes its own.
   ScenarioInstance fresh = instantiate(base);
   EXPECT_EQ(fresh.shared().structure, nullptr);
-  EXPECT_EQ(fresh.shared().op, nullptr);
   EXPECT_EQ(fresh.shared().initial, nullptr);
   EXPECT_EQ(fresh.session().thermal_solver().structure(), nullptr);
 }
@@ -333,35 +354,66 @@ TEST(ScenarioBank, CapturesPreparationErrorsPerScenario) {
   EXPECT_FALSE(report.at(1).error.empty());
 }
 
-// --- matrix trace dedupe (bank off) --------------------------------------
+// --- trace sharing ------------------------------------------------------
 
-TEST(ScenarioMatrix, BuildSharesOneTraceAcrossEqualTraceAxes) {
-  const auto scenarios =
-      ScenarioMatrix()
-          .tiers({2, 4})
-          .policies({PolicyKind::kLcLb, PolicyKind::kLcFuzzy})
-          .seeds({1, 2})
-          .grid(thermal::GridOptions{8, 8})
-          .trace_seconds(12)
-          .build();
+ScenarioMatrix trace_matrix() {
+  return ScenarioMatrix()
+      .tiers({2, 4})
+      .policies({PolicyKind::kLcLb, PolicyKind::kLcFuzzy})
+      .seeds({1, 2})
+      .grid(thermal::GridOptions{8, 8})
+      .trace_seconds(12);
+}
+
+TEST(ScenarioMatrix, BuildAttachesNoTraceAndInstantiateSharesNone) {
+  const auto scenarios = trace_matrix().build();
   ASSERT_EQ(scenarios.size(), 8u);
+  EXPECT_EQ(trace_matrix().size(), scenarios.size());
   for (const Scenario& s : scenarios) {
-    ASSERT_NE(s.trace, nullptr) << s.label;
+    EXPECT_EQ(s.trace, nullptr) << s.label;
   }
-  // 2 seeds -> exactly 2 distinct trace objects, shared by 4 scenarios
-  // each; equal seeds share the pointer.
-  for (const Scenario& a : scenarios) {
-    for (const Scenario& b : scenarios) {
-      if (a.seed == b.seed) {
-        EXPECT_EQ(a.trace.get(), b.trace.get());
-      } else {
-        EXPECT_NE(a.trace.get(), b.trace.get());
-      }
-    }
-  }
-  // instantiate() references the shared trace instead of re-synthesizing.
-  ScenarioInstance inst = instantiate(scenarios.front());
-  EXPECT_EQ(inst.trace.get(), scenarios.front().trace.get());
+  // Expansion order puts LC_LB seed 1 at [0] and LC_FUZZY seed 1 at [2]:
+  // equal trace axes.
+  const Scenario& a = scenarios[0];
+  const Scenario& b = scenarios[2];
+  ASSERT_EQ(a.seed, b.seed);
+  ASSERT_NE(a.policy, b.policy);
+  ASSERT_EQ(scenario_trace_key(a), scenario_trace_key(b));
+
+  // The reference path synthesizes a trace per instance: equal content,
+  // two objects.
+  const ScenarioInstance ia = instantiate(a);
+  const ScenarioInstance ib = instantiate(b);
+  ASSERT_NE(ia.trace, nullptr);
+  EXPECT_NE(ia.trace.get(), ib.trace.get());
+  Scenario with_a = a, with_b = b;
+  with_a.trace = ia.trace;
+  with_b.trace = ib.trace;
+  EXPECT_EQ(scenario_trace_key(with_a), scenario_trace_key(with_b));
+
+  // The bank's trace tier is where equal axes share one trace.
+  ScenarioBank bank;
+  const ScenarioInstance pa = bank.prepare(a);
+  const ScenarioInstance pb = bank.prepare(b);
+  EXPECT_EQ(pa.trace.get(), pb.trace.get());
+  EXPECT_EQ(bank.counters().trace_misses, 1u);
+  EXPECT_EQ(bank.counters().trace_hits, 1u);
+}
+
+TEST(ScenarioBank, WarmBankServesARebuiltMatrixFromItsTraceTier) {
+  const auto scenarios = trace_matrix().build();
+  ScenarioBank bank;
+  for (const Scenario& s : scenarios) bank.prepare(s);
+  const BankCounters cold = bank.counters();
+  EXPECT_EQ(cold.trace_misses, 2u);  // one per seed
+  EXPECT_EQ(cold.trace_hits, scenarios.size() - 2);
+
+  const auto rebuilt = trace_matrix().build();
+  for (const Scenario& s : rebuilt) bank.prepare(s);
+  const BankCounters warm = bank.counters();
+  EXPECT_EQ(warm.trace_misses, cold.trace_misses);
+  EXPECT_EQ(warm.trace_hits, cold.trace_hits + rebuilt.size());
+  EXPECT_EQ(warm.misses(), cold.misses());
 }
 
 TEST(ScenarioBank, ChipIncompatibleAttachedTraceFallsBackToSynthesis) {
@@ -389,21 +441,28 @@ TEST(ScenarioBank, ChipIncompatibleAttachedTraceFallsBackToSynthesis) {
 }
 
 TEST(ScenarioMatrix, AttachedTracesKeyTheBankByContent) {
-  const auto scenarios = ScenarioMatrix()
-                             .policies({PolicyKind::kLcLb})
-                             .tiers({2, 4})
-                             .grid(thermal::GridOptions{8, 8})
-                             .trace_seconds(12)
-                             .build();
+  // A trace attached to the base scenario rides on every scenario of the
+  // matrix. Each build below attaches its own, separately synthesized
+  // but equal, trace.
+  const auto build = [] {
+    Scenario base;
+    base.trace = power::shared_workload(
+        base.workload, arch::NiagaraConfig::paper().hardware_threads(), 12,
+        base.seed);
+    return ScenarioMatrix()
+        .base(base)
+        .policies({PolicyKind::kLcLb})
+        .tiers({2, 4})
+        .grid(thermal::GridOptions{8, 8})
+        .trace_seconds(12)
+        .build();
+  };
+  const auto scenarios = build();
   ASSERT_EQ(scenarios.size(), 2u);
+  EXPECT_EQ(scenarios[0].trace.get(), scenarios[1].trace.get());
   // Same content -> same trace key; a separately built equal matrix
   // produces the same key even though the pointers differ.
-  const auto rebuilt = ScenarioMatrix()
-                           .policies({PolicyKind::kLcLb})
-                           .tiers({2, 4})
-                           .grid(thermal::GridOptions{8, 8})
-                           .trace_seconds(12)
-                           .build();
+  const auto rebuilt = build();
   EXPECT_NE(scenarios[0].trace.get(), rebuilt[0].trace.get());
   EXPECT_EQ(scenario_trace_key(scenarios[0]), scenario_trace_key(rebuilt[0]));
   EXPECT_EQ(scenario_steady_key(scenarios[0]),

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "sim/bank.hpp"
@@ -102,13 +103,11 @@ TEST(ServiceConcurrency, WarmBankServesRepeatSubmissionsFromCache) {
   ServiceServer server(opts);
   server.start();
 
-  // Scenarios cross the wire without their attached trace pointer; the
-  // server re-synthesizes from the (workload, seed, length) axes. Count
-  // the distinct bank keys of that server-side view: policies sharing a
-  // stack share model and steady artifacts.
+  // The server synthesizes each trace from its (workload, seed, length)
+  // axes. Count the distinct bank keys: policies sharing a stack share
+  // model and steady artifacts.
   std::set<std::string> steady_keys, model_keys;
-  for (sim::Scenario s : scenarios) {
-    s.trace.reset();
+  for (const sim::Scenario& s : scenarios) {
     steady_keys.insert(sim::scenario_steady_key(s));
     model_keys.insert(sim::scenario_model_key(s));
   }
@@ -179,6 +178,38 @@ TEST(ServiceConcurrency, ResultsStreamBeforeSweepCompletes) {
   complete_seen = true;
   EXPECT_EQ(results_seen, 3);
   EXPECT_EQ(out.complete.completed, 3u);
+
+  server.stop();
+}
+
+TEST(ServiceConcurrency, WhatIfTakesItsOwnAckBehindAPipelinedSweep) {
+  // A one-scenario sweep sent without waiting for its ack, then a what-if
+  // of another scenario on the same connection: the what-if must take
+  // its own ack and return its own scenario's metrics.
+  const std::vector<sim::Scenario> scenarios = paper_matrix();
+  const sim::Scenario& other = scenarios.front();
+  const sim::Scenario& mine = scenarios.back();
+  ASSERT_NE(other.label, mine.label);
+
+  ServerOptions opts;
+  opts.service.core_budget = 2;
+  ServiceServer server(opts);
+  server.start();
+
+  ServiceClient client;
+  client.connect("127.0.0.1", server.port());
+  protocol::SubmitSweepMsg sweep;
+  sweep.scenarios = {other};
+  client.send(sweep);
+  const protocol::ScenarioResultMsg result = client.what_if(mine);
+  ASSERT_EQ(result.ok, 1) << result.error;
+  expect_bitwise_equal(result.metrics, sim::run_scenario(mine), mine.label);
+
+  // A what-if that decode rejects gets its error under its own tag, so
+  // the call throws instead of waiting for an ack that never comes.
+  sim::Scenario endless = mine;
+  endless.sim.duration = 1e12;
+  EXPECT_THROW(client.what_if(endless), Error);
 
   server.stop();
 }

@@ -510,6 +510,53 @@ TEST(ServiceProtocol, ScenarioSizesPastTheirLimitsAreBadValue) {
                kMaxInitIterations);
 }
 
+TEST(ServiceProtocol, TimingPastItsLimitsIsBadValue) {
+  WhatIfMsg msg;
+  msg.client_tag = 1;
+  msg.scenario = sample_scenario();
+  ASSERT_TRUE(decode(payload_of(msg)).ok());
+  const auto decode_with = [&](double control_dt, double duration) {
+    WhatIfMsg other = msg;
+    other.scenario.sim.control_dt = control_dt;
+    other.scenario.sim.duration = duration;
+    return decode(payload_of(other)).error;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+
+  for (const double dt : {0.0, -0.25, inf, -inf, nan}) {
+    EXPECT_EQ(decode_with(dt, 10.0), DecodeError::kBadValue)
+        << "control_dt " << dt;
+  }
+  for (const double duration : {-1.0, inf, -inf, nan}) {
+    EXPECT_EQ(decode_with(0.25, duration), DecodeError::kBadValue)
+        << "duration " << duration;
+  }
+  // Finite durations that would pin a worker for days (5e8 s is 2e9
+  // steps at 0.25 s) or wrap an int step count (1e12 s), and the whole
+  // trace at a vanishing step.
+  EXPECT_EQ(decode_with(0.25, 5e8), DecodeError::kBadValue);
+  EXPECT_EQ(decode_with(0.25, 1e12), DecodeError::kBadValue);
+  // A rejected request still names its tag, so the client can match the
+  // server's error to it.
+  WhatIfMsg endless = msg;
+  endless.client_tag = 41;
+  endless.scenario.sim.duration = 1e12;
+  EXPECT_EQ(decode(payload_of(endless)).client_tag, 41u);
+  EXPECT_EQ(decode_with(1e-300, 0.0), DecodeError::kBadValue);
+
+  // The cap itself decodes and one step past it does not; so does a
+  // one-day trace stepped whole at 1/48 s.
+  EXPECT_EQ(decode_with(0.25, kMaxControlSteps * 0.25), DecodeError::kOk);
+  EXPECT_EQ(decode_with(0.25, (kMaxControlSteps + 1) * 0.25),
+            DecodeError::kBadValue);
+  WhatIfMsg day = msg;
+  day.scenario.trace_seconds = kMaxTraceSeconds;
+  day.scenario.sim.control_dt = 1.0 / 48.0;
+  day.scenario.sim.duration = 0.0;
+  EXPECT_EQ(decode(payload_of(day)).error, DecodeError::kOk);
+}
+
 TEST(ServiceProtocol, MetricEntryBadKindIsTyped) {
   // Same differential trick as the policy enum: two payloads identical
   // except for the entry's kind byte locate it, then an out-of-range

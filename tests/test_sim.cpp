@@ -157,6 +157,25 @@ TEST(Engine, RejectsMismatchedTraceWidth) {
   EXPECT_THROW(simulate(soc, trace, *policy), InvalidArgument);
 }
 
+TEST(Engine, StepCountPastIntRangeThrowsInsteadOfWrapping) {
+  Scenario spec = quick_spec(2, PolicyKind::kLcLb,
+                             power::WorkloadKind::kWebServer);
+  spec.grid = thermal::GridOptions{8, 8};
+  // 5e8 s at 0.25 s is 2e9 intervals, which an int still holds.
+  spec.sim.duration = 5e8;
+  EXPECT_EQ(control_steps(spec.sim, spec.trace_seconds), 2e9);
+  // 1e12 s is 4e12 intervals: the count would wrap to 1385447424.
+  spec.sim.duration = 1e12;
+  EXPECT_EQ(control_steps(spec.sim, spec.trace_seconds), 4e12);
+  ScenarioInstance inst = instantiate(spec);
+  EXPECT_THROW(inst.session(), InvalidArgument);
+  // The whole trace at a vanishing control interval overflows too.
+  spec.sim.duration = 0.0;
+  spec.sim.control_dt = 1e-300;
+  inst = instantiate(spec);
+  EXPECT_THROW(inst.session(), InvalidArgument);
+}
+
 TEST(Experiment, LabelsAndCoolingMapping) {
   EXPECT_EQ(policy_label(PolicyKind::kAcLb), "AC_LB");
   EXPECT_EQ(policy_label(PolicyKind::kLcFuzzy), "LC_FUZZY");
