@@ -107,9 +107,8 @@ void throughput_report() {
   t.set_header({"Solver", "steps/s (fixed)", "steps/s (modulated)",
                 "iters/step", "refac full/part", "init [ms]"});
   TextTable ap_table;
-  ap_table.set_header({"Aperiodic flow (Krylov)", "steps/s",
-                       "iters/transition (pred)", "iters/transition (no pred)",
-                       "iter cut", "fluid-jump hits/transitions"});
+  ap_table.set_header(
+      {"Aperiodic flow (Krylov)", "steps/s", "iters/transition"});
 
   double nodes = 0.0;
   double dirty_fraction = 0.0;
@@ -167,18 +166,14 @@ void throughput_report() {
 
     // Aperiodic-flow leg (Krylov kinds only): each transition drives
     // every cavity to a fresh per-cavity flow from an irrational-
-    // rotation sequence, so no two flow states repeat and no two are
-    // collinear across cavities. That defeats both the exact transition
-    // cache and the collinearity-gated interpolation — the physics-based
-    // fluid-jump predictor (Gauss-Seidel relaxation of the fluid rows)
-    // is the only warm-start lever left. Between transitions the loop
-    // settles a few constant-flow steps (the closed loop holds flow
-    // between policy decisions too), so the Krylov cost measured at each
-    // transition step isolates the flow jump itself. Run twice,
-    // predictor on vs off: the first-transition iteration cut is the
-    // lever's gated bench column.
-    double ap_rate = 0.0, ap_iters = 0.0, ap_iters_nopred = 0.0;
-    std::uint64_t ap_jumps = 0;
+    // rotation sequence, so no two flow states repeat and the exact
+    // transition cache never hits — every transition is a first visit,
+    // warm-started by the trajectory or the plain warm start alone.
+    // Between transitions the loop settles a few constant-flow steps
+    // (the closed loop holds flow between policy decisions too), so the
+    // Krylov cost measured at each transition step isolates the flow
+    // jump itself.
+    double ap_rate = 0.0, ap_iters = 0.0;
     const int ap_transitions = 60, ap_settle = 6, ap_warm = 10;
     if (kind != sparse::SolverKind::kBandedLu) {
       const int n_cav = soc.model().n_cavities();
@@ -192,44 +187,26 @@ void throughput_report() {
           soc.model().set_cavity_flow(cav, (0.45 + 0.35 * u) * pump.q_max());
         }
       };
+      thermal::TransientSolver ap(soc.model(), 0.1, kind);
+      ap.set_state(std::vector<double>(sim.temperatures().begin(),
+                                       sim.temperatures().end()));
       // Returns mean Krylov iterations spent on the transition step.
-      auto aperiodic_run = [&](thermal::TransientSolver& s, int from,
-                               int transitions) {
+      auto aperiodic_run = [&](int from, int transitions) {
         std::uint64_t trans_iters = 0;
         for (int k = 0; k < transitions; ++k) {
           set_aperiodic_flows(from + k);
-          const std::uint64_t i0 = s.solver_stats().iterations;
-          s.step();
-          trans_iters += s.solver_stats().iterations - i0;
-          for (int j = 0; j < ap_settle; ++j) s.step();
+          const std::uint64_t i0 = ap.solver_stats().iterations;
+          ap.step();
+          trans_iters += ap.solver_stats().iterations - i0;
+          for (int j = 0; j < ap_settle; ++j) ap.step();
         }
         return static_cast<double>(trans_iters) / transitions;
       };
-      const std::vector<double> start(sim.temperatures().begin(),
-                                      sim.temperatures().end());
-
-      thermal::TransientSolver::Options ap_opts;
-      ap_opts.kind = kind;
-      thermal::TransientSolver ap(soc.model(), 0.1, ap_opts);
-      ap.set_state(start);
-      aperiodic_run(ap, 0, ap_warm);
-      const std::uint64_t ap_j0 = ap.predictor_fluid_jumps();
+      aperiodic_run(0, ap_warm);
       watch.reset();
-      ap_iters = aperiodic_run(ap, ap_warm, ap_transitions);
+      ap_iters = aperiodic_run(ap_warm, ap_transitions);
       ap_rate = ap_transitions * (1 + ap_settle) / watch.seconds();
-      ap_jumps = ap.predictor_fluid_jumps() - ap_j0;
-
-      thermal::TransientSolver::Options nopred_opts = ap_opts;
-      nopred_opts.fluid_jump_predictor = false;
-      thermal::TransientSolver nopred(soc.model(), 0.1, nopred_opts);
-      nopred.set_state(start);
-      aperiodic_run(nopred, 0, ap_warm);
-      ap_iters_nopred = aperiodic_run(nopred, ap_warm, ap_transitions);
-      ap_table.add_row(
-          {name, fmt(ap_rate, 0), fmt(ap_iters, 2), fmt(ap_iters_nopred, 2),
-           fmt(100.0 * (1.0 - ap_iters / ap_iters_nopred), 1) + "%",
-           fmt(static_cast<double>(ap_jumps), 0) + "/" +
-               fmt(static_cast<double>(ap_transitions), 0)});
+      ap_table.add_row({name, fmt(ap_rate, 0), fmt(ap_iters, 2)});
     }
 
     t.add_row({name, fmt(fixed_rate, 0), fmt(mod_rate, 0), fmt(mod_iters, 2),
@@ -248,10 +225,7 @@ void throughput_report() {
         .set("init_steady_ms", init_ms);
     if (kind != sparse::SolverKind::kBandedLu) {
       s.set("aperiodic_steps_per_sec", ap_rate)
-          .set("aperiodic_transition_iterations", ap_iters)
-          .set("aperiodic_transition_iterations_nopredictor", ap_iters_nopred)
-          .set("aperiodic_fluid_jump_hits",
-               static_cast<std::int64_t>(ap_jumps));
+          .set("aperiodic_transition_iterations", ap_iters);
     }
     solvers_json.set(name, s);
   }

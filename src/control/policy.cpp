@@ -17,12 +17,6 @@ MaxPerformancePolicy::MaxPerformancePolicy(int n_cores,
   require(n_cores > 0, "MaxPerformancePolicy: need cores");
 }
 
-PolicyActions MaxPerformancePolicy::decide(const PolicyInputs& in) {
-  PolicyActions a;
-  decide_into(in, a);
-  return a;
-}
-
 void MaxPerformancePolicy::decide_into(const PolicyInputs& in,
                                        PolicyActions& out) {
   (void)in;
@@ -47,12 +41,6 @@ TemperatureTriggeredDvfsPolicy::TemperatureTriggeredDvfsPolicy(
   require(release_k < trip_k,
           "TemperatureTriggeredDvfsPolicy: release must be below trip");
   levels_.assign(n_cores, vf_.max_level());
-}
-
-PolicyActions TemperatureTriggeredDvfsPolicy::decide(const PolicyInputs& in) {
-  PolicyActions a;
-  decide_into(in, a);
-  return a;
 }
 
 void TemperatureTriggeredDvfsPolicy::decide_into(const PolicyInputs& in,
@@ -133,12 +121,6 @@ FuzzyFlowDvfsPolicy::FuzzyFlowDvfsPolicy(int n_cores,
 }
 
 FuzzyFlowDvfsPolicy::~FuzzyFlowDvfsPolicy() = default;
-
-PolicyActions FuzzyFlowDvfsPolicy::decide(const PolicyInputs& in) {
-  PolicyActions a;
-  decide_into(in, a);
-  return a;
-}
 
 void FuzzyFlowDvfsPolicy::check_inputs(const PolicyInputs& in) const {
   require(static_cast<int>(in.core_temps.size()) == n_cores_ &&

@@ -31,15 +31,11 @@ struct PolicyActions {
 class ThermalPolicy {
  public:
   virtual ~ThermalPolicy() = default;
-  virtual PolicyActions decide(const PolicyInputs& in) = 0;
 
-  /// Allocation-free variant writing into a caller-persistent
-  /// PolicyActions. The built-in policies override this and implement
-  /// decide() on top of it; external policies (tests, experiments) can
-  /// keep overriding just decide() — the default wraps it.
-  virtual void decide_into(const PolicyInputs& in, PolicyActions& out) {
-    out = decide(in);
-  }
+  /// Decide this interval's knob settings into the caller-persistent
+  /// \p out, whose vectors keep their capacity between calls, so a
+  /// policy that assigns in place decides without allocating.
+  virtual void decide_into(const PolicyInputs& in, PolicyActions& out) = 0;
 
   virtual std::string name() const = 0;
 
@@ -64,7 +60,6 @@ class MaxPerformancePolicy final : public ThermalPolicy {
  public:
   /// \param pump_level level to hold (-1 for air-cooled stacks)
   MaxPerformancePolicy(int n_cores, const power::VfTable& vf, int pump_level);
-  PolicyActions decide(const PolicyInputs& in) override;
   void decide_into(const PolicyInputs& in, PolicyActions& out) override;
   std::string name() const override;
   bool fold_replay_state(std::uint64_t& h) const override;
@@ -83,7 +78,6 @@ class TemperatureTriggeredDvfsPolicy final : public ThermalPolicy {
   TemperatureTriggeredDvfsPolicy(int n_cores, const power::VfTable& vf,
                                  double trip_k, double release_k,
                                  int pump_level = -1);
-  PolicyActions decide(const PolicyInputs& in) override;
   void decide_into(const PolicyInputs& in, PolicyActions& out) override;
   std::string name() const override;
   bool fold_replay_state(std::uint64_t& h) const override;
@@ -107,7 +101,6 @@ class FuzzyFlowDvfsPolicy final : public ThermalPolicy {
   FuzzyFlowDvfsPolicy(int n_cores, const power::VfTable& vf, int pump_levels,
                       double threshold_k);
   ~FuzzyFlowDvfsPolicy() override;  // out-of-line: FuzzyController is opaque
-  PolicyActions decide(const PolicyInputs& in) override;
   void decide_into(const PolicyInputs& in, PolicyActions& out) override;
   std::string name() const override;
   bool fold_replay_state(std::uint64_t& h) const override;

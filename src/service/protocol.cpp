@@ -197,6 +197,7 @@ sim::Scenario decode_scenario(Reader& r) {
       !within(init_iterations, 1, kMaxInitIterations) ||
       !(std::isfinite(s.sim.control_dt) && s.sim.control_dt > 0.0) ||
       !(std::isfinite(s.sim.duration) && s.sim.duration >= 0.0) ||
+      !(s.sim.solver_tolerance > 0.0 && s.sim.solver_tolerance < 1.0) ||
       !(sim::control_steps(s.sim, static_cast<int>(trace_seconds)) <=
         kMaxControlSteps)) {
     r.fail(DecodeError::kBadValue);

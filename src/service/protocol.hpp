@@ -59,8 +59,9 @@ inline constexpr std::uint32_t kMaxStringBytes = 1u << 14;
 /// the control step count and the leakage fixed-point iterations set a
 /// scenario's memory and its time, so one hostile request could
 /// otherwise exhaust the server or pin a worker (cancel cannot stop a
-/// running scenario). solver_tolerance is left to the per-scenario
-/// checks, which fail only that scenario.
+/// running scenario). So does a sim.solver_tolerance outside (0, 1),
+/// the range thermal::TransientSolver accepts: a NaN, zero or negative
+/// tolerance can never be met.
 ///
 /// grid.rows and grid.cols: [kMinGridCells, kMaxGridCells].
 inline constexpr int kMinGridCells = 2;

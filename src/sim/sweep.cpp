@@ -169,8 +169,6 @@ void publish_session(const SimulationSession& s,
   static obs::Counter fcache("solver/factor_cache_hits");
   static obs::Counter retries("solver/retries");
   static obs::Counter pred("predictor/hits");
-  static obs::Counter pred_interp("predictor/interp_hits");
-  static obs::Counter pred_fluid("predictor/fluid_hits");
   static obs::Counter traj("predictor/trajectory_hits");
   static obs::Counter replay_cycles("replay/cycles");
   static obs::Counter replay_steps("replay/steps_replayed");
@@ -188,8 +186,6 @@ void publish_session(const SimulationSession& s,
   retries.add(st.retries);
   const thermal::TransientSolver& t = s.thermal_solver();
   pred.add(t.predictor_hits());
-  pred_interp.add(t.predictor_interpolations());
-  pred_fluid.add(t.predictor_fluid_jumps());
   traj.add(t.trajectory_hits());
 }
 

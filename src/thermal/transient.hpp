@@ -7,10 +7,15 @@
 /// conduction/capacitance part frozen and applies flow changes as
 /// indexed value rewrites. The bound solver refreshes its factorization
 /// under the staleness-aware refresh rule of sparse/refresh.hpp instead
-/// of rebuilding on every flow change, and a flow-transition warm-start
-/// cache predicts the post-change temperature jump (keyed by the exact
-/// cavity flow state), which collapses the Krylov iteration count of
-/// sustained flow-modulated stepping.
+/// of rebuilding on every flow change.
+///
+/// Iterative solvers start each solve from the best of three warm
+/// starts, residual-guarded: the plain warm start T_n, the trajectory
+/// extrapolation 2 T_n - T_{n-1}, and, on a flow change, a flow-
+/// transition cache keyed by the exact cavity flow state that replays
+/// the temperature jump its last visit produced. The pump moves among
+/// discrete levels, so a flow change either revisits a cached level or
+/// is a first visit, which the trajectory and plain warm starts cover.
 ///
 /// All storage — the operator, the RHS, the warm-start slots and the
 /// solver's own workspace — is allocated at construction; step()
@@ -40,43 +45,22 @@ class TransientSolver {
     /// of models with the same grid then skip the RCM/ILU analysis.
     /// Null = each solver analyzes what it needs. Bitwise neutral.
     std::shared_ptr<const sparse::SymbolicStructure> structure = nullptr;
-    /// Flow-transition warm-start cache: number of distinct flow states
-    /// remembered (0 disables the predictor; ignored by direct solvers,
-    /// which don't use initial guesses).
-    int warm_start_slots = 16;
     /// Relative residual tolerance of the per-step linear solves
-    /// (iterative kinds only; the direct solver is exact). The default
+    /// (iterative kinds only; the direct solver is exact). Must lie in
+    /// (0, 1) for every kind, else construction throws InvalidArgument:
+    /// a NaN, zero or negative tolerance can never be met. The default
     /// keeps the historical near-machine-precision contract; integrators
     /// whose accuracy budget is the backward-Euler truncation error can
     /// relax it — SimulationSession does (see
     /// SimulationConfig::solver_tolerance).
     double rel_tolerance = 1e-12;
-    /// Warm-start ordinary (flow-unchanged) steps from the linear
-    /// trajectory extrapolation x0 = T_n + (T_n - T_{n-1}) when its
-    /// residual beats the plain warm start's. The closed loop drives the
-    /// model with piecewise-linear utilization, so consecutive step
-    /// deltas are nearly equal and the extrapolation starts the Krylov
-    /// solve several decades closer to the solution. Residual-guarded:
-    /// never worse than the plain warm start; the solve tolerance
-    /// guarantees the answer either way.
-    bool trajectory_warm_start = true;
-    /// Physics-based fluid-jump predictor: when a flow change misses
-    /// both the exact transition cache and the bracketing interpolation
-    /// (a genuinely new flow regime — aperiodic modulation, first
-    /// visits), seed x0 by relaxing the small fluid-row subsystem alone
-    /// (a few Gauss-Seidel sweeps in upstream-first advection order,
-    /// solid temperatures held at T_n). A flow step mostly moves the
-    /// coolant field; solving just that block captures the jump at
-    /// O(fluid nnz) cost. Residual-guarded like every other candidate.
-    /// Iterative kinds only.
-    bool fluid_jump_predictor = true;
   };
 
   /// \param model the RC network (power/flows mutated externally)
   /// \param dt time step [s]
   TransientSolver(RcModel& model, double dt, const Options& opts);
 
-  /// Convenience overload with the default warm starts and predictor.
+  /// Convenience overload with the default options.
   TransientSolver(RcModel& model, double dt,
                   sparse::SolverKind kind =
                       sparse::SolverKind::kBicgstabIlu0);
@@ -104,12 +88,9 @@ class TransientSolver {
   struct StepPrep {
     bool flow_changed = false;
     sparse::ValueUpdate update;
-    /// predicted_candidate() is primed (flow-transition prediction:
-    /// exact-match, interpolated or fluid-jump) — its squared residual
-    /// gates it.
+    /// predicted_candidate() is primed (exact transition-cache match:
+    /// x0 = T_n + the cached jump) — its squared residual gates it.
     bool want_predicted = false;
-    bool predicted_is_interpolation = false;
-    bool predicted_is_fluid_jump = false;
     /// trajectory_candidate() is primed (x0 = 2 T_n - T_{n-1}).
     bool want_trajectory = false;
   };
@@ -117,7 +98,7 @@ class TransientSolver {
   /// Lockstep phase API, used by BatchedTransientSolver, which evaluates
   /// the warm-start guard residuals itself as shared multi-lane matrix
   /// traversals. step() runs the same phases in this order:
-  ///   begin_step_prepare() — flow sync, RHS build, warm-start/predictor
+  ///   begin_step_prepare() — flow sync, RHS build, warm-start
   ///     candidates; step_rhs() is then b;
   ///   the refresh notification of the rewritten rows to the solver;
   ///   the guard residuals ||rhs - A c||² of the requested candidates
@@ -193,49 +174,35 @@ class TransientSolver {
   /// cache match.
   std::uint64_t predictor_hits() const { return predictor_hits_; }
 
-  /// Flow-change steps whose warm start was interpolated between two
-  /// cached flow states bracketing the new one (exact match missed).
-  std::uint64_t predictor_interpolations() const {
-    return predictor_interp_hits_;
-  }
+  /// Always 0: every flow-transition prediction is an exact cache
+  /// match, counted by predictor_hits(). Kept while the benchmark's
+  /// predictor hit ratio (perfbench) still adds these two in.
+  std::uint64_t predictor_interpolations() const { return 0; }
+  std::uint64_t predictor_fluid_jumps() const { return 0; }
 
-  /// Flow-change steps whose warm start came from the fluid-jump
-  /// predictor (both cache-based predictions missed; the fluid-row
-  /// subsystem relaxation won the residual guard).
-  std::uint64_t predictor_fluid_jumps() const {
-    return predictor_fluid_hits_;
-  }
-
-  /// Ordinary steps whose warm start came from the trajectory
-  /// extrapolation (guard accepted it over the plain warm start).
+  /// Steps whose warm start came from the trajectory extrapolation
+  /// (guard accepted it over the plain warm start).
   std::uint64_t trajectory_hits() const { return trajectory_hits_; }
 
  private:
+  /// Flow-transition cache size: one slot per pump level of
+  /// microchannel::PumpModel::table1(), so a controller cycling every
+  /// level keeps all of its transitions.
+  static constexpr int kWarmStartSlots = 16;
+
   struct WarmStartSlot {
     bool used = false;
     std::vector<double> flows;  ///< exact cavity-flow key ...
     std::vector<std::uint64_t> profiles;  ///< ... plus profile versions
-    std::vector<double> state_before;  ///< T_n the cached step started from
-    std::vector<double> solution;      ///< T_{n+1} it produced
+    /// T_{n+1} - T_n of the cached step: capacity reserved at
+    /// construction, written on first use, so a fixed-flow run never
+    /// touches its pages.
+    std::vector<double> jump;
   };
 
   /// Slot whose key matches the model's current flows, else the next
-  /// round-robin victim (marked unused). Null when the predictor is off.
+  /// round-robin victim (marked unused). Requires slots.
   WarmStartSlot* find_slot();
-
-  /// Exact-match miss fallback: when two cached flow states bracket the
-  /// model's current one (per-cavity collinear, shared parameter in
-  /// (0, 1), equal profile versions), write the linearly interpolated
-  /// jump prediction into predicted_ and return true. Targets
-  /// continuously modulated (fuzzy-policy) stepping, where the exact
-  /// cache almost never hits.
-  bool interpolate_prediction();
-
-  /// Last-resort flow-change prediction (see Options::
-  /// fluid_jump_predictor): Gauss-Seidel sweeps over the fluid rows of
-  /// A x = rhs with solid temperatures frozen at T_n, written into
-  /// predicted_.
-  void fluid_jump_prediction();
 
   RcModel& model_;
   double dt_;
@@ -245,24 +212,20 @@ class TransientSolver {
   std::unique_ptr<sparse::LinearSolver> solver_;
   std::vector<double> state_;
   std::vector<double> rhs_;
+  // Warm starts, allocated only for solvers that use an initial guess
+  // (the transition slots only for models with cavities).
   std::vector<WarmStartSlot> slots_;
   int next_slot_ = 0;
-  std::vector<double> predicted_;   ///< scratch: predicted T_{n+1}
-  std::vector<double> prev_state_;  ///< scratch: T_n for the slot update
-  std::vector<double> residual_;    ///< scratch for the predictor guard
+  std::vector<double> predicted_;  ///< scratch: T_n + the cached jump
+  /// T_{n-1}, which begin_step_prepare() extrapolates from and then
+  /// rolls forward to T_n, the base of the jump end_step() caches.
+  std::vector<double> prev_state_;
+  std::vector<double> traj_guess_;  ///< scratch: 2 T_n - T_{n-1}
+  bool traj_valid_ = false;         ///< prev_state_ holds a real T_{n-1}
+  std::vector<double> residual_;    ///< scratch for the guard residuals
   WarmStartSlot* pending_slot_ = nullptr;  ///< prepare -> end_step
   StepPrep pending_;  ///< candidates awaiting begin_step_commit
   std::uint64_t predictor_hits_ = 0;
-  std::uint64_t predictor_interp_hits_ = 0;
-  /// Fluid rows in upstream-first advection order (empty = predictor
-  /// off); see fluid_jump_prediction().
-  std::vector<std::int32_t> fluid_rows_;
-  std::uint64_t predictor_fluid_hits_ = 0;
-  // Trajectory warm start (allocated when enabled): T_{n-1} of the last
-  // ordinary step and the extrapolated guess scratch.
-  std::vector<double> traj_prev_;
-  std::vector<double> traj_guess_;
-  bool traj_valid_ = false;
   std::uint64_t trajectory_hits_ = 0;
   double rel_tolerance_ = 1e-12;
   double time_ = 0.0;

@@ -221,11 +221,12 @@ class ThrowAfterPolicy final : public control::ThermalPolicy {
   ThrowAfterPolicy(std::unique_ptr<control::ThermalPolicy> inner, int after)
       : inner_(std::move(inner)), after_(after) {}
 
-  control::PolicyActions decide(const control::PolicyInputs& in) override {
+  void decide_into(const control::PolicyInputs& in,
+                   control::PolicyActions& out) override {
     if (++calls_ > after_) {
       throw std::runtime_error("injected mid-batch policy failure");
     }
-    return inner_->decide(in);
+    inner_->decide_into(in, out);
   }
 
   std::string name() const override { return "throw-after"; }

@@ -129,12 +129,19 @@ PolicyInputs inputs_at(double temp_c, int n_cores, double demand,
   return in;
 }
 
+/// One decision into fresh actions, through the policy interface.
+PolicyActions decide(ThermalPolicy& pol, const PolicyInputs& in) {
+  PolicyActions out;
+  pol.decide_into(in, out);
+  return out;
+}
+
 TEST(MaxPerformance, AlwaysTopLevelAndFixedPump) {
   const auto vf = power::VfTable::ultrasparc_t1();
   MaxPerformancePolicy air(8, vf, -1);
   MaxPerformancePolicy liquid(8, vf, 15);
-  const auto a = air.decide(inputs_at(90.0, 8, 1.0));
-  const auto l = liquid.decide(inputs_at(30.0, 8, 0.1));
+  const auto a = decide(air, inputs_at(90.0, 8, 1.0));
+  const auto l = decide(liquid, inputs_at(30.0, 8, 0.1));
   for (int c = 0; c < 8; ++c) {
     EXPECT_EQ(a.vf_levels[c], vf.max_level());
     EXPECT_EQ(l.vf_levels[c], vf.max_level());
@@ -150,15 +157,15 @@ TEST(Tdvfs, ScalesDownAboveTripAndRecoversBelowRelease) {
   TemperatureTriggeredDvfsPolicy pol(4, vf, celsius_to_kelvin(85.0),
                                      celsius_to_kelvin(82.0));
   // Hot: one step down per interval.
-  auto act = pol.decide(inputs_at(86.0, 4, 1.0));
+  auto act = decide(pol, inputs_at(86.0, 4, 1.0));
   EXPECT_EQ(act.vf_levels[0], vf.max_level() - 1);
-  act = pol.decide(inputs_at(86.0, 4, 1.0));
+  act = decide(pol, inputs_at(86.0, 4, 1.0));
   EXPECT_EQ(act.vf_levels[0], vf.max_level() - 2);
   // Hysteresis band: hold.
-  act = pol.decide(inputs_at(83.5, 4, 1.0));
+  act = decide(pol, inputs_at(83.5, 4, 1.0));
   EXPECT_EQ(act.vf_levels[0], vf.max_level() - 2);
   // Cool: climb back.
-  act = pol.decide(inputs_at(80.0, 4, 1.0));
+  act = decide(pol, inputs_at(80.0, 4, 1.0));
   EXPECT_EQ(act.vf_levels[0], vf.max_level() - 1);
 }
 
@@ -166,8 +173,8 @@ TEST(Tdvfs, SaturatesAtLowestLevel) {
   const auto vf = power::VfTable::ultrasparc_t1();
   TemperatureTriggeredDvfsPolicy pol(2, vf, celsius_to_kelvin(85.0),
                                      celsius_to_kelvin(82.0));
-  for (int i = 0; i < 20; ++i) pol.decide(inputs_at(95.0, 2, 1.0));
-  const auto act = pol.decide(inputs_at(95.0, 2, 1.0));
+  for (int i = 0; i < 20; ++i) decide(pol, inputs_at(95.0, 2, 1.0));
+  const auto act = decide(pol, inputs_at(95.0, 2, 1.0));
   EXPECT_EQ(act.vf_levels[0], 0);
 }
 
@@ -176,7 +183,7 @@ TEST(Fuzzy, ColdStackShedsFlow) {
   FuzzyFlowDvfsPolicy pol(8, vf, 16, celsius_to_kelvin(85.0));
   int level = 15;
   for (int i = 0; i < 60; ++i) {
-    level = pol.decide(inputs_at(40.0, 8, 0.2)).pump_level;
+    level = decide(pol, inputs_at(40.0, 8, 0.2)).pump_level;
   }
   EXPECT_LT(level, 4);  // large margin -> near-minimum flow
 }
@@ -184,7 +191,7 @@ TEST(Fuzzy, ColdStackShedsFlow) {
 TEST(Fuzzy, CriticalTemperatureForcesMaxPumpAndNominalVf) {
   const auto vf = power::VfTable::ultrasparc_t1();
   FuzzyFlowDvfsPolicy pol(8, vf, 16, celsius_to_kelvin(85.0));
-  const auto act = pol.decide(inputs_at(86.0, 8, 0.3));
+  const auto act = decide(pol, inputs_at(86.0, 8, 0.3));
   EXPECT_EQ(act.pump_level, 15);
   for (int c = 0; c < 8; ++c) {
     EXPECT_EQ(act.vf_levels[c], vf.max_level());
@@ -195,7 +202,7 @@ TEST(Fuzzy, DvfsCapacityCoversDemand) {
   const auto vf = power::VfTable::ultrasparc_t1();
   FuzzyFlowDvfsPolicy pol(8, vf, 16, celsius_to_kelvin(85.0));
   for (double demand : {0.1, 0.3, 0.5, 0.7, 0.95}) {
-    const auto act = pol.decide(inputs_at(55.0, 8, demand));
+    const auto act = decide(pol, inputs_at(55.0, 8, demand));
     for (int c = 0; c < 8; ++c) {
       EXPECT_GE(vf.speed_scale(act.vf_levels[c]) + 1e-12,
                 std::min(1.0, demand))
@@ -207,10 +214,10 @@ TEST(Fuzzy, DvfsCapacityCoversDemand) {
 TEST(Fuzzy, PumpSlewIsLimited) {
   const auto vf = power::VfTable::ultrasparc_t1();
   FuzzyFlowDvfsPolicy pol(8, vf, 16, celsius_to_kelvin(85.0));
-  int prev = pol.decide(inputs_at(60.0, 8, 0.5)).pump_level;
+  int prev = decide(pol, inputs_at(60.0, 8, 0.5)).pump_level;
   for (int i = 0; i < 30; ++i) {
     const double temp = (i % 2 == 0) ? 45.0 : 75.0;  // churn the input
-    const int level = pol.decide(inputs_at(temp, 8, 0.5)).pump_level;
+    const int level = decide(pol, inputs_at(temp, 8, 0.5)).pump_level;
     EXPECT_LE(level - prev, 2);
     EXPECT_GE(level - prev, -1);
     prev = level;
@@ -220,7 +227,7 @@ TEST(Fuzzy, PumpSlewIsLimited) {
 TEST(Fuzzy, FlowFractionExposedForDiagnostics) {
   const auto vf = power::VfTable::ultrasparc_t1();
   FuzzyFlowDvfsPolicy pol(8, vf, 16, celsius_to_kelvin(85.0));
-  pol.decide(inputs_at(84.9, 8, 1.0));
+  decide(pol, inputs_at(84.9, 8, 1.0));
   EXPECT_GE(pol.last_flow_fraction(), 0.0);
   EXPECT_LE(pol.last_flow_fraction(), 1.0);
 }

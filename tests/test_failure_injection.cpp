@@ -31,10 +31,10 @@ class StuckPumpPolicy final : public control::ThermalPolicy {
                   int stuck_level)
       : inner_(std::move(inner)), stuck_level_(stuck_level) {}
 
-  control::PolicyActions decide(const control::PolicyInputs& in) override {
-    auto act = inner_->decide(in);
-    act.pump_level = stuck_level_;
-    return act;
+  void decide_into(const control::PolicyInputs& in,
+                   control::PolicyActions& out) override {
+    inner_->decide_into(in, out);
+    out.pump_level = stuck_level_;
   }
   std::string name() const override { return inner_->name() + "+stuck"; }
 
@@ -95,7 +95,8 @@ TEST(FailureInjection, FuzzyCompensatesASinglePumpGlitch) {
     }
     in.core_demands.assign(8, 1.0);
     in.dt = 0.25;
-    auto act = fuzzy.decide(in);
+    control::PolicyActions act;
+    fuzzy.decide_into(in, act);
     if (s == 80) act.pump_level = 0;  // the glitch
     soc.model().set_all_flows(pump.flow_per_cavity(act.pump_level));
     for (int c = 0; c < 8; ++c) cores[c].vf_level = act.vf_levels[c];

@@ -557,6 +557,27 @@ TEST(ServiceProtocol, TimingPastItsLimitsIsBadValue) {
   EXPECT_EQ(decode(payload_of(day)).error, DecodeError::kOk);
 }
 
+TEST(ServiceProtocol, SolverToleranceOutsideUnitIntervalIsBadValue) {
+  WhatIfMsg msg;
+  msg.client_tag = 1;
+  msg.scenario = sample_scenario();
+  const auto decode_with = [&](double tolerance) {
+    WhatIfMsg other = msg;
+    other.scenario.sim.solver_tolerance = tolerance;
+    return decode(payload_of(other)).error;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // None of these can ever be met: the solve would run to its iteration
+  // cap, or a direct solve would ignore the value silently.
+  for (const double tol : {nan, inf, -inf, 0.0, -1e-8, 1.0}) {
+    EXPECT_EQ(decode_with(tol), DecodeError::kBadValue) << "tolerance " << tol;
+  }
+  for (const double tol : {1e-8, 1e-12}) {
+    EXPECT_EQ(decode_with(tol), DecodeError::kOk) << "tolerance " << tol;
+  }
+}
+
 TEST(ServiceProtocol, MetricEntryBadKindIsTyped) {
   // Same differential trick as the policy enum: two payloads identical
   // except for the entry's kind byte locate it, then an out-of-range

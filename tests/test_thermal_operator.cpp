@@ -11,8 +11,10 @@
 //  - BandedLu::factor_rows must be bitwise identical to a full factor(),
 //    and the banded factor-slot cache, whose slots fill on first use,
 //    bitwise identical to a fresh factorization of each step's operator.
-//  - The flow-transition warm-start predictor must not change results
-//    beyond solver tolerance.
+//  - Each warm-start regime (pump-level orbit, smooth modulation, power
+//    ramp) must track the exact banded-LU trajectory to 1e-8 and engage
+//    the warm start it targets; TransientSolver rejects a tolerance
+//    outside (0, 1).
 //  - A fluid-focused column profile (HydraulicNetwork -> flow fractions
 //    -> RcModel::set_cavity_flow_profile) must reach the thermal answer
 //    through the same indexed update path.
@@ -20,9 +22,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "arch/mpsoc.hpp"
+#include "common/error.hpp"
 #include "common/units.hpp"
 #include "microchannel/coolant.hpp"
 #include "microchannel/flow_network.hpp"
@@ -240,108 +245,123 @@ TEST(LazyRefreshStepping, ActuallyDefersRefactors) {
       << "lazy refresh refactored almost every flow change";
 }
 
-TEST(FlowTransitionPredictor, DoesNotChangeResultsBeyondTolerance) {
-  auto pump = microchannel::PumpModel::table1();
+// The warm starts only choose where each Krylov solve starts; the
+// tolerance guarantees the answer. One regime per warm start: drive(soc,
+// i) sets the flows or power of step i (and, at i = 0, of the steady
+// initial state).
+struct WarmStartCase {
+  const char* name;
+  void (*drive)(arch::Mpsoc3D& soc, int i);
+  int steps;
+  std::uint64_t min_exact_hits;  ///< transition-cache predictions taken
+  std::uint64_t min_trajectory_hits;
+};
 
-  auto run = [&](int slots) {
-    auto soc = make_soc();
-    load_power(soc);
-    soc.model().set_all_flows(pump.q_max());
-    thermal::TransientSolver::Options opts;
-    opts.warm_start_slots = slots;
-    thermal::TransientSolver sim(soc.model(), 0.1, opts);
-    sim.initialize_steady();
-    for (int i = 0; i < 80; ++i) {
-      soc.model().set_all_flows(pump.flow_per_cavity(i % pump.levels()));
-      sim.step();
+const WarmStartCase kWarmStartCases[] = {
+    // The fuzzy controller's regime: the pump cycles its levels, so
+    // after the first cycle nearly every flow change replays the jump
+    // cached at its level.
+    {"pump_level_orbit",
+     [](arch::Mpsoc3D& soc, int i) {
+       const auto pump = microchannel::PumpModel::table1();
+       soc.model().set_all_flows(pump.flow_per_cavity(i % pump.levels()));
+     },
+     80, 41, 0},
+    // Continuous modulation never revisits a flow state: every flow
+    // change is a first visit, which no cached jump covers.
+    {"smooth_modulation",
+     [](arch::Mpsoc3D& soc, int i) {
+       const double q0 =
+           microchannel::PumpModel::table1().flow_per_cavity(8);
+       soc.model().set_all_flows(q0 * (1.0 + 0.25 * std::sin(0.7 * i)));
+     },
+     60, 0, 0},
+    // The closed loop's ordinary steps: a piecewise-linear power ramp at
+    // fixed flow, where x0 = 2 T_n - T_{n-1} starts close to the answer.
+    {"power_ramp",
+     [](arch::Mpsoc3D& soc, int i) { load_power(soc, 0.2 + 0.01 * i); },
+     60, 0, 31},
+};
+
+struct WarmStartRun {
+  std::vector<double> temps;
+  std::uint64_t exact_hits;
+  std::uint64_t trajectory_hits;
+  std::uint64_t iterations;
+};
+
+/// Steps \p c; with \p reset_history, set_state() hands the solver its
+/// own state before every step, which discards the trajectory history.
+WarmStartRun run_warm_start_case(const WarmStartCase& c,
+                                 sparse::SolverKind kind,
+                                 bool reset_history = false) {
+  auto soc = make_soc();
+  load_power(soc);
+  soc.model().set_all_flows(microchannel::PumpModel::table1().q_max());
+  c.drive(soc, 0);
+  thermal::TransientSolver sim(soc.model(), 0.1, kind);
+  sim.initialize_steady();
+  for (int i = 0; i < c.steps; ++i) {
+    c.drive(soc, i);
+    if (reset_history) {
+      sim.set_state({sim.temperatures().begin(), sim.temperatures().end()});
     }
-    return std::pair<std::vector<double>, std::uint64_t>(
-        std::vector<double>(sim.temperatures().begin(),
-                            sim.temperatures().end()),
-        sim.predictor_hits());
-  };
-
-  const auto [with, hits_with] = run(16);
-  const auto [without, hits_without] = run(0);
-  EXPECT_LT(max_abs_diff(with, without), 1e-8);
-  EXPECT_EQ(hits_without, 0u);
-  // After the first 16-level cycle every flow state is cached; nearly
-  // every subsequent flow change should hit.
-  EXPECT_GT(hits_with, 40u);
+    sim.step();
+  }
+  return {{sim.temperatures().begin(), sim.temperatures().end()},
+          sim.predictor_hits(),
+          sim.trajectory_hits(),
+          sim.solver_stats().iterations};
 }
 
-TEST(FlowTransitionPredictor, InterpolatesBetweenBracketingCachedStates) {
-  // Continuous modulation (the fuzzy-policy regime) almost never
-  // revisits an exact flow state, so the exact-match cache misses every
-  // step — but the new state usually lies between two cached ones, and
-  // the interpolated jump prediction should engage (residual-guarded,
-  // so the answer stays within solver tolerance regardless).
-  auto pump = microchannel::PumpModel::table1();
-  const double q0 = pump.flow_per_cavity(8);
+class WarmStartRegime : public ::testing::TestWithParam<WarmStartCase> {};
 
-  auto run = [&](int slots) {
-    auto soc = make_soc();
-    load_power(soc);
-    soc.model().set_all_flows(pump.q_max());
-    thermal::TransientSolver::Options opts;
-    opts.warm_start_slots = slots;
-    thermal::TransientSolver sim(soc.model(), 0.1, opts);
-    sim.initialize_steady();
-    // Smooth incommensurate oscillation: sin(i) for integer i never
-    // repeats, so every step is an exact-cache miss with plenty of
-    // bracketing neighbors once the slots fill.
-    for (int i = 0; i < 60; ++i) {
-      soc.model().set_all_flows(q0 * (1.0 + 0.25 * std::sin(0.7 * i)));
-      sim.step();
-    }
-    return std::pair<std::vector<double>, std::uint64_t>(
-        std::vector<double>(sim.temperatures().begin(),
-                            sim.temperatures().end()),
-        sim.predictor_interpolations());
-  };
-
-  const auto [with, interps] = run(16);
-  const auto [without, none] = run(0);
-  EXPECT_EQ(none, 0u);
-  EXPECT_GE(interps, 5u) << "interpolating warm start never engaged";
-  EXPECT_LT(max_abs_diff(with, without), 1e-8);
+TEST_P(WarmStartRegime, TracksExactTrajectoryAndEngages) {
+  const WarmStartCase& c = GetParam();
+  const WarmStartRun warm =
+      run_warm_start_case(c, sparse::SolverKind::kBicgstabIlu0);
+  const WarmStartRun exact =
+      run_warm_start_case(c, sparse::SolverKind::kBandedLu);
+  EXPECT_LT(max_abs_diff(warm.temps, exact.temps), 1e-8);
+  EXPECT_GE(warm.exact_hits, c.min_exact_hits);
+  EXPECT_GE(warm.trajectory_hits, c.min_trajectory_hits);
+  if (c.min_trajectory_hits > 0) {
+    // The extrapolation must save iterations over the same run without
+    // it, not just win its guard.
+    const WarmStartRun plain =
+        run_warm_start_case(c, sparse::SolverKind::kBicgstabIlu0, true);
+    EXPECT_EQ(plain.trajectory_hits, 0u);
+    EXPECT_LT(warm.iterations, plain.iterations);
+  }
 }
 
-TEST(TrajectoryWarmStart, AcceptsExtrapolationAndStaysWithinTolerance) {
-  // Drive a power ramp (the closed-loop regime: the RHS changes every
-  // step) and check that the guarded extrapolation x0 = 2 T_n - T_{n-1}
-  // actually engages, saves Krylov iterations, and never changes the
-  // answer beyond solver tolerance.
-  auto run = [&](bool trajectory) {
-    auto soc = make_soc();
-    soc.model().set_all_flows(microchannel::PumpModel::table1().q_max());
-    load_power(soc, 0.2);
-    thermal::TransientSolver::Options opts;
-    opts.trajectory_warm_start = trajectory;
-    thermal::TransientSolver sim(soc.model(), 0.1, opts);
-    sim.initialize_steady();
-    for (int i = 0; i < 60; ++i) {
-      load_power(soc, 0.2 + 0.01 * i);  // piecewise-linear-ish ramp
-      sim.step();
-    }
-    struct Out {
-      std::vector<double> temps;
-      std::uint64_t traj_hits;
-      std::uint64_t iterations;
-    };
-    return Out{{sim.temperatures().begin(), sim.temperatures().end()},
-               sim.trajectory_hits(),
-               sim.solver_stats().iterations};
-  };
+INSTANTIATE_TEST_SUITE_P(
+    Regimes, WarmStartRegime, ::testing::ValuesIn(kWarmStartCases),
+    [](const ::testing::TestParamInfo<WarmStartCase>& info) {
+      return std::string(info.param.name);
+    });
 
-  const auto with = run(true);
-  const auto without = run(false);
-  EXPECT_LT(max_abs_diff(with.temps, without.temps), 1e-8);
-  EXPECT_EQ(without.traj_hits, 0u);
-  // On a smooth ramp the guard should adopt the extrapolation on most
-  // steps and the iteration total should drop, not rise.
-  EXPECT_GT(with.traj_hits, 30u);
-  EXPECT_LE(with.iterations, without.iterations);
+TEST(TransientSolverOptions, RejectsToleranceOutsideUnitInterval) {
+  auto soc = make_soc();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto kind :
+       {sparse::SolverKind::kBandedLu, sparse::SolverKind::kBicgstabIlu0}) {
+    thermal::TransientSolver::Options opts;
+    opts.kind = kind;
+    for (const double tol :
+         {std::numeric_limits<double>::quiet_NaN(), inf, -inf, 0.0, -1e-8,
+          1.0}) {
+      opts.rel_tolerance = tol;
+      EXPECT_THROW(thermal::TransientSolver(soc.model(), 0.1, opts),
+                   InvalidArgument)
+          << "tolerance " << tol;
+    }
+    for (const double tol : {1e-8, 1e-12}) {
+      opts.rel_tolerance = tol;
+      EXPECT_NO_THROW(thermal::TransientSolver(soc.model(), 0.1, opts))
+          << "tolerance " << tol;
+    }
+  }
 }
 
 TEST(FlowProfile, HydraulicNetworkDrivesColumnShares) {
