@@ -1,7 +1,7 @@
 // Micro-benchmarks of the sparse kernels underlying the RC thermal
 // solver: SpMV (CSR and sliced-ELL, against an L2-resident triad as the
-// bandwidth reference), ILU(0) refactorization and apply (scalar and
-// batched), preconditioned BiCGSTAB and banded LU, swept over grid sizes
+// bandwidth reference), ILU(0) refactorization and apply (scalar chunk
+// kernel and batched lanes), preconditioned BiCGSTAB and banded LU, swept over grid sizes
 // (the matrices are real RC systems assembled from the paper's stacks).
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -164,9 +164,11 @@ BENCHMARK(BM_Ilu0Refactor)->Arg(8)->Arg(16)->Arg(24)->Arg(32);
 
 /// Kernel-level view of the ILU(0) triangular solves: time per factor
 /// nonzero and lane over the timed loop that began at \p start, the
-/// bytes one apply computes on (each array once: factor values, column
-/// indices, row order, r read, z written), and the level count of the
-/// schedule the solves walk.
+/// bytes one apply computes on (each array once: factor values — the
+/// scalar chunk layout and the batched row-major one both hold exactly
+/// nnz slots per lane — the off-diagonal entries' column indices, the
+/// row order of both sweeps, r read, z written), and the level count of
+/// the schedule the solves walk.
 void report_ilu_apply(benchmark::State& state, const sparse::IluSchedule& s,
                       int lanes, std::chrono::steady_clock::time_point start) {
   const double ns = std::chrono::duration<double, std::nano>(
@@ -181,9 +183,19 @@ void report_ilu_apply(benchmark::State& state, const sparse::IluSchedule& s,
   state.counters["levels"] = s.lower.levels;
 }
 
-/// Scalar apply on the paper's 16x16 operator; argument: tiers.
+/// Scalar apply on a paper operator; arguments: tiers, grid, air (1 =
+/// air-cooled). The legs: the 16x16 liquid-cooled stacks, the service's
+/// 2-tier 12x12 one and the 4-tier 16x16 air-cooled one, whose heat-sink
+/// row has 256 lower entries. kernel is 1 when the build has the AVX-512
+/// chunk kernel, and chunked is then the share of the two sweeps' rows
+/// it solves 8 at a time (the rest run the per-row loop); without it
+/// chunks are one row and chunked reads 1.
 void BM_Ilu0Apply(benchmark::State& state) {
-  const auto a = rc_matrix(16, static_cast<int>(state.range(0)));
+  const auto a = rc_matrix(static_cast<int>(state.range(1)),
+                           static_cast<int>(state.range(0)),
+                           state.range(2) != 0
+                               ? arch::CoolingKind::kAirCooled
+                               : arch::CoolingKind::kLiquidCooled);
   const sparse::Ilu0Preconditioner precond(a);
   std::vector<double> r(a.rows()), z(a.rows());
   for (std::int32_t i = 0; i < a.rows(); ++i) r[i] = 1.0 + std::sin(0.1 * i);
@@ -193,9 +205,18 @@ void BM_Ilu0Apply(benchmark::State& state) {
     benchmark::DoNotOptimize(z.data());
     benchmark::ClobberMemory();
   }
-  report_ilu_apply(state, precond.schedule(), 1, start);
+  const sparse::IluSchedule& s = precond.schedule();
+  report_ilu_apply(state, s, 1, start);
+  state.counters["chunked"] =
+      static_cast<double>(s.chunked_rows()) / (2.0 * s.rows);
+  state.counters["kernel"] = sparse::kIluAvx512Apply;
 }
-BENCHMARK(BM_Ilu0Apply)->ArgName("tiers")->Arg(2)->Arg(4);
+BENCHMARK(BM_Ilu0Apply)
+    ->ArgNames({"tiers", "grid", "air"})
+    ->Args({2, 16, 0})
+    ->Args({4, 16, 0})
+    ->Args({2, 12, 0})
+    ->Args({4, 16, 1});
 
 /// Batched apply on the paper's 16x16 operator; arguments: tiers, lanes.
 void BM_BatchedIlu0Apply(benchmark::State& state) {

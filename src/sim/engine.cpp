@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/fnv.hpp"
 #include "obs/trace.hpp"
+#include "sparse/symbolic.hpp"
 #include "thermal/transient.hpp"
 
 namespace tac3d::sim {
@@ -117,6 +118,17 @@ SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
                          core_demand_);
   pump_level_ = liquid_ ? cfg_.pump.levels() - 1 : -1;
   apply_pump(soc_, cfg_.pump, pump_level_);
+  // Symbolic analysis: the bank's, else, for an ILU(0) session, one of
+  // its own (without the RCM ordering only banded LU reads) that serves
+  // its steady solve and its transient solver. A banded session's
+  // solvers each analyze their own pattern.
+  std::shared_ptr<const sparse::SymbolicStructure> structure =
+      shared.structure;
+  if (structure == nullptr &&
+      cfg_.solver == sparse::SolverKind::kBicgstabIlu0) {
+    structure = sparse::analyze_structure(soc_.model().conductance(),
+                                          /*ordering=*/false);
+  }
   // Leakage-consistent initial steady state (fixed point): the cached
   // result when a ScenarioBank prepared this scenario, else computed
   // here by the same function. Applying the vectors reproduces the
@@ -125,8 +137,8 @@ SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
   const std::shared_ptr<const InitialThermalState> init =
       shared.initial != nullptr
           ? shared.initial
-          : std::make_shared<const InitialThermalState>(compute_initial_state(
-                soc_, trace_, cfg_, shared.structure));
+          : std::make_shared<const InitialThermalState>(
+                compute_initial_state(soc_, trace_, cfg_, structure));
   require(static_cast<std::int32_t>(init->temperatures.size()) ==
               soc_.model().node_count(),
           "simulate: initial state temperature size mismatch");
@@ -139,7 +151,7 @@ SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
       soc_.model(), cfg_.control_dt,
       thermal::TransientSolver::Options{
           .kind = cfg_.solver,
-          .structure = shared.structure,
+          .structure = std::move(structure),
           .rel_tolerance = cfg_.solver_tolerance});
   thermal_->set_state(init->temperatures);
 

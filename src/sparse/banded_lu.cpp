@@ -9,9 +9,21 @@
 
 namespace tac3d::sparse {
 
+namespace {
+
+/// The RCM permutation \p structure supplies (empty: none supplied, the
+/// constructor orders the matrix itself).
+std::vector<std::int32_t> supplied_perm(const SymbolicStructure* structure) {
+  if (structure == nullptr) return {};
+  require(!structure->rcm_perm.empty(),
+          "BandedLu: structure carries no RCM ordering");
+  return structure->rcm_perm;
+}
+
+}  // namespace
+
 BandedLu::BandedLu(const CsrMatrix& a, const SymbolicStructure* structure)
-    : BandedLu(a, structure != nullptr ? structure->rcm_perm
-                                       : std::vector<std::int32_t>{}) {
+    : BandedLu(a, supplied_perm(structure)) {
   // The band extents recomputed by the delegated constructor necessarily
   // match the cached ones (same pattern, same permutation); verify the
   // pattern match in debug spirit without paying for a second analysis.

@@ -464,9 +464,9 @@ void BatchedIlu0Preconditioner::refactor_lane(int lane, const BatchedCsr& a) {
   require(a.lanes() == lanes_,
           "BatchedIlu0Preconditioner::refactor_lane: lane count mismatch");
   // Identical per-lane arithmetic to the scalar Ilu0Preconditioner
-  // (the lane stride is the only change).
-  ilu0_factor_lane(*schedule_, a.row_ptr(), a.col_idx(), a.values().data(),
-                   lu_.data(), lanes_, lane);
+  // (only the lane stride and the row-major slot order differ).
+  ilu0_factor_lane(*schedule_, schedule_->slot, a.row_ptr(), a.col_idx(),
+                   a.values().data(), lu_.data(), lanes_, lane);
 }
 
 void BatchedIlu0Preconditioner::apply(std::span<const double> r,

@@ -24,10 +24,10 @@ IterativeResult cg(const CsrMatrix& a, std::span<const double> b,
               static_cast<std::size_t>(a.rows()) == n && x.size() == n,
           "cg: size mismatch");
   ws.resize(n);
-  std::vector<double>& r = ws.r;
-  std::vector<double>& z = ws.ph;
-  std::vector<double>& p = ws.p;
-  std::vector<double>& ap = ws.v;
+  auto& r = ws.r;
+  auto& z = ws.ph;
+  auto& p = ws.p;
+  auto& ap = ws.v;
 
   double bb = 0.0;
   double rr = residual_norms(a, x, b, r, &bb);
@@ -75,20 +75,20 @@ IterativeResult cg(const CsrMatrix& a, std::span<const double> b,
 }
 
 IterativeResult bicgstab(const SlicedMatrix& a, std::span<const double> b,
-                         std::span<double> x, const Preconditioner& m,
+                         std::span<double> x, const Ilu0Preconditioner& m,
                          const IterativeOptions& opts, KrylovWorkspace& ws) {
   const std::size_t n = b.size();
   require(static_cast<std::size_t>(a.rows()) == n && x.size() == n,
           "bicgstab: size mismatch");
   ws.resize(n);
-  std::vector<double>& r = ws.r;
-  std::vector<double>& r0 = ws.r0;
-  std::vector<double>& p = ws.p;
-  std::vector<double>& v = ws.v;
-  std::vector<double>& s = ws.s;
-  std::vector<double>& t = ws.t;
-  std::vector<double>& ph = ws.ph;
-  std::vector<double>& sh = ws.sh;
+  auto& r = ws.r;
+  auto& r0 = ws.r0;
+  auto& p = ws.p;
+  auto& v = ws.v;
+  auto& s = ws.s;
+  auto& t = ws.t;
+  auto& ph = ws.ph;
+  auto& sh = ws.sh;
 
   double bb = 0.0;
   const double rr = residual_norms(a, x, b, r, &bb);
@@ -119,7 +119,10 @@ IterativeResult bicgstab(const SlicedMatrix& a, std::span<const double> b,
     const double r0v = spmv_dot(a, ph, v, r0);
     if (r0v == 0.0) break;
     alpha = rho / r0v;
-    const double ss = waxpby(s, r, -alpha, v);
+    waxpy(s, r, -alpha, v);
+    // sh = M^{-1} s ahead of the ||s|| check, whose sum rides in its
+    // forward sweep; the exit below discards it.
+    const double ss = m.apply_sum_squares(s, sh);
     res.iterations = it;
     if (std::sqrt(ss) / bnorm <= opts.rel_tolerance) {
       axpy(alpha, ph, x);
@@ -127,7 +130,6 @@ IterativeResult bicgstab(const SlicedMatrix& a, std::span<const double> b,
       res.converged = true;
       return res;
     }
-    m.apply(s, sh);
     double ts = 0.0;
     const double tt = spmv_dot2(a, sh, t, s, &ts);
     if (tt == 0.0) break;
@@ -145,7 +147,7 @@ IterativeResult bicgstab(const SlicedMatrix& a, std::span<const double> b,
 }
 
 IterativeResult bicgstab(const SlicedMatrix& a, std::span<const double> b,
-                         std::span<double> x, const Preconditioner& m,
+                         std::span<double> x, const Ilu0Preconditioner& m,
                          const IterativeOptions& opts) {
   KrylovWorkspace ws;
   return bicgstab(a, b, x, m, opts, ws);

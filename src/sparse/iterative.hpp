@@ -7,11 +7,21 @@
 /// allocation-free against a caller-owned KrylovWorkspace (the transient
 /// thermal loop binds one per solver at construction), and the plain
 /// overloads allocate a scratch workspace internally for one-off solves.
+///
+/// BiCGSTAB forms s = r - alpha v in a plain vector pass and sums ||s||²
+/// inside the forward sweep of the M^{-1}s it needs next
+/// (Ilu0Preconditioner::apply_sum_squares), so that serial add chain
+/// overlaps the sweep instead of running alone; the sum keeps its
+/// natural row order, so every iterate is bitwise unchanged. An exit at
+/// the ||s|| check discards the speculative M^{-1}s. The workspace
+/// vectors are 64-byte aligned (aligned.hpp), like the sliced values and
+/// the ILU(0) factors the iteration streams beside them.
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "sparse/aligned.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/preconditioner.hpp"
 #include "sparse/sliced.hpp"
@@ -45,7 +55,7 @@ class KrylovWorkspace {
 
   std::size_t size() const { return n_; }
 
-  std::vector<double> r, r0, p, v, s, t, ph, sh;
+  AlignedVector<double> r, r0, p, v, s, t, ph, sh;
 
  private:
   std::size_t n_ = 0;
@@ -62,16 +72,16 @@ IterativeResult cg(const CsrMatrix& a, std::span<const double> b,
                    std::span<double> x, const Preconditioner& m,
                    const IterativeOptions& opts = {});
 
-/// Preconditioned BiCGSTAB for general square systems, on the sliced-ELL
-/// copy of A (sliced.hpp: bitwise the CSR products, without their
-/// per-row add chains). \p x holds the initial guess on entry and the
-/// solution on exit. The workspace overload performs no heap
+/// ILU(0)-preconditioned BiCGSTAB for general square systems, on the
+/// sliced-ELL copy of A (sliced.hpp: bitwise the CSR products, without
+/// their per-row add chains). \p x holds the initial guess on entry and
+/// the solution on exit. The workspace overload performs no heap
 /// allocations once \p ws is sized.
 IterativeResult bicgstab(const SlicedMatrix& a, std::span<const double> b,
-                         std::span<double> x, const Preconditioner& m,
+                         std::span<double> x, const Ilu0Preconditioner& m,
                          const IterativeOptions& opts, KrylovWorkspace& ws);
 IterativeResult bicgstab(const SlicedMatrix& a, std::span<const double> b,
-                         std::span<double> x, const Preconditioner& m,
+                         std::span<double> x, const Ilu0Preconditioner& m,
                          const IterativeOptions& opts = {});
 
 }  // namespace tac3d::sparse

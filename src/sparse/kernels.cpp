@@ -117,21 +117,14 @@ void xpby(std::span<const double> x, double beta, std::span<double> y) {
   for (std::size_t i = 0; i < n; ++i) ys[i] = xs[i] + beta * ys[i];
 }
 
-double waxpby(std::span<double> w, std::span<const double> x, double alpha,
-              std::span<const double> y) {
-  check(w.size() == x.size() && y.size() == x.size(),
-        "waxpby: size mismatch");
+void waxpy(std::span<double> w, std::span<const double> x, double alpha,
+           std::span<const double> y) {
+  check(w.size() == x.size() && y.size() == x.size(), "waxpy: size mismatch");
   double* __restrict ws = w.data();
   const double* __restrict xs = x.data();
   const double* __restrict ys = y.data();
   const std::size_t n = w.size();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double wi = xs[i] + alpha * ys[i];
-    ws[i] = wi;
-    acc += wi * wi;
-  }
-  return acc;
+  for (std::size_t i = 0; i < n; ++i) ws[i] = xs[i] + alpha * ys[i];
 }
 
 void axpy_product(double alpha, std::span<const double> a,

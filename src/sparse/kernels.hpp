@@ -43,9 +43,9 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y);
 /// y = x + beta * y.
 void xpby(std::span<const double> x, double beta, std::span<double> y);
 
-/// w = x + alpha * y; returns dot(w, w).
-double waxpby(std::span<double> w, std::span<const double> x, double alpha,
-              std::span<const double> y);
+/// w = x + alpha * y.
+void waxpy(std::span<double> w, std::span<const double> x, double alpha,
+           std::span<const double> y);
 
 /// y += alpha * a[i] * b[i] (element-wise product accumulate; the
 /// backward-Euler RHS build y = P + (C/dt) T_n uses it with alpha = 1).

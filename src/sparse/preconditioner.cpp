@@ -50,8 +50,8 @@ Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a,
 }
 
 void Ilu0Preconditioner::refactor(const CsrMatrix& a) {
-  ilu0_factor_lane(*schedule_, a.row_ptr(), a.col_idx(), a.values().data(),
-                   lu_.data(), 1, 0);
+  ilu0_factor_lane(*schedule_, schedule_->chunk_slot, a.row_ptr(),
+                   a.col_idx(), a.values().data(), lu_.data(), 1, 0);
 }
 
 void Ilu0Preconditioner::apply(std::span<const double> r,
@@ -60,7 +60,16 @@ void Ilu0Preconditioner::apply(std::span<const double> r,
   require(static_cast<std::int32_t>(r.size()) == n &&
               static_cast<std::int32_t>(z.size()) == n,
           "Ilu0Preconditioner: size mismatch");
-  ilu0_apply_lanes<1, 1, 0>(*schedule_, 1, lu_.data(), r.data(), z.data());
+  ilu0_apply_chunks(*schedule_, lu_.data(), r.data(), z.data(), false);
+}
+
+double Ilu0Preconditioner::apply_sum_squares(std::span<const double> r,
+                                             std::span<double> z) const {
+  const std::int32_t n = schedule_->rows;
+  require(static_cast<std::int32_t>(r.size()) == n &&
+              static_cast<std::int32_t>(z.size()) == n,
+          "Ilu0Preconditioner: size mismatch");
+  return ilu0_apply_chunks(*schedule_, lu_.data(), r.data(), z.data(), true);
 }
 
 }  // namespace tac3d::sparse

@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "sparse/aligned.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ilu_schedule.hpp"
 
@@ -43,7 +44,9 @@ class JacobiPreconditioner final : public Preconditioner {
 /// sparsity pattern of A. Stable for the diagonally dominant RC systems.
 /// The triangular solves walk the pattern's level schedule
 /// (ilu_schedule.hpp): bitwise the natural-order substitution, without
-/// its row-after-row dependency chain.
+/// its row-after-row dependency chain. The factors are stored once,
+/// chunk-major in a 64-byte-aligned array, and the applies solve each
+/// full chunk with the AVX-512 kernel when the library has it.
 class Ilu0Preconditioner final : public Preconditioner {
  public:
   /// \p structure optionally supplies the precomputed level schedule
@@ -57,8 +60,14 @@ class Ilu0Preconditioner final : public Preconditioner {
 
   void apply(std::span<const double> r, std::span<double> z) const override;
 
-  /// The current factor values (schedule slot order), for tests that
-  /// compare factorizations byte for byte.
+  /// apply(), also returning dot(r, r) summed in natural row order from
+  /// inside the forward sweep (BiCGSTAB's ||s||², off the critical
+  /// path). r must not alias z.
+  double apply_sum_squares(std::span<const double> r,
+                           std::span<double> z) const;
+
+  /// The current factor values (IluSchedule::chunk_slot order), for
+  /// tests that compare factorizations byte for byte.
   std::span<const double> factor_values() const { return lu_; }
 
   /// The level schedule the solves walk.
@@ -66,7 +75,7 @@ class Ilu0Preconditioner final : public Preconditioner {
 
  private:
   std::shared_ptr<const IluSchedule> schedule_;
-  std::vector<double> lu_;  ///< combined factors in schedule slot order
+  AlignedVector<double> lu_;  ///< combined factors, chunk-major
 };
 
 }  // namespace tac3d::sparse

@@ -55,6 +55,11 @@
 /// accumulated by the plain CSR row loop, at its natural position in
 /// the same pass.
 ///
+/// Storage: the values sit in a 64-byte-aligned array (aligned.hpp), and
+/// every slice starts at a multiple of kSliceRows slots, so each slice
+/// column's 8 values are one cache line; from malloc's 16-byte alignment
+/// most of them spanned two.
+///
 /// The layout splits in two halves: SlicedPattern (slice offsets, padded
 /// columns and each row's slice columns) depends only on the CSR
 /// pattern and is shared through SymbolicStructure; a SlicedMatrix adds
@@ -66,6 +71,7 @@
 #include <span>
 #include <vector>
 
+#include "sparse/aligned.hpp"
 #include "sparse/csr.hpp"
 
 namespace tac3d::sparse {
@@ -136,7 +142,8 @@ class SlicedMatrix {
 
   std::int32_t rows() const { return pattern_->rows; }
   const SlicedPattern& pattern() const { return *pattern_; }
-  /// Values in slot order (padding slots hold 0.0).
+  /// Values in slot order (padding slots hold 0.0), from a 64-byte
+  /// boundary, so each slice column is one cache line.
   std::span<const double> values() const { return values_; }
 
   /// Copy every value of \p a (same pattern) into the mirror. Never
@@ -150,7 +157,7 @@ class SlicedMatrix {
 
  private:
   std::shared_ptr<const SlicedPattern> pattern_;
-  std::vector<double> values_;
+  AlignedVector<double> values_;
 };
 
 /// r = b - A x, returning dot(r, r) and setting *bb = dot(b, b), all in

@@ -17,8 +17,8 @@ bool SymbolicStructure::matches(std::span<const std::int32_t> rp,
          std::equal(col_idx.begin(), col_idx.end(), ci.begin(), ci.end());
 }
 
-std::shared_ptr<const SymbolicStructure> analyze_structure(
-    const CsrMatrix& a) {
+std::shared_ptr<const SymbolicStructure> analyze_structure(const CsrMatrix& a,
+                                                           bool ordering) {
   require(a.rows() == a.cols(),
           "analyze_structure: matrix must be square");
   auto s = std::make_shared<SymbolicStructure>();
@@ -26,19 +26,21 @@ std::shared_ptr<const SymbolicStructure> analyze_structure(
   s->rows = n;
   s->row_ptr.assign(a.row_ptr().begin(), a.row_ptr().end());
   s->col_idx.assign(a.col_idx().begin(), a.col_idx().end());
-
-  // RCM ordering and the band extents of the permuted pattern.
-  s->rcm_perm = rcm_ordering(a);
-  s->rcm_inv_perm.assign(static_cast<std::size_t>(n), 0);
-  for (std::int32_t i = 0; i < n; ++i) s->rcm_inv_perm[s->rcm_perm[i]] = i;
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
-  for (std::int32_t r = 0; r < n; ++r) {
-    const std::int32_t pr = s->rcm_inv_perm[r];
-    for (std::int32_t k = rp[r]; k < rp[r + 1]; ++k) {
-      const std::int32_t pc = s->rcm_inv_perm[ci[k]];
-      s->band_lower = std::max(s->band_lower, pr - pc);
-      s->band_upper = std::max(s->band_upper, pc - pr);
+
+  // RCM ordering and the band extents of the permuted pattern.
+  if (ordering) {
+    s->rcm_perm = rcm_ordering(a);
+    s->rcm_inv_perm.assign(static_cast<std::size_t>(n), 0);
+    for (std::int32_t i = 0; i < n; ++i) s->rcm_inv_perm[s->rcm_perm[i]] = i;
+    for (std::int32_t r = 0; r < n; ++r) {
+      const std::int32_t pr = s->rcm_inv_perm[r];
+      for (std::int32_t k = rp[r]; k < rp[r + 1]; ++k) {
+        const std::int32_t pc = s->rcm_inv_perm[ci[k]];
+        s->band_lower = std::max(s->band_lower, pr - pc);
+        s->band_upper = std::max(s->band_upper, pc - pr);
+      }
     }
   }
 

@@ -28,7 +28,8 @@ namespace tac3d::sparse {
 /// Immutable pattern-level analysis shared between solvers.
 struct SymbolicStructure {
   std::int32_t rows = 0;
-  /// RCM permutation, perm[new] = old (see rcm_ordering).
+  /// RCM permutation, perm[new] = old (see rcm_ordering); empty when the
+  /// analysis skipped the ordering (no banded LU can bind it then).
   std::vector<std::int32_t> rcm_perm;
   /// Inverse permutation, inv[old] = new.
   std::vector<std::int32_t> rcm_inv_perm;
@@ -37,9 +38,10 @@ struct SymbolicStructure {
   std::int32_t band_upper = 0;
   /// Index into values() of the diagonal entry of each row (ILU(0)).
   std::vector<std::int32_t> ilu_diag;
-  /// Level schedule of the ILU(0) triangular solves, shared by the
-  /// scalar and batched preconditioners of every solver on this pattern
-  /// (null when a diagonal entry is missing: no ILU(0) exists).
+  /// Level schedule of the ILU(0) triangular solves and the scalar
+  /// factors' chunk layout, shared by the scalar and batched
+  /// preconditioners of every solver on this pattern (null when a
+  /// diagonal entry is missing: no ILU(0) exists).
   std::shared_ptr<const IluSchedule> ilu_schedule;
   /// Slice offsets and padded columns of the sliced-ELL copy the
   /// BiCGSTAB solvers on this pattern traverse (sliced.hpp).
@@ -55,7 +57,9 @@ struct SymbolicStructure {
                std::span<const std::int32_t> col_idx) const;
 };
 
-/// Run the symbolic analysis of \p a.
-std::shared_ptr<const SymbolicStructure> analyze_structure(const CsrMatrix& a);
+/// Run the symbolic analysis of \p a. Without \p ordering it skips the
+/// RCM ordering and band extents, which only the banded LU reads.
+std::shared_ptr<const SymbolicStructure> analyze_structure(
+    const CsrMatrix& a, bool ordering = true);
 
 }  // namespace tac3d::sparse

@@ -1,23 +1,31 @@
 // Bitwise property tests of the level-scheduled ILU(0) solves: on random
 // patterns (3D stencils with one-directional advection rows, a dense
-// sink row and column, rows with no lower or no upper entries) the
-// scalar apply, the batched apply at every dispatch width and the
-// compacted apply must equal a natural-order ILU(0) kept here as the
-// reference, byte for byte — before and after a value change.
+// sink row and column, rows with no lower or no upper entries; layered
+// patterns whose groups hold 1 to 17 rows) and on the paper's stacks,
+// the scalar apply — the AVX-512 chunk kernel with its per-row loop for
+// leftover rows in builds with __AVX512F__, the per-row loop over
+// one-row chunks in builds without — the batched apply at every
+// dispatch width and the compacted apply must equal a natural-order
+// ILU(0) kept here as the reference, byte for byte, before and after a
+// value change. The chunk-major layout must hold exactly nnz slots.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "arch/mpsoc.hpp"
 #include "common/rng.hpp"
+#include "microchannel/pump.hpp"
 #include "sparse/batched.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ilu_schedule.hpp"
 #include "sparse/preconditioner.hpp"
 #include "sparse/symbolic.hpp"
+#include "thermal/operator.hpp"
 
 namespace tac3d::sparse {
 namespace {
@@ -158,6 +166,57 @@ CsrMatrix revalue(const CsrMatrix& a, Rng& rng) {
   return b;
 }
 
+/// Random layered pattern: levels of 1 to 17 rows, numbered level by
+/// level, each row reading one row of the level before and 0 to 2 more
+/// rows further back, with one entry count per level, so each forward
+/// group is a whole level of 1 to 17 rows (full chunks, partial chunks
+/// and single-row groups). Every lower entry has its transpose, so the
+/// backward sweep's groups vary too. Strictly diagonally dominant.
+CsrMatrix layered_pattern(Rng& rng) {
+  const int levels = 3 + static_cast<int>(rng.uniform() * 8);
+  std::vector<std::int32_t> level_begin{0};
+  for (int l = 0; l < levels; ++l) {
+    level_begin.push_back(level_begin.back() + 1 +
+                          static_cast<int>(rng.uniform() * 17));
+  }
+  const std::int32_t n = level_begin.back();
+  std::vector<Triplet> t;
+  for (int l = 1; l < levels; ++l) {
+    const std::int32_t prev = level_begin[l - 1];
+    const int extra = std::min<int>(prev, static_cast<int>(rng.uniform() * 3));
+    for (std::int32_t i = level_begin[l]; i < level_begin[l + 1]; ++i) {
+      std::set<std::int32_t> cols{
+          prev + static_cast<std::int32_t>(rng.uniform() *
+                                           (level_begin[l] - prev))};
+      while (static_cast<int>(cols.size()) < 1 + extra) {
+        cols.insert(static_cast<std::int32_t>(rng.uniform() * prev));
+      }
+      for (const std::int32_t j : cols) {
+        t.push_back({i, j, -rng.uniform(0.1, 1.0)});
+        t.push_back({j, i, -rng.uniform(0.1, 1.0)});
+      }
+    }
+  }
+  std::vector<double> rowsum(static_cast<std::size_t>(n), 0.0);
+  for (const Triplet& e : t) rowsum[e.row] += std::abs(e.value);
+  for (std::int32_t i = 0; i < n; ++i) {
+    t.push_back({i, i, rowsum[i] + 0.5 + rng.uniform()});
+  }
+  return CsrMatrix::from_triplets(n, n, std::move(t));
+}
+
+/// Backward-Euler operator of a paper stack (liquid-cooled ones at the
+/// maximum pump flow).
+CsrMatrix paper_operator(int tiers, arch::CoolingKind cooling, int grid) {
+  arch::Mpsoc3D soc(arch::Mpsoc3D::Options{tiers, cooling,
+                                           thermal::GridOptions{grid, grid},
+                                           arch::NiagaraConfig::paper()});
+  if (cooling == arch::CoolingKind::kLiquidCooled) {
+    soc.model().set_all_flows(microchannel::PumpModel::table1().q_max());
+  }
+  return thermal::ThermalOperator(soc.model(), 0.25).matrix();
+}
+
 std::vector<double> random_vec(std::size_t n, Rng& rng) {
   std::vector<double> v(n);
   for (double& x : v) x = rng.uniform(-5.0, 5.0);
@@ -225,7 +284,7 @@ TEST(IluSchedule, ScalarApplyIsBitwiseNatural) {
     NaturalIlu0 ref(a);
     const auto check_factors = [&](const Ilu0Preconditioner& m) {
       const auto f = m.factor_values();
-      const auto slot = m.schedule().slot;
+      const auto slot = m.schedule().chunk_slot;
       for (std::int64_t k = 0; k < a.nnz(); ++k) {
         ASSERT_TRUE(same_bytes(&f[slot[k]], &ref.lu.values()[k], 1))
             << what << " factor entry " << k;
@@ -332,6 +391,139 @@ TEST(IluSchedule, BatchedAndCompactedApplyAreBitwiseNatural) {
       batched_case(a, width, rng, trial % 2 == 0 ? structure.get() : nullptr);
     }
   }
+}
+
+/// The chunk-major layout of \p s is a permutation of [0, nnz) — no
+/// padding — whose slots hold the CSR entries' columns.
+void check_chunk_layout(const CsrMatrix& a, const IluSchedule& s,
+                        const std::string& what) {
+  ASSERT_EQ(s.chunk_slot.size(), static_cast<std::size_t>(a.nnz())) << what;
+  ASSERT_EQ(s.chunk_cols.size(), static_cast<std::size_t>(a.nnz())) << what;
+  std::vector<char> seen(static_cast<std::size_t>(a.nnz()), 0);
+  for (std::int64_t k = 0; k < a.nnz(); ++k) {
+    const std::int32_t at = s.chunk_slot[k];
+    ASSERT_TRUE(at >= 0 && at < a.nnz() && !seen[at]) << what << " " << k;
+    seen[at] = 1;
+    EXPECT_EQ(s.chunk_cols[at], a.col_idx()[k]) << what << " entry " << k;
+  }
+}
+
+/// The chunk-major apply of this build, with and without the folded sum
+/// of squares, against the natural-order reference on \p a's factors;
+/// then again after a refactor to new values.
+void check_chunk_apply(const CsrMatrix& a, Rng& rng, const std::string& what) {
+  const std::int32_t n = a.rows();
+  Ilu0Preconditioner m(a);
+  check_chunk_layout(a, m.schedule(), what);
+  for (const bool refactored : {false, true}) {
+    const CsrMatrix values = refactored ? revalue(a, rng) : a;
+    if (refactored) m.refactor(values);
+    const NaturalIlu0 ref(values);
+    const std::string tag = what + (refactored ? " after refactor" : "");
+    const auto f = m.factor_values();
+    for (std::int64_t k = 0; k < a.nnz(); ++k) {
+      ASSERT_TRUE(same_bytes(&f[m.schedule().chunk_slot[k]],
+                             &ref.lu.values()[k], 1))
+          << tag << " factor entry " << k;
+    }
+    const std::vector<double> r = random_vec(static_cast<std::size_t>(n), rng);
+    const std::vector<double> want = ref.apply(r);
+    double want_ss = 0.0;
+    for (const double ri : r) want_ss += ri * ri;
+    std::vector<double> z(static_cast<std::size_t>(n), -1.0);
+    EXPECT_EQ(ilu0_apply_chunks(m.schedule(), f.data(), r.data(), z.data(),
+                                false),
+              0.0);
+    EXPECT_TRUE(same_bytes(z.data(), want.data(), want.size())) << tag;
+    std::fill(z.begin(), z.end(), -1.0);
+    const double ss = m.apply_sum_squares(r, z);
+    EXPECT_TRUE(same_bytes(&ss, &want_ss, 1)) << tag << " sum";
+    EXPECT_TRUE(same_bytes(z.data(), want.data(), want.size()))
+        << tag << " folded";
+    // In place, as the preconditioner may be applied.
+    std::vector<double> zr = r;
+    m.apply(zr, zr);
+    EXPECT_TRUE(same_bytes(zr.data(), want.data(), want.size()))
+        << tag << " in place";
+  }
+}
+
+TEST(IluChunks, LayeredGroupsOfOneToSeventeenRowsAreBitwiseNatural) {
+  Rng rng(57);
+  std::set<std::int32_t> sizes;
+  for (int trial = 0; trial < 40; ++trial) {
+    const CsrMatrix a = layered_pattern(rng);
+    check_chunk_apply(a, rng, "layered trial " + std::to_string(trial));
+    const auto s = build_ilu_schedule(a.row_ptr(), a.col_idx());
+    for (const IluGroup& g : s->lower.groups) sizes.insert(g.end - g.begin);
+  }
+  // Single-row groups, partial chunks, exactly one chunk, a chunk plus
+  // leftovers and two full chunks all occurred.
+  for (const std::int32_t size : {1, 5, 8, 11, 16, 17}) {
+    EXPECT_EQ(sizes.count(size), 1u) << "no forward group of " << size;
+  }
+}
+
+TEST(IluChunks, RandomPatternsAreBitwiseNatural) {
+  Rng rng(61);
+  for (int trial = 0; trial < 25; ++trial) {
+    check_chunk_apply(random_pattern(rng), rng,
+                      "random trial " + std::to_string(trial));
+  }
+}
+
+TEST(IluChunks, PaperStacksAreBitwiseNatural) {
+  // 2 and 4 tiers, air and liquid cooled, 8x8 to 16x16 grids.
+  Rng rng(67);
+  for (const int tiers : {2, 4}) {
+    for (const arch::CoolingKind cooling :
+         {arch::CoolingKind::kAirCooled, arch::CoolingKind::kLiquidCooled}) {
+      for (const int grid : {8, 12, 16}) {
+        const std::string what =
+            std::to_string(tiers) + "-tier " +
+            (cooling == arch::CoolingKind::kAirCooled ? "AC " : "LC ") +
+            std::to_string(grid);
+        check_chunk_apply(paper_operator(tiers, cooling, grid), rng, what);
+      }
+    }
+  }
+}
+
+TEST(IluChunks, LongSinkRowIsStoredOnce) {
+  // The air-cooled 16x16 heat-sink node, numbered last, has 256 lower
+  // entries: its group is one row, stored once in 256 consecutive slots
+  // (in the leftover stream when chunks are 8 rows), not padded to a
+  // chunk.
+  const CsrMatrix a = paper_operator(2, arch::CoolingKind::kAirCooled, 16);
+  const auto s = build_ilu_schedule(a.row_ptr(), a.col_idx());
+  const std::int32_t sink = a.rows() - 1;
+  const std::int32_t lower = s->diag[sink] - a.row_ptr()[sink];
+  ASSERT_EQ(lower, 256);
+  check_chunk_layout(a, *s, "2-tier AC 16");
+  for (std::int32_t j = 0; j < lower; ++j) {
+    const std::int32_t k = a.row_ptr()[sink] + j;
+    EXPECT_EQ(s->chunk_slot[k], s->chunk_slot[a.row_ptr()[sink]] + j);
+    if (kIluChunkRows > 1) {
+      EXPECT_GE(s->chunk_slot[k], s->lower.rest_first);
+    }
+  }
+  // Over all stacks, most rows are solved in full chunks.
+  EXPECT_GT(static_cast<double>(s->chunked_rows()) / (2.0 * a.rows()), 0.5);
+}
+
+TEST(IluChunks, Avx512KernelIsBuiltAndBitwiseNatural) {
+  // States which apply this build tested: a library built without
+  // __AVX512F__ has only the per-row loop, and says so here.
+  if (!kIluAvx512Apply) {
+    GTEST_SKIP() << "library built without __AVX512F__: the applies ran "
+                    "the per-row loop over one-row chunks, not the AVX-512 "
+                    "kernel";
+  }
+  ASSERT_EQ(kIluChunkRows, 8);
+  Rng rng(71);
+  check_chunk_apply(paper_operator(4, arch::CoolingKind::kLiquidCooled, 16),
+                    rng, "4-tier LC 16");
+  check_chunk_apply(layered_pattern(rng), rng, "layered");
 }
 
 TEST(IluSchedule, SharedStructureSharesOneSchedule) {

@@ -174,11 +174,23 @@ TEST(ScenarioBank, ModelTierSharesOneStructure) {
   EXPECT_NE(structure_of(4), structure_of(3));
   EXPECT_EQ(bank.model_entries(), 3u);
 
-  // The reference path shares nothing: each solver analyzes its own.
+  // The reference path shares nothing across sessions. An ILU(0)
+  // session analyzes its pattern once, without the RCM ordering, for its
+  // steady solve and its transient solver; a banded one leaves each
+  // solver to analyze its own.
   ScenarioInstance fresh = instantiate(base);
   EXPECT_EQ(fresh.shared().structure, nullptr);
   EXPECT_EQ(fresh.shared().initial, nullptr);
-  EXPECT_EQ(fresh.session().thermal_solver().structure(), nullptr);
+  const SimulationSession own = fresh.session();
+  const sparse::SymbolicStructure* own_structure =
+      own.thermal_solver().structure();
+  ASSERT_NE(own_structure, nullptr);
+  EXPECT_NE(own_structure, structure_of(0));
+  EXPECT_TRUE(own_structure->rcm_perm.empty());
+  EXPECT_NE(own_structure->ilu_schedule, nullptr);
+  EXPECT_NE(own_structure->sliced, nullptr);
+  ScenarioInstance fresh_banded = instantiate(banded);
+  EXPECT_EQ(fresh_banded.session().thermal_solver().structure(), nullptr);
 }
 
 // --- key discrimination --------------------------------------------------

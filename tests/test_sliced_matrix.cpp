@@ -603,6 +603,31 @@ TEST(SlicedBicgstab, MatchesNaturalCsrReferenceWithFreshAndStaleFactors) {
   // Both convergence exits were exercised.
   EXPECT_GT(mid_exits, 0);
   EXPECT_GT(final_exits, 0);
+
+  // ILU(0) of a tridiagonal matrix is its exact LU, so iteration 1's
+  // s = r - alpha A M^{-1} r is rounding noise: the solve exits at the
+  // ||s|| check of its first iteration, discarding the M^{-1} s that
+  // was formed ahead of it.
+  const std::int32_t n = 40;
+  std::vector<Triplet> t;
+  for (std::int32_t i = 0; i < n; ++i) {
+    t.push_back({i, i, rng.uniform(4.0, 5.0)});
+    if (i > 0) t.push_back({i, i - 1, -rng.uniform(0.5, 1.5)});
+    if (i + 1 < n) t.push_back({i, i + 1, -rng.uniform(0.5, 1.5)});
+  }
+  const CsrMatrix tri = CsrMatrix::from_triplets(n, n, std::move(t));
+  const std::vector<double> b = random_vec(n, rng);
+  const Ilu0Preconditioner m(tri);
+  std::vector<double> x_ref = random_vec(n, rng);
+  std::vector<double> x = x_ref;
+  const ReferenceResult ref = reference_bicgstab(tri, b, x_ref, m, 1e-8, 500);
+  const IterativeResult res = bicgstab(SlicedMatrix(tri), b, x, m, {1e-8, 500});
+  ASSERT_TRUE(ref.converged);
+  ASSERT_TRUE(ref.mid_exit);
+  ASSERT_EQ(ref.iterations, 1);
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.iterations, 1);
+  EXPECT_TRUE(same_bits(x, x_ref));
 }
 
 TEST(SlicedBicgstab, SolverSolvesTheUpdatedValues) {

@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/iterative.hpp"
@@ -195,6 +197,26 @@ TEST(SymbolicStructureTest, SharedStructureGivesBitIdenticalSolutions) {
   }
 }
 
+TEST(SymbolicStructureTest, AnalysisWithoutOrderingServesOnlyIlu0) {
+  // A session on ILU(0) analyzes its pattern without the RCM ordering:
+  // the Krylov solver it serves is bit-identical, and a banded LU, which
+  // needs the ordering, refuses it.
+  Rng rng(37);
+  const CsrMatrix a = random_dd(120, 0.05, /*symmetric=*/false, rng);
+  const std::vector<double> b = random_vec(a.rows(), rng);
+  const auto krylov = analyze_structure(a, /*ordering=*/false);
+  EXPECT_TRUE(krylov->rcm_perm.empty());
+  ASSERT_NE(krylov->ilu_schedule, nullptr);
+  auto plain = make_solver(SolverKind::kBicgstabIlu0, a);
+  auto shared = make_solver(SolverKind::kBicgstabIlu0, a, krylov);
+  std::vector<double> x_plain(a.rows(), 0.0), x_shared(a.rows(), 0.0);
+  plain->solve(b, x_plain);
+  shared->solve(b, x_shared);
+  EXPECT_EQ(max_diff(x_plain, x_shared), 0.0);
+  EXPECT_THROW(make_solver(SolverKind::kBandedLu, a, krylov),
+               InvalidArgument);
+}
+
 // --- fused kernels --------------------------------------------------------
 
 TEST(Kernels, FusedOperationsMatchNaiveFormulations) {
@@ -242,16 +264,36 @@ TEST(Kernels, FusedOperationsMatchNaiveFormulations) {
   EXPECT_NEAR(rr, rr_naive, 1e-9 * rr_naive + 1e-12);
 
   std::vector<double> s(n);
-  const double ss = waxpby(s, b, -0.5, x);
+  waxpy(s, b, -0.5, x);
   for (std::int32_t i = 0; i < n; ++i) {
     EXPECT_DOUBLE_EQ(s[i], b[i] - 0.5 * x[i]);
   }
-  EXPECT_GE(ss, 0.0);
 
   std::vector<double> acc = b;
   axpy_product(2.0, w, x, acc);
   for (std::int32_t i = 0; i < n; ++i) {
     EXPECT_DOUBLE_EQ(acc[i], b[i] + 2.0 * w[i] * x[i]);
+  }
+}
+
+TEST(Kernels, SolverArraysStartOnACacheLine) {
+  // The sliced values, the ILU(0) factors and the Krylov vectors are
+  // streamed in runs of 8 doubles from multiples of 8: each run is one
+  // cache line only from a 64-byte-aligned base.
+  const auto line = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % kCacheLineBytes;
+  };
+  Rng rng(43);
+  for (const std::int32_t n : {1, 7, 25, 90}) {
+    const CsrMatrix a = random_dd(n, 0.1, /*symmetric=*/false, rng);
+    EXPECT_EQ(line(SlicedMatrix(a).values().data()), 0u) << n;
+    EXPECT_EQ(line(Ilu0Preconditioner(a).factor_values().data()), 0u) << n;
+    KrylovWorkspace ws;
+    ws.resize(static_cast<std::size_t>(n));
+    for (const auto* v : {&ws.r, &ws.r0, &ws.p, &ws.v, &ws.s, &ws.t, &ws.ph,
+                          &ws.sh}) {
+      EXPECT_EQ(line(v->data()), 0u) << n;
+    }
   }
 }
 
