@@ -10,11 +10,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "service/protocol.hpp"
 
 namespace tac3d::service::protocol {
@@ -645,10 +647,9 @@ TEST(ServiceProtocol, HugeStringLengthInsideBodyIsTyped) {
       << decode_error_name(d.error);
 }
 
-TEST(ServiceProtocol, DeterministicFuzzNeverCrashes) {
-  // A cheap xorshift fuzz over random payloads: every outcome must be a
-  // typed error or a clean decode — never a crash, hang, or sanitizer
-  // report. Deterministic seed so failures reproduce.
+/// The payloads of DeterministicFuzzNeverCrashes: xorshift bytes, half of
+/// them behind a valid version byte, a quarter with a real request tag.
+std::vector<std::vector<std::uint8_t>> fuzz_payloads() {
   std::uint64_t state = 0x9E3779B97F4A7C15ull;
   auto next = [&state] {
     state ^= state << 13;
@@ -656,6 +657,7 @@ TEST(ServiceProtocol, DeterministicFuzzNeverCrashes) {
     state ^= state << 17;
     return state;
   };
+  std::vector<std::vector<std::uint8_t>> out;
   for (int iter = 0; iter < 2000; ++iter) {
     const std::size_t len = static_cast<std::size_t>(next() % 96);
     std::vector<std::uint8_t> payload(len);
@@ -664,10 +666,227 @@ TEST(ServiceProtocol, DeterministicFuzzNeverCrashes) {
     if (len >= 2 && iter % 4 == 0) {
       payload[1] = static_cast<std::uint8_t>(1 + next() % 5);  // real tags
     }
+    out.push_back(std::move(payload));
+  }
+  return out;
+}
+
+TEST(ServiceProtocol, DeterministicFuzzNeverCrashes) {
+  // A cheap xorshift fuzz over random payloads: every outcome must be a
+  // typed error or a clean decode — never a crash, hang, or sanitizer
+  // report. Deterministic seed so failures reproduce.
+  for (const std::vector<std::uint8_t>& payload : fuzz_payloads()) {
     const Decoded d = decode(payload);
     if (d.ok()) continue;  // a tiny fraction may decode; that's fine
     EXPECT_NE(d.error, DecodeError::kOk);
   }
+}
+
+// --- golden wire format ---------------------------------------------------
+
+/// A scenario with every wire field off its default.
+sim::Scenario golden_scenario() {
+  sim::Scenario s;
+  s.label = "golden 4-tier";
+  s.tiers = 4;
+  s.policy = sim::PolicyKind::kLcTdvfsLb;
+  s.cooling = arch::CoolingKind::kLiquidCooled;
+  s.workload = power::WorkloadKind::kPeriodic;
+  s.trace_seconds = 3600;
+  s.seed = 0x0102030405060708ull;
+  s.grid = thermal::GridOptions{24, 40};
+  s.grid.discrete_channels = true;
+  s.grid.x_refine = 3;
+  s.grid.z_refine = 2;
+  s.sim.solver = sparse::SolverKind::kBandedLu;
+  s.sim.control_dt = 0.125;
+  s.sim.duration = 1234.5;
+  s.sim.solver_tolerance = 3.0e-9;
+  s.sim.init_iterations = 7;
+  return s;
+}
+
+/// One fully populated message of each of the 13 types, plus the failed
+/// form of a scenario result (its body takes the other branch).
+std::vector<Message> golden_messages() {
+  SubmitSweepMsg sweep;
+  sweep.client_tag = 0xA1B2C3D4u;
+  sweep.cores_requested = 0x0203;
+  sweep.scenarios.push_back(golden_scenario());
+  sim::Scenario derived = golden_scenario();
+  derived.label = "";
+  derived.cooling.reset();  // derived from the policy: flag 0, value 0
+  derived.grid.discrete_channels = false;
+  derived.sim.solver = sparse::SolverKind::kBicgstabIlu0;
+  sweep.scenarios.push_back(derived);
+
+  WhatIfMsg what_if;
+  what_if.client_tag = 0x11223344u;
+  what_if.scenario = golden_scenario();
+
+  QueryStatusMsg query;
+  query.job_id = 0x0A0B0C0Du;
+  CancelMsg cancel;
+  cancel.job_id = 0x31323334u;
+
+  SubmitAckMsg ack;
+  ack.client_tag = 0x51525354u;
+  ack.job_id = 0x61626364u;
+  ack.admitted = 1;
+  ack.queue_position = 0x71727374u;
+
+  ScenarioResultMsg result;
+  result.job_id = 0x81828384u;
+  result.index = 0x91929394u;
+  result.ok = 1;
+  result.metrics = sample_metrics();
+  ScenarioResultMsg failed;
+  failed.job_id = 0x81828384u;
+  failed.index = 0x95969798u;
+  failed.ok = 0;
+  failed.error = "tier count 3 is not a stack";
+
+  SweepCompleteMsg complete;
+  complete.job_id = 0xA1A2A3A4u;
+  complete.completed = 0xB1B2B3B4u;
+  complete.failed = 0xC1C2C3C4u;
+  complete.cancelled = 0xD1D2D3D4u;
+  complete.was_cancelled = 1;
+
+  // Positional: active, queued, completed, failed, cancelled, budget,
+  // in use, draining, then the six bank counters in wire order.
+  const StatusMsg status{1,  2,  0x0300000000000003ull,
+                         4,  5,  6,
+                         7,  1,  0x0800000000000008ull,
+                         9,  10, 11,
+                         12, 13};
+
+  ErrorMsg error;
+  error.code = static_cast<std::uint16_t>(ServiceError::kUnknownJob);
+  error.client_tag = 0xE1E2E3E4u;
+  error.text = "no live job 42";
+
+  DrainCompleteMsg drained;
+  drained.scenarios_finished = 0x0F0E0D0C0B0A0908ull;
+
+  return {sweep,  what_if, query,  cancel, ShutdownDrainMsg{},
+          QueryMetricsMsg{}, ack, result, failed, complete,
+          status, error,   drained, sample_metrics_msg()};
+}
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static const char* const kDigits = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+/// encode_frame(golden_messages()[i]), length prefix included.
+const char* const kGoldenFrames[] = {
+    // kSubmitSweep
+    "8f0000000201d4c3b2a10302020000000d000000676f6c64656e20342d746965"
+    "720403010106100e000008070605040302011800280001030002000000000000"
+    "0000c03f00000000004a9340df413adc11c5293e070000000000000004030000"
+    "06100e0000080706050403020118002800000300020001000000000000c03f00"
+    "000000004a9340df413adc11c5293e07000000",
+    // kWhatIf
+    "4e0000000202443322110d000000676f6c64656e20342d746965720403010106"
+    "100e0000080706050403020118002800010300020000000000000000c03f0000"
+    "0000004a9340df413adc11c5293e07000000",
+    // kQueryStatus
+    "0600000002030d0c0b0a",
+    // kCancel
+    "06000000020434333231",
+    // kShutdownDrain
+    "020000000205",
+    // kQueryMetrics
+    "020000000206",
+    // kSubmitAck
+    "0f000000024054535251646362610174737271",
+    // kScenarioResult, ok
+    "77000000024184838281949392910100000000008066400000000000000f4000"
+    "0000000092764000000000004a93400000000000f85040000000000000594000"
+    "00000000800840000000000040e73ff7ffffffffffffff040000000000000000"
+    "00f83f00000000000000000000000000000240000000000000c03f",
+    // kScenarioResult, failed
+    "2a00000002418483828198979695001b0000007469657220636f756e74203320"
+    "6973206e6f74206120737461636b",
+    // kSweepComplete
+    "130000000242a4a3a2a1b4b3b2b1c4c3c2c1d4d3d2d101",
+    // kStatus
+    "5b00000002430100000002000000030000000000000304000000000000000500"
+    "000000000000060000000700000001080000000000000809000000000000000a"
+    "000000000000000b000000000000000c000000000000000d00000000000000",
+    // kError
+    "1a00000002444200e4e3e2e10e0000006e6f206c697665206a6f62203432",
+    // kDrainComplete
+    "0a000000024508090a0b0c0d0e0f",
+    // kMetrics
+    "ce0000000246030000001000000062616e6b2f7374656164795f6869747300cb"
+    "04fb711f01000000000000000000000000000000000000000000000000000000"
+    "00000013000000736572766963652f71756575655f6465707468010000000000"
+    "000000000000000000084000000000000000000000000000000000000000000f"
+    "000000736572766963652f747466725f6d73022a000000000000000000000000"
+    "4a9340000000000000e03f0000000000486f4003000000030a00000000000000"
+    "391e000000000000007f0200000000000000",
+};
+
+TEST(ServiceProtocol, GoldenFramesAreByteExact) {
+  // Every frame the protocol can carry, pinned byte for byte: a codec
+  // change that moves, widens or reorders one field fails here.
+  const std::vector<Message> messages = golden_messages();
+  ASSERT_EQ(messages.size(), std::size(kGoldenFrames));
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const std::vector<std::uint8_t> frame = encode_frame(messages[i]);
+    EXPECT_EQ(hex(frame), kGoldenFrames[i]) << "golden message " << i;
+    const Decoded d = decode({frame.begin() + 4, frame.end()});
+    ASSERT_TRUE(d.ok()) << "golden message " << i << ": " << d.detail;
+    EXPECT_EQ(encode_frame(d.msg), frame) << "golden message " << i;
+  }
+}
+
+TEST(ServiceProtocol, DecodeOutcomesMatchTheirDigest) {
+  // Pins what decode makes of a fixed corpus: every prefix of each
+  // golden payload, each golden payload with any one byte set to 0x00,
+  // 0x02 or 0xFF, and the fuzz payloads. Per input the digest folds the
+  // DecodeError, Decoded::client_tag and, on success, the re-encoded
+  // frame, so a change in error precedence, in which requests name
+  // their tag or in what a mutated payload decodes to fails here.
+  std::vector<std::vector<std::uint8_t>> corpus;
+  for (const Message& msg : golden_messages()) {
+    const std::vector<std::uint8_t> payload = payload_of(msg);
+    for (std::size_t cut = 0; cut <= payload.size(); ++cut) {
+      corpus.emplace_back(payload.begin(), payload.begin() + cut);
+    }
+    for (std::size_t at = 0; at < payload.size(); ++at) {
+      for (const std::uint8_t value : {0x00, 0x02, 0xFF}) {
+        corpus.push_back(payload);
+        corpus.back()[at] = value;
+      }
+    }
+  }
+  for (std::vector<std::uint8_t>& payload : fuzz_payloads()) {
+    corpus.push_back(std::move(payload));
+  }
+
+  std::uint64_t h = kFnvOffsetBasis;
+  std::size_t decoded_ok = 0;
+  for (const std::vector<std::uint8_t>& payload : corpus) {
+    const Decoded d = decode(payload);
+    const auto error = static_cast<std::uint16_t>(d.error);
+    h = fnv1a_bytes(h, &error, sizeof(error));
+    h = fnv1a_bytes(h, &d.client_tag, sizeof(d.client_tag));
+    if (!d.ok()) continue;
+    ++decoded_ok;
+    const std::vector<std::uint8_t> frame = encode_frame(d.msg);
+    h = fnv1a_bytes(h, frame.data(), frame.size());
+  }
+  EXPECT_EQ(corpus.size(), 5074u);
+  EXPECT_EQ(decoded_ok, 1978u);
+  EXPECT_EQ(h, 0x273f89cb1afd1d7full);
 }
 
 }  // namespace
