@@ -65,7 +65,7 @@ int serve(int port, int budget) {
   });
 
   server.wait();
-  const ServiceStatus st = server.service().status();
+  const protocol::StatusMsg st = server.service().status();
   std::cout << "tac3d_serve: drained; " << st.scenarios_completed
             << " scenarios completed, " << st.scenarios_failed << " failed, "
             << st.scenarios_cancelled << " cancelled" << std::endl;
@@ -115,12 +115,12 @@ int status(const std::string& host, int port) {
             << st.scenarios_cancelled << " cancelled; cores: "
             << st.cores_in_use << "/" << st.core_budget
             << (st.draining ? " (draining)" : "") << "\n"
-            << "bank: trace " << st.bank_trace_hits << "/"
-            << st.bank_trace_hits + st.bank_trace_misses << ", model "
-            << st.bank_model_hits << "/"
-            << st.bank_model_hits + st.bank_model_misses << ", steady "
-            << st.bank_steady_hits << "/"
-            << st.bank_steady_hits + st.bank_steady_misses << " hits"
+            << "bank: trace " << st.bank.trace_hits << "/"
+            << st.bank.trace_hits + st.bank.trace_misses << ", model "
+            << st.bank.model_hits << "/"
+            << st.bank.model_hits + st.bank.model_misses << ", steady "
+            << st.bank.steady_hits << "/"
+            << st.bank.steady_hits + st.bank.steady_misses << " hits"
             << std::endl;
 
   // Live registry snapshot over the same connection: queue depth and

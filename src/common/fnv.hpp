@@ -2,12 +2,13 @@
 /// \file fnv.hpp
 /// \brief FNV-1a folding over raw value bits.
 ///
-/// Used by the limit-cycle replay machinery (sim/replay.hpp) to
-/// fingerprint auxiliary closed-loop state: every fold consumes the
-/// exact bit pattern of its input (doubles via their IEEE-754 bits), so
-/// two states fold equal only when the folded values are bitwise
-/// identical — the same equality notion the replay parity guarantee is
-/// stated in.
+/// The one FNV-1a of the library. Every fold consumes the exact bit
+/// pattern of its input (doubles via their IEEE-754 bits, in memory
+/// order), so two inputs fold equal only when the folded values are
+/// bitwise identical. Users: the limit-cycle replay machinery
+/// (sim/replay.hpp) fingerprints auxiliary closed-loop state, the bank
+/// keys attached traces by content (sim/prepared.cpp), and the banded
+/// solver pre-filters its factor-slot keys (sparse/solver.cpp).
 
 #include <cstdint>
 #include <cstring>

@@ -2,7 +2,8 @@
 
 #include <bit>
 #include <cmath>
-#include <cstring>
+#include <type_traits>
+#include <utility>
 
 namespace tac3d::service::protocol {
 
@@ -10,43 +11,64 @@ namespace {
 
 // --- little-endian writer -------------------------------------------------
 
+/// Appends fields to a frame. Ranges and checks are the Reader's
+/// business: encoding trusts our own messages.
 class Writer {
  public:
   explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  template <class T, class... Range>
+  void u8(const T& v, Range...) { put<std::uint8_t>(v); }
+  template <class T, class... Range>
+  void u16(const T& v, Range...) { put<std::uint16_t>(v); }
+  template <class T, class... Range>
+  void u32(const T& v, Range...) { put<std::uint32_t>(v); }
+  template <class T>
+  void u64(const T& v) { put<std::uint64_t>(v); }
+  void f64(double v) { put<std::uint64_t>(std::bit_cast<std::uint64_t>(v)); }
   void str(const std::string& s) {
-    // Encoding is trusted (our own messages); decoding enforces the cap.
-    u32(static_cast<std::uint32_t>(s.size()));
+    u32(s.size());
     out_.insert(out_.end(), s.begin(), s.end());
   }
+  /// A presence flag, then the value (0 when absent).
+  template <class T>
+  void optional_u8(const std::optional<T>& v, T, T) {
+    u8(v.has_value());
+    u8(v.value_or(T{}));
+  }
+  /// A u32 count, then \p item on each element.
+  template <class T, class Item>
+  void list(const std::vector<T>& v, std::uint32_t, Item item) {
+    u32(v.size());
+    for (const T& e : v) item(e);
+  }
+  template <class... Valid>
+  void check(Valid...) {}
 
  private:
+  template <class Wire, class T>
+  void put(const T& v) {
+    const auto w = static_cast<Wire>(v);
+    for (std::size_t i = 0; i < sizeof(Wire); ++i) {
+      out_.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
+    }
+  }
+
   std::vector<std::uint8_t>& out_;
 };
 
 // --- bounds-checked little-endian reader ----------------------------------
 
-/// Every read checks the remaining byte count and latches kTruncated on
-/// underflow; subsequent reads return zeros. Callers check ok() (or the
-/// latched error) once at the end instead of after every field — no read
-/// ever touches memory past the payload.
+/// Reads fields into a message. Every read checks the remaining byte
+/// count and latches kTruncated on underflow; later reads leave their
+/// field untouched. Callers check ok() (or the latched error) once at
+/// the end instead of after every field — no read ever touches memory
+/// past the payload.
+///
+/// A field read with a [lo, hi] range is stored only when inside it.
+/// One outside is reported as kBadValue by the record's next check(),
+/// after the record's fixed fields are in, so a short payload is
+/// kTruncated even when a field before the cut was out of range.
 class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
@@ -55,71 +77,88 @@ class Reader {
   DecodeError error() const { return error_; }
   std::size_t remaining() const { return data_.size() - pos_; }
 
-  void fail(DecodeError e) {
-    if (error_ == DecodeError::kOk) error_ = e;
+  template <class T, class... Range>
+  void u8(T& v, Range... range) { get<std::uint8_t>(v, range...); }
+  template <class T, class... Range>
+  void u16(T& v, Range... range) { get<std::uint16_t>(v, range...); }
+  template <class T, class... Range>
+  void u32(T& v, Range... range) { get<std::uint32_t>(v, range...); }
+  template <class T>
+  void u64(T& v) { get<std::uint64_t>(v); }
+  void f64(double& v) {
+    std::uint64_t bits = 0;
+    get<std::uint64_t>(bits);
+    if (ok()) v = std::bit_cast<double>(bits);
   }
 
-  std::uint8_t u8() {
-    if (!take(1)) return 0;
-    return data_[pos_++];
-  }
-  std::uint16_t u16() {
-    if (!take(2)) return 0;
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) {
-      v = static_cast<std::uint16_t>(v | (static_cast<std::uint16_t>(
-                                             data_[pos_ + static_cast<std::size_t>(i)])
-                                         << (8 * i)));
-    }
-    pos_ += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!ok()) return {};
+  void str(std::string& s) {
+    std::uint32_t n = 0;
+    get<std::uint32_t>(n);
+    if (!ok()) return;
     if (n > kMaxStringBytes) {
       fail(DecodeError::kBadValue);
-      return {};
+      return;
     }
-    if (!take(n)) return {};
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
+    if (!take(n)) return;
+    s.assign(reinterpret_cast<const char*>(data_.data() + pos_), n);
     pos_ += n;
-    return s;
   }
 
-  /// A bounded count prefix (vector lengths). Rejects values above
-  /// \p max with kBadValue so a hostile count cannot drive a huge
-  /// reserve or a quadratic loop.
-  std::uint32_t count(std::uint32_t max) {
-    const std::uint32_t n = u32();
+  template <class T>
+  void optional_u8(std::optional<T>& v, T lo, T hi) {
+    std::uint8_t present = 0;
+    T value{};
+    u8(present, 0, 1);
+    u8(value, lo, hi);
+    if (present) v = value;
+  }
+
+  /// A count above \p max fails as kBadValue at once, so a hostile
+  /// count cannot drive a huge reserve or a quadratic loop.
+  template <class T, class Item>
+  void list(std::vector<T>& v, std::uint32_t max, Item item) {
+    std::uint32_t n = 0;
+    get<std::uint32_t>(n);
     if (ok() && n > max) fail(DecodeError::kBadValue);
-    return ok() ? n : 0;
+    for (std::uint32_t i = 0; i < n && ok(); ++i) item(v.emplace_back());
+  }
+
+  /// Closes the ranged fields read so far: kBadValue when one was out
+  /// of range or \p valid() is false, unless the payload already failed.
+  template <class Valid>
+  void check(Valid valid) {
+    if (ok() && (out_of_range_ || !valid())) fail(DecodeError::kBadValue);
+    out_of_range_ = false;
+  }
+  void check() {
+    check([] { return true; });
   }
 
  private:
+  template <class Wire, class T>
+  void get(T& v) {
+    if (!take(sizeof(Wire))) return;
+    v = static_cast<T>(load<Wire>());
+  }
+  template <class Wire, class T>
+  void get(T& v, std::type_identity_t<T> lo, std::type_identity_t<T> hi) {
+    if (!take(sizeof(Wire))) return;
+    const T t = static_cast<T>(load<Wire>());
+    if (t < lo || hi < t) {
+      out_of_range_ = true;
+    } else {
+      v = t;
+    }
+  }
+  template <class Wire>
+  Wire load() {
+    Wire w = 0;
+    for (std::size_t i = 0; i < sizeof(Wire); ++i) {
+      w = static_cast<Wire>(w | static_cast<Wire>(data_[pos_ + i]) << (8 * i));
+    }
+    pos_ += sizeof(Wire);
+    return w;
+  }
   bool take(std::size_t n) {
     if (!ok()) return false;
     if (remaining() < n) {
@@ -128,165 +167,200 @@ class Reader {
     }
     return true;
   }
+  void fail(DecodeError e) {
+    if (error_ == DecodeError::kOk) error_ = e;
+  }
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
   DecodeError error_ = DecodeError::kOk;
+  bool out_of_range_ = false;
 };
 
-// --- scenario / metrics codecs --------------------------------------------
+// --- one field list per message -------------------------------------------
 
-void encode_scenario(Writer& w, const sim::Scenario& s) {
-  w.str(s.label);
-  w.u8(static_cast<std::uint8_t>(s.tiers));
-  w.u8(static_cast<std::uint8_t>(s.policy));
-  w.u8(s.cooling.has_value() ? 1 : 0);
-  w.u8(s.cooling ? static_cast<std::uint8_t>(*s.cooling) : 0);
-  w.u8(static_cast<std::uint8_t>(s.workload));
-  w.u32(static_cast<std::uint32_t>(s.trace_seconds));
-  w.u64(s.seed);
-  w.u16(static_cast<std::uint16_t>(s.grid.rows));
-  w.u16(static_cast<std::uint16_t>(s.grid.cols));
-  w.u8(s.grid.discrete_channels ? 1 : 0);
-  w.u16(static_cast<std::uint16_t>(s.grid.x_refine));
-  w.u16(static_cast<std::uint16_t>(s.grid.z_refine));
-  w.u8(static_cast<std::uint8_t>(s.sim.solver));
-  w.f64(s.sim.control_dt);
-  w.f64(s.sim.duration);
-  w.f64(s.sim.solver_tolerance);
-  w.u32(static_cast<std::uint32_t>(s.sim.init_iterations));
+/// \p T as fields() sees it: read-only to the Writer, filled by the
+/// Reader.
+template <class IO, class T>
+using Field = std::conditional_t<std::is_same_v<IO, Writer>, const T, T>;
+
+template <class IO>
+void fields(IO& io, Field<IO, sim::Scenario>& s) {
+  io.str(s.label);
+  io.u8(s.tiers);
+  io.u8(s.policy, sim::PolicyKind::kAcLb, sim::PolicyKind::kLcFuzzy);
+  io.optional_u8(s.cooling, arch::CoolingKind::kAirCooled,
+                 arch::CoolingKind::kLiquidCooled);
+  io.u8(s.workload, power::WorkloadKind::kWebServer,
+        power::WorkloadKind::kPeriodic);
+  io.u32(s.trace_seconds, 1, kMaxTraceSeconds);
+  io.u64(s.seed);
+  io.u16(s.grid.rows, kMinGridCells, kMaxGridCells);
+  io.u16(s.grid.cols, kMinGridCells, kMaxGridCells);
+  io.u8(s.grid.discrete_channels);
+  io.u16(s.grid.x_refine, 1, kMaxGridRefine);
+  io.u16(s.grid.z_refine, 1, kMaxGridRefine);
+  io.u8(s.sim.solver, sparse::SolverKind::kBandedLu,
+        sparse::SolverKind::kBicgstabIlu0);
+  io.f64(s.sim.control_dt);
+  io.f64(s.sim.duration);
+  io.f64(s.sim.solver_tolerance);
+  io.u32(s.sim.init_iterations, 1, kMaxInitIterations);
+  // The timing limits documented in protocol.hpp; control_steps() runs
+  // only on a scenario whose other fields passed.
+  io.check([&] {
+    return std::isfinite(s.sim.control_dt) && s.sim.control_dt > 0.0 &&
+           std::isfinite(s.sim.duration) && s.sim.duration >= 0.0 &&
+           s.sim.solver_tolerance > 0.0 && s.sim.solver_tolerance < 1.0 &&
+           sim::control_steps(s.sim, s.trace_seconds) <= kMaxControlSteps;
+  });
 }
 
-sim::Scenario decode_scenario(Reader& r) {
-  sim::Scenario s;
-  s.label = r.str();
-  s.tiers = r.u8();
-  const std::uint8_t policy = r.u8();
-  const std::uint8_t has_cooling = r.u8();
-  const std::uint8_t cooling = r.u8();
-  const std::uint8_t workload = r.u8();
-  const std::uint32_t trace_seconds = r.u32();
-  s.seed = r.u64();
-  const std::uint16_t rows = r.u16();
-  const std::uint16_t cols = r.u16();
-  s.grid.discrete_channels = r.u8() != 0;
-  const std::uint16_t x_refine = r.u16();
-  const std::uint16_t z_refine = r.u16();
-  const std::uint8_t solver = r.u8();
-  s.sim.control_dt = r.f64();
-  s.sim.duration = r.f64();
-  s.sim.solver_tolerance = r.f64();
-  const std::uint32_t init_iterations = r.u32();
-  if (!r.ok()) return s;
-  // Range-validate every enum before the cast becomes a live value, and
-  // every size field against its documented limit.
-  const auto within = [](std::uint32_t v, int lo, int hi) {
-    return v >= static_cast<std::uint32_t>(lo) &&
-           v <= static_cast<std::uint32_t>(hi);
-  };
-  if (policy > static_cast<std::uint8_t>(sim::PolicyKind::kLcFuzzy) ||
-      has_cooling > 1 ||
-      cooling > static_cast<std::uint8_t>(arch::CoolingKind::kLiquidCooled) ||
-      workload > static_cast<std::uint8_t>(power::WorkloadKind::kPeriodic) ||
-      solver > static_cast<std::uint8_t>(sparse::SolverKind::kBicgstabIlu0) ||
-      !within(rows, kMinGridCells, kMaxGridCells) ||
-      !within(cols, kMinGridCells, kMaxGridCells) ||
-      !within(x_refine, 1, kMaxGridRefine) ||
-      !within(z_refine, 1, kMaxGridRefine) ||
-      !within(trace_seconds, 1, kMaxTraceSeconds) ||
-      !within(init_iterations, 1, kMaxInitIterations) ||
-      !(std::isfinite(s.sim.control_dt) && s.sim.control_dt > 0.0) ||
-      !(std::isfinite(s.sim.duration) && s.sim.duration >= 0.0) ||
-      !(s.sim.solver_tolerance > 0.0 && s.sim.solver_tolerance < 1.0) ||
-      !(sim::control_steps(s.sim, static_cast<int>(trace_seconds)) <=
-        kMaxControlSteps)) {
-    r.fail(DecodeError::kBadValue);
-    return s;
-  }
-  s.trace_seconds = static_cast<int>(trace_seconds);
-  s.grid.rows = rows;
-  s.grid.cols = cols;
-  s.grid.x_refine = x_refine;
-  s.grid.z_refine = z_refine;
-  s.sim.init_iterations = static_cast<int>(init_iterations);
-  s.policy = static_cast<sim::PolicyKind>(policy);
-  if (has_cooling) s.cooling = static_cast<arch::CoolingKind>(cooling);
-  s.workload = static_cast<power::WorkloadKind>(workload);
-  s.sim.solver = static_cast<sparse::SolverKind>(solver);
-  return s;
-}
-
-void encode_metrics(Writer& w, const sim::SimMetrics& m) {
-  w.f64(m.duration);
-  w.f64(m.any_hot_time);
-  w.f64(m.peak_temp);
-  w.f64(m.chip_energy);
-  w.f64(m.pump_energy);
-  w.f64(m.offered_work);
-  w.f64(m.lost_work);
-  w.f64(m.avg_flow_fraction);
-  w.i64(m.migrations);
-  w.u32(static_cast<std::uint32_t>(m.core_hot_time.size()));
-  for (const double t : m.core_hot_time) w.f64(t);
-}
-
-sim::SimMetrics decode_metrics(Reader& r) {
-  sim::SimMetrics m;
-  m.duration = r.f64();
-  m.any_hot_time = r.f64();
-  m.peak_temp = r.f64();
-  m.chip_energy = r.f64();
-  m.pump_energy = r.f64();
-  m.offered_work = r.f64();
-  m.lost_work = r.f64();
-  m.avg_flow_fraction = r.f64();
-  m.migrations = r.i64();
+template <class IO>
+void fields(IO& io, Field<IO, sim::SimMetrics>& m) {
+  io.f64(m.duration);
+  io.f64(m.any_hot_time);
+  io.f64(m.peak_temp);
+  io.f64(m.chip_energy);
+  io.f64(m.pump_energy);
+  io.f64(m.offered_work);
+  io.f64(m.lost_work);
+  io.f64(m.avg_flow_fraction);
+  io.u64(m.migrations);
   // 1024 cores is far beyond any modeled chip; the cap bounds the
-  // allocation a hostile count could demand.
-  const std::uint32_t n = r.count(1024);
-  // A truthful count still cannot outrun the payload: each entry is 8
-  // bytes, so an overlong count fails as kTruncated on the first read.
-  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    m.core_hot_time.push_back(r.f64());
-  }
-  return m;
+  // allocation a hostile count could demand. A truthful count still
+  // cannot outrun the payload: an overlong one fails as kTruncated.
+  io.list(m.core_hot_time, 1024, [&](auto& t) { io.f64(t); });
 }
 
-void encode_metric_entry(Writer& w, const MetricEntryMsg& e) {
-  w.str(e.name);
-  w.u8(e.kind);
-  w.u64(e.count);
-  w.f64(e.value);
-  w.f64(e.min);
-  w.f64(e.max);
-  w.u32(static_cast<std::uint32_t>(e.buckets.size()));
-  for (const auto& [idx, c] : e.buckets) {
-    w.u8(idx);
-    w.u64(c);
-  }
-}
-
-MetricEntryMsg decode_metric_entry(Reader& r) {
-  MetricEntryMsg e;
-  e.name = r.str();
-  e.kind = r.u8();
-  e.count = r.u64();
-  e.value = r.f64();
-  e.min = r.f64();
-  e.max = r.f64();
-  if (r.ok() && e.kind > MetricEntryMsg::kHistogram) {
-    r.fail(DecodeError::kBadValue);
-    return e;
-  }
+template <class IO>
+void fields(IO& io, Field<IO, MetricEntryMsg>& e) {
+  io.str(e.name);
+  io.u8(e.kind, MetricEntryMsg::kCounter, MetricEntryMsg::kHistogram);
+  io.u64(e.count);
+  io.f64(e.value);
+  io.f64(e.min);
+  io.f64(e.max);
+  io.check();
   // Each bucket is 9 bytes, so a truthful count cannot outrun the
   // payload; the cap bounds what a hostile one may reserve.
-  const std::uint32_t n = r.count(kMaxMetricBuckets);
-  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    const std::uint8_t idx = r.u8();
-    const std::uint64_t c = r.u64();
-    e.buckets.emplace_back(idx, c);
+  io.list(e.buckets, kMaxMetricBuckets, [&](auto& b) {
+    io.u8(b.first);
+    io.u64(b.second);
+  });
+}
+
+template <class IO>
+void fields(IO& io, Field<IO, SubmitSweepMsg>& m) {
+  io.u32(m.client_tag);
+  io.u16(m.cores_requested);
+  io.list(m.scenarios, kMaxScenariosPerSubmit,
+          [&](auto& s) { fields(io, s); });
+}
+
+template <class IO>
+void fields(IO& io, Field<IO, WhatIfMsg>& m) {
+  io.u32(m.client_tag);
+  fields(io, m.scenario);
+}
+
+template <class IO>
+void fields(IO& io, Field<IO, QueryStatusMsg>& m) {
+  io.u32(m.job_id);
+}
+
+template <class IO>
+void fields(IO& io, Field<IO, CancelMsg>& m) {
+  io.u32(m.job_id);
+}
+
+template <class IO>
+void fields(IO&, Field<IO, ShutdownDrainMsg>&) {}
+
+template <class IO>
+void fields(IO&, Field<IO, QueryMetricsMsg>&) {}
+
+template <class IO>
+void fields(IO& io, Field<IO, SubmitAckMsg>& m) {
+  io.u32(m.client_tag);
+  io.u32(m.job_id);
+  io.u8(m.admitted, 0, 1);
+  io.u32(m.queue_position);
+  io.check();
+}
+
+template <class IO>
+void fields(IO& io, Field<IO, ScenarioResultMsg>& m) {
+  io.u32(m.job_id);
+  io.u32(m.index);
+  io.u8(m.ok, 0, 1);
+  io.check();  // the rest of the body depends on ok
+  if (m.ok) {
+    fields(io, m.metrics);
+  } else {
+    io.str(m.error);
   }
-  return e;
+}
+
+template <class IO>
+void fields(IO& io, Field<IO, SweepCompleteMsg>& m) {
+  io.u32(m.job_id);
+  io.u32(m.completed);
+  io.u32(m.failed);
+  io.u32(m.cancelled);
+  io.u8(m.was_cancelled, 0, 1);
+  io.check();
+}
+
+template <class IO>
+void fields(IO& io, Field<IO, StatusMsg>& m) {
+  io.u32(m.active_jobs);
+  io.u32(m.queued_jobs);
+  io.u64(m.scenarios_completed);
+  io.u64(m.scenarios_failed);
+  io.u64(m.scenarios_cancelled);
+  io.u32(m.core_budget);
+  io.u32(m.cores_in_use);
+  io.u8(m.draining, 0, 1);
+  io.u64(m.bank.trace_hits);
+  io.u64(m.bank.trace_misses);
+  io.u64(m.bank.model_hits);
+  io.u64(m.bank.model_misses);
+  io.u64(m.bank.steady_hits);
+  io.u64(m.bank.steady_misses);
+  io.check();
+}
+
+template <class IO>
+void fields(IO& io, Field<IO, ErrorMsg>& m) {
+  io.u16(m.code);
+  io.u32(m.client_tag);
+  io.str(m.text);
+}
+
+template <class IO>
+void fields(IO& io, Field<IO, DrainCompleteMsg>& m) {
+  io.u64(m.scenarios_finished);
+}
+
+template <class IO>
+void fields(IO& io, Field<IO, MetricsMsg>& m) {
+  io.list(m.entries, kMaxMetricEntries, [&](auto& e) { fields(io, e); });
+}
+
+/// Make \p msg the default alternative whose kType is \p tag; false when
+/// no message carries that tag.
+template <std::size_t I = 0>
+bool emplace_tagged(Message& msg, std::uint8_t tag) {
+  if constexpr (I < std::variant_size_v<Message>) {
+    using M = std::variant_alternative_t<I, Message>;
+    if (tag != static_cast<std::uint8_t>(M::kType)) {
+      return emplace_tagged<I + 1>(msg, tag);
+    }
+    msg.emplace<I>();
+    return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -304,109 +378,17 @@ const char* decode_error_name(DecodeError e) {
   return "invalid-error-code";
 }
 
-MsgType msg_type(const Message& msg) {
-  struct Visitor {
-    MsgType operator()(const SubmitSweepMsg&) { return MsgType::kSubmitSweep; }
-    MsgType operator()(const WhatIfMsg&) { return MsgType::kWhatIf; }
-    MsgType operator()(const QueryStatusMsg&) { return MsgType::kQueryStatus; }
-    MsgType operator()(const CancelMsg&) { return MsgType::kCancel; }
-    MsgType operator()(const ShutdownDrainMsg&) {
-      return MsgType::kShutdownDrain;
-    }
-    MsgType operator()(const SubmitAckMsg&) { return MsgType::kSubmitAck; }
-    MsgType operator()(const ScenarioResultMsg&) {
-      return MsgType::kScenarioResult;
-    }
-    MsgType operator()(const SweepCompleteMsg&) {
-      return MsgType::kSweepComplete;
-    }
-    MsgType operator()(const StatusMsg&) { return MsgType::kStatus; }
-    MsgType operator()(const ErrorMsg&) { return MsgType::kError; }
-    MsgType operator()(const DrainCompleteMsg&) {
-      return MsgType::kDrainComplete;
-    }
-    MsgType operator()(const QueryMetricsMsg&) {
-      return MsgType::kQueryMetrics;
-    }
-    MsgType operator()(const MetricsMsg&) { return MsgType::kMetrics; }
-  };
-  return std::visit(Visitor{}, msg);
-}
-
 std::vector<std::uint8_t> encode_frame(const Message& msg) {
   std::vector<std::uint8_t> out;
   Writer w(out);
-  w.u32(0);  // length placeholder
+  w.u32(0u);  // length placeholder
   w.u8(kProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(msg_type(msg)));
-
-  struct Visitor {
-    Writer& w;
-    void operator()(const SubmitSweepMsg& m) {
-      w.u32(m.client_tag);
-      w.u16(m.cores_requested);
-      w.u32(static_cast<std::uint32_t>(m.scenarios.size()));
-      for (const sim::Scenario& s : m.scenarios) encode_scenario(w, s);
-    }
-    void operator()(const WhatIfMsg& m) {
-      w.u32(m.client_tag);
-      encode_scenario(w, m.scenario);
-    }
-    void operator()(const QueryStatusMsg& m) { w.u32(m.job_id); }
-    void operator()(const CancelMsg& m) { w.u32(m.job_id); }
-    void operator()(const ShutdownDrainMsg&) {}
-    void operator()(const SubmitAckMsg& m) {
-      w.u32(m.client_tag);
-      w.u32(m.job_id);
-      w.u8(m.admitted);
-      w.u32(m.queue_position);
-    }
-    void operator()(const ScenarioResultMsg& m) {
-      w.u32(m.job_id);
-      w.u32(m.index);
-      w.u8(m.ok);
-      if (m.ok) {
-        encode_metrics(w, m.metrics);
-      } else {
-        w.str(m.error);
-      }
-    }
-    void operator()(const SweepCompleteMsg& m) {
-      w.u32(m.job_id);
-      w.u32(m.completed);
-      w.u32(m.failed);
-      w.u32(m.cancelled);
-      w.u8(m.was_cancelled);
-    }
-    void operator()(const StatusMsg& m) {
-      w.u32(m.active_jobs);
-      w.u32(m.queued_jobs);
-      w.u64(m.scenarios_completed);
-      w.u64(m.scenarios_failed);
-      w.u64(m.scenarios_cancelled);
-      w.u32(m.core_budget);
-      w.u32(m.cores_in_use);
-      w.u8(m.draining);
-      w.u64(m.bank_trace_hits);
-      w.u64(m.bank_trace_misses);
-      w.u64(m.bank_model_hits);
-      w.u64(m.bank_model_misses);
-      w.u64(m.bank_steady_hits);
-      w.u64(m.bank_steady_misses);
-    }
-    void operator()(const ErrorMsg& m) {
-      w.u16(m.code);
-      w.u32(m.client_tag);
-      w.str(m.text);
-    }
-    void operator()(const DrainCompleteMsg& m) { w.u64(m.scenarios_finished); }
-    void operator()(const QueryMetricsMsg&) {}
-    void operator()(const MetricsMsg& m) {
-      w.u32(static_cast<std::uint32_t>(m.entries.size()));
-      for (const MetricEntryMsg& e : m.entries) encode_metric_entry(w, e);
-    }
-  };
-  std::visit(Visitor{w}, msg);
+  std::visit(
+      [&](const auto& m) {
+        w.u8(m.kType);
+        fields(w, m);
+      },
+      msg);
 
   const std::uint32_t payload =
       static_cast<std::uint32_t>(out.size() - 4);
@@ -420,8 +402,10 @@ std::vector<std::uint8_t> encode_frame(const Message& msg) {
 Decoded decode_payload(std::span<const std::uint8_t> payload) {
   Decoded d;
   Reader r(payload);
-  const std::uint8_t version = r.u8();
-  const std::uint8_t tag = r.u8();
+  std::uint8_t version = 0;
+  std::uint8_t tag = 0;
+  r.u8(version);
+  r.u8(tag);
   if (!r.ok()) {
     d.error = DecodeError::kTruncated;
     d.detail = "payload shorter than the version/tag header";
@@ -433,128 +417,24 @@ Decoded decode_payload(std::span<const std::uint8_t> payload) {
                std::to_string(kProtocolVersion);
     return d;
   }
-
-  switch (static_cast<MsgType>(tag)) {
-    case MsgType::kSubmitSweep: {
-      SubmitSweepMsg m;
-      m.client_tag = d.client_tag = r.u32();
-      m.cores_requested = r.u16();
-      const std::uint32_t n = r.count(kMaxScenariosPerSubmit);
-      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        m.scenarios.push_back(decode_scenario(r));
-      }
-      d.msg = std::move(m);
-      break;
-    }
-    case MsgType::kWhatIf: {
-      WhatIfMsg m;
-      m.client_tag = d.client_tag = r.u32();
-      m.scenario = decode_scenario(r);
-      d.msg = std::move(m);
-      break;
-    }
-    case MsgType::kQueryStatus: {
-      QueryStatusMsg m;
-      m.job_id = r.u32();
-      d.msg = m;
-      break;
-    }
-    case MsgType::kCancel: {
-      CancelMsg m;
-      m.job_id = r.u32();
-      d.msg = m;
-      break;
-    }
-    case MsgType::kShutdownDrain:
-      d.msg = ShutdownDrainMsg{};
-      break;
-    case MsgType::kSubmitAck: {
-      SubmitAckMsg m;
-      m.client_tag = r.u32();
-      m.job_id = r.u32();
-      m.admitted = r.u8();
-      m.queue_position = r.u32();
-      if (r.ok() && m.admitted > 1) r.fail(DecodeError::kBadValue);
-      d.msg = m;
-      break;
-    }
-    case MsgType::kScenarioResult: {
-      ScenarioResultMsg m;
-      m.job_id = r.u32();
-      m.index = r.u32();
-      m.ok = r.u8();
-      if (r.ok() && m.ok > 1) {
-        r.fail(DecodeError::kBadValue);
-      } else if (m.ok) {
-        m.metrics = decode_metrics(r);
-      } else {
-        m.error = r.str();
-      }
-      d.msg = std::move(m);
-      break;
-    }
-    case MsgType::kSweepComplete: {
-      SweepCompleteMsg m;
-      m.job_id = r.u32();
-      m.completed = r.u32();
-      m.failed = r.u32();
-      m.cancelled = r.u32();
-      m.was_cancelled = r.u8();
-      if (r.ok() && m.was_cancelled > 1) r.fail(DecodeError::kBadValue);
-      d.msg = m;
-      break;
-    }
-    case MsgType::kStatus: {
-      StatusMsg m;
-      m.active_jobs = r.u32();
-      m.queued_jobs = r.u32();
-      m.scenarios_completed = r.u64();
-      m.scenarios_failed = r.u64();
-      m.scenarios_cancelled = r.u64();
-      m.core_budget = r.u32();
-      m.cores_in_use = r.u32();
-      m.draining = r.u8();
-      m.bank_trace_hits = r.u64();
-      m.bank_trace_misses = r.u64();
-      m.bank_model_hits = r.u64();
-      m.bank_model_misses = r.u64();
-      m.bank_steady_hits = r.u64();
-      m.bank_steady_misses = r.u64();
-      if (r.ok() && m.draining > 1) r.fail(DecodeError::kBadValue);
-      d.msg = m;
-      break;
-    }
-    case MsgType::kError: {
-      ErrorMsg m;
-      m.code = r.u16();
-      m.client_tag = r.u32();
-      m.text = r.str();
-      d.msg = std::move(m);
-      break;
-    }
-    case MsgType::kDrainComplete: {
-      DrainCompleteMsg m;
-      m.scenarios_finished = r.u64();
-      d.msg = m;
-      break;
-    }
-    case MsgType::kQueryMetrics:
-      d.msg = QueryMetricsMsg{};
-      break;
-    case MsgType::kMetrics: {
-      MetricsMsg m;
-      const std::uint32_t n = r.count(kMaxMetricEntries);
-      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        m.entries.push_back(decode_metric_entry(r));
-      }
-      d.msg = std::move(m);
-      break;
-    }
-    default:
-      d.error = DecodeError::kUnknownType;
-      d.detail = "unknown message tag " + std::to_string(tag);
-      return d;
+  if (!emplace_tagged(d.msg, tag)) {
+    d.error = DecodeError::kUnknownType;
+    d.detail = "unknown message tag " + std::to_string(tag);
+    return d;
   }
+
+  std::visit(
+      [&](auto& m) {
+        fields(r, m);
+        // The tag leads the body, so a rejection can still name the
+        // request it answers.
+        using M = std::remove_cvref_t<decltype(m)>;
+        if constexpr (M::kType == MsgType::kSubmitSweep ||
+                      M::kType == MsgType::kWhatIf) {
+          d.client_tag = m.client_tag;
+        }
+      },
+      d.msg);
 
   if (!r.ok()) {
     d.error = r.error();

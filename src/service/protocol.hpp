@@ -14,12 +14,18 @@
 /// integers are little-endian regardless of host order; doubles travel
 /// as their IEEE-754 bit pattern.
 ///
+/// Each message struct names its tag once (kType), and protocol.cpp
+/// lists its wire fields once, in one fields() function that both
+/// encode_frame and decode_payload run: the encoder and the decoder
+/// cannot drift apart field by field.
+///
 /// Decoding is defensive by contract: every read is bounds-checked, enum
 /// fields and scenario sizes are range-validated, strings carry explicit
 /// lengths, and a payload must be consumed exactly — any violation
 /// yields a typed DecodeError (never UB, never an exception), which
 /// tests/test_service_protocol.cpp exercises adversarially under
-/// ASan/UBSan.
+/// ASan/UBSan; its golden frames and decode-outcome digest pin the
+/// format to committed values.
 ///
 /// Scenarios are self-describing on the wire: the swept axes (stack,
 /// policy, workload, trace synthesis, grid, solver, timing) cross, while
@@ -33,6 +39,7 @@
 #include <variant>
 #include <vector>
 
+#include "sim/bank.hpp"
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 
@@ -119,29 +126,39 @@ enum class ServiceError : std::uint16_t {
 const char* decode_error_name(DecodeError e);
 
 // --- message bodies -------------------------------------------------------
+//
+// Flags travel as one byte and decode rejects any value above 1, so they
+// stay std::uint8_t: a bool could not tell 2 from 1.
 
 struct SubmitSweepMsg {
+  static constexpr MsgType kType = MsgType::kSubmitSweep;
   std::uint32_t client_tag = 0;  ///< echoed in the ack (client correlation)
   std::uint16_t cores_requested = 1;  ///< admission weight against the budget
   std::vector<sim::Scenario> scenarios;
 };
 
 struct WhatIfMsg {
+  static constexpr MsgType kType = MsgType::kWhatIf;
   std::uint32_t client_tag = 0;
   sim::Scenario scenario;
 };
 
 struct QueryStatusMsg {
+  static constexpr MsgType kType = MsgType::kQueryStatus;
   std::uint32_t job_id = 0;  ///< reserved; 0 = server-wide status
 };
 
 struct CancelMsg {
+  static constexpr MsgType kType = MsgType::kCancel;
   std::uint32_t job_id = 0;
 };
 
-struct ShutdownDrainMsg {};
+struct ShutdownDrainMsg {
+  static constexpr MsgType kType = MsgType::kShutdownDrain;
+};
 
 struct SubmitAckMsg {
+  static constexpr MsgType kType = MsgType::kSubmitAck;
   std::uint32_t client_tag = 0;
   std::uint32_t job_id = 0;
   std::uint8_t admitted = 0;        ///< 1 = running, 0 = queued
@@ -149,6 +166,7 @@ struct SubmitAckMsg {
 };
 
 struct ScenarioResultMsg {
+  static constexpr MsgType kType = MsgType::kScenarioResult;
   std::uint32_t job_id = 0;
   std::uint32_t index = 0;  ///< position in the submitted scenario list
   std::uint8_t ok = 0;
@@ -157,6 +175,7 @@ struct ScenarioResultMsg {
 };
 
 struct SweepCompleteMsg {
+  static constexpr MsgType kType = MsgType::kSweepComplete;
   std::uint32_t job_id = 0;
   std::uint32_t completed = 0;
   std::uint32_t failed = 0;
@@ -165,6 +184,7 @@ struct SweepCompleteMsg {
 };
 
 struct StatusMsg {
+  static constexpr MsgType kType = MsgType::kStatus;
   std::uint32_t active_jobs = 0;
   std::uint32_t queued_jobs = 0;
   std::uint64_t scenarios_completed = 0;
@@ -173,13 +193,11 @@ struct StatusMsg {
   std::uint32_t core_budget = 0;
   std::uint32_t cores_in_use = 0;
   std::uint8_t draining = 0;
-  // Shared-bank tier counters (see sim::BankCounters).
-  std::uint64_t bank_trace_hits = 0, bank_trace_misses = 0;
-  std::uint64_t bank_model_hits = 0, bank_model_misses = 0;
-  std::uint64_t bank_steady_hits = 0, bank_steady_misses = 0;
+  sim::BankCounters bank;  ///< the shared bank's tier counters
 };
 
 struct ErrorMsg {
+  static constexpr MsgType kType = MsgType::kError;
   std::uint16_t code = 0;  ///< DecodeError or ServiceError value
   /// The request's client_tag, also when its body failed to decode; 0
   /// when the tag itself could not be read.
@@ -188,10 +206,13 @@ struct ErrorMsg {
 };
 
 struct DrainCompleteMsg {
+  static constexpr MsgType kType = MsgType::kDrainComplete;
   std::uint64_t scenarios_finished = 0;  ///< completed over the server's life
 };
 
-struct QueryMetricsMsg {};
+struct QueryMetricsMsg {
+  static constexpr MsgType kType = MsgType::kQueryMetrics;
+};
 
 /// One metric of a registry snapshot on the wire.
 struct MetricEntryMsg {
@@ -213,6 +234,7 @@ inline constexpr std::uint32_t kMaxMetricEntries = 1024;
 inline constexpr std::uint32_t kMaxMetricBuckets = 128;
 
 struct MetricsMsg {
+  static constexpr MsgType kType = MsgType::kMetrics;
   std::vector<MetricEntryMsg> entries;
 };
 
@@ -222,7 +244,9 @@ using Message =
                  ScenarioResultMsg, SweepCompleteMsg, StatusMsg, ErrorMsg,
                  DrainCompleteMsg, MetricsMsg>;
 
-MsgType msg_type(const Message& msg);
+inline MsgType msg_type(const Message& msg) {
+  return std::visit([](const auto& m) { return m.kType; }, msg);
+}
 
 // --- encode ---------------------------------------------------------------
 

@@ -52,6 +52,13 @@ bool send_all(int fd, const std::uint8_t* data, std::size_t n) {
   return true;
 }
 
+/// A typed rejection; \p code is a DecodeError or a ServiceError.
+template <class Code>
+proto::ErrorMsg error_msg(Code code, std::uint32_t client_tag,
+                          std::string text) {
+  return {static_cast<std::uint16_t>(code), client_tag, std::move(text)};
+}
+
 }  // namespace
 
 ServiceServer::ServiceServer(ServerOptions opts) : opts_(std::move(opts)) {}
@@ -164,17 +171,16 @@ void ServiceServer::connection_loop(const std::shared_ptr<Connection>& conn) {
       if (split.status == proto::FrameSplit::Status::kNeedMore) break;
 
       if (split.status == proto::FrameSplit::Status::kMalformed) {
-        proto::ErrorMsg err;
-        err.code = static_cast<std::uint16_t>(proto::DecodeError::kMalformed);
-        err.text = "zero-length frame";
-        send_frame(*conn, err);
+        send_frame(*conn, error_msg(proto::DecodeError::kMalformed, 0,
+                                    "zero-length frame"));
       } else if (split.status == proto::FrameSplit::Status::kOversized) {
-        proto::ErrorMsg err;
-        err.code = static_cast<std::uint16_t>(proto::DecodeError::kOversized);
-        err.text = "frame payload of " + std::to_string(split.declared_size) +
-                   " bytes exceeds the " +
-                   std::to_string(proto::kMaxFramePayload) + "-byte limit";
-        send_frame(*conn, err);
+        send_frame(*conn,
+                   error_msg(proto::DecodeError::kOversized, 0,
+                             "frame payload of " +
+                                 std::to_string(split.declared_size) +
+                                 " bytes exceeds the " +
+                                 std::to_string(proto::kMaxFramePayload) +
+                                 "-byte limit"));
         // Stay frame-aligned: drop the declared payload — the buffered
         // part now, the rest as it arrives — then keep serving.
         std::uint64_t pending = split.declared_size;
@@ -193,11 +199,8 @@ void ServiceServer::connection_loop(const std::shared_ptr<Connection>& conn) {
             std::span<const std::uint8_t>(buffer).subspan(
                 split.payload_offset, split.payload_size));
         if (!decoded.ok()) {
-          proto::ErrorMsg err;
-          err.code = static_cast<std::uint16_t>(decoded.error);
-          err.client_tag = decoded.client_tag;
-          err.text = decoded.detail;
-          send_frame(*conn, err);
+          send_frame(*conn, error_msg(decoded.error, decoded.client_tag,
+                                      decoded.detail));
         } else {
           handle_message(conn, decoded.msg);
         }
@@ -222,11 +225,8 @@ void ServiceServer::handle_message(const std::shared_ptr<Connection>& conn,
   auto submit = [&](std::uint32_t client_tag,
                     std::vector<sim::Scenario> scenarios, int cores) {
     if (scenarios.empty()) {
-      proto::ErrorMsg err;
-      err.code = static_cast<std::uint16_t>(proto::ServiceError::kBadRequest);
-      err.client_tag = client_tag;
-      err.text = "submit with zero scenarios";
-      send_frame(*conn, err);
+      send_frame(*conn, error_msg(proto::ServiceError::kBadRequest, client_tag,
+                                  "submit with zero scenarios"));
       return;
     }
     // Hold the write lock across submit + ack so a worker finishing the
@@ -234,46 +234,22 @@ void ServiceServer::handle_message(const std::shared_ptr<Connection>& conn,
     // callback captures the Connection by shared_ptr: it stays valid
     // until the job's last event, even after the connection was reaped.
     std::unique_lock<std::mutex> wl(conn->write_mu);
-    const auto ticket = service_->submit(
-        std::move(scenarios), cores, [this, conn](const JobEvent& ev) {
-          if (ev.kind == JobEvent::Kind::kResult) {
-            proto::ScenarioResultMsg m;
-            m.job_id = ev.job_id;
-            m.index = ev.index;
-            m.ok = ev.ok ? 1 : 0;
-            m.metrics = ev.metrics;
-            m.error = ev.error;
-            send_frame(*conn, m);
-          } else {
-            proto::SweepCompleteMsg m;
-            m.job_id = ev.job_id;
-            m.completed = ev.completed;
-            m.failed = ev.failed;
-            m.cancelled = ev.cancelled;
-            m.was_cancelled = ev.was_cancelled ? 1 : 0;
-            send_frame(*conn, m);
-          }
-        });
-    if (!ticket) {
+    std::optional<proto::SubmitAckMsg> ack = service_->submit(
+        std::move(scenarios), cores,
+        [this, conn](const proto::Message& ev) { send_frame(*conn, ev); });
+    if (!ack) {
       wl.unlock();
-      proto::ErrorMsg err;
-      err.code =
-          static_cast<std::uint16_t>(proto::ServiceError::kRejectedDraining);
-      err.client_tag = client_tag;
-      err.text = "server is draining; not accepting new work";
-      send_frame(*conn, err);
+      send_frame(*conn,
+                 error_msg(proto::ServiceError::kRejectedDraining, client_tag,
+                           "server is draining; not accepting new work"));
       return;
     }
     {
       std::lock_guard<std::mutex> jl(conn->jobs_mu);
-      conn->jobs.push_back(ticket->job_id);
+      conn->jobs.push_back(ack->job_id);
     }
-    proto::SubmitAckMsg ack;
-    ack.client_tag = client_tag;
-    ack.job_id = ticket->job_id;
-    ack.admitted = ticket->admitted ? 1 : 0;
-    ack.queue_position = ticket->queue_position;
-    const std::vector<std::uint8_t> frame = proto::encode_frame(ack);
+    ack->client_tag = client_tag;
+    const std::vector<std::uint8_t> frame = proto::encode_frame(*ack);
     if (!conn->dead && !send_all(conn->fd, frame.data(), frame.size())) {
       conn->dead = true;
       ::shutdown(conn->fd, SHUT_RD);
@@ -285,23 +261,7 @@ void ServiceServer::handle_message(const std::shared_ptr<Connection>& conn,
   } else if (const auto* w = std::get_if<proto::WhatIfMsg>(&msg)) {
     submit(w->client_tag, {w->scenario}, 1);
   } else if (std::get_if<proto::QueryStatusMsg>(&msg)) {
-    const ServiceStatus st = service_->status();
-    proto::StatusMsg out;
-    out.active_jobs = st.active_jobs;
-    out.queued_jobs = st.queued_jobs;
-    out.scenarios_completed = st.scenarios_completed;
-    out.scenarios_failed = st.scenarios_failed;
-    out.scenarios_cancelled = st.scenarios_cancelled;
-    out.core_budget = st.core_budget;
-    out.cores_in_use = st.cores_in_use;
-    out.draining = st.draining ? 1 : 0;
-    out.bank_trace_hits = st.bank.trace_hits;
-    out.bank_trace_misses = st.bank.trace_misses;
-    out.bank_model_hits = st.bank.model_hits;
-    out.bank_model_misses = st.bank.model_misses;
-    out.bank_steady_hits = st.bank.steady_hits;
-    out.bank_steady_misses = st.bank.steady_misses;
-    send_frame(*conn, out);
+    send_frame(*conn, service_->status());
   } else if (std::get_if<proto::QueryMetricsMsg>(&msg)) {
     // Stream the registry snapshot: counters and gauges one entry
     // each, histograms with their sparse bucket lists (tac3d_top and
@@ -344,10 +304,8 @@ void ServiceServer::handle_message(const std::shared_ptr<Connection>& conn,
     send_frame(*conn, out);
   } else if (const auto* c = std::get_if<proto::CancelMsg>(&msg)) {
     if (!service_->cancel(c->job_id)) {
-      proto::ErrorMsg err;
-      err.code = static_cast<std::uint16_t>(proto::ServiceError::kUnknownJob);
-      err.text = "no live job " + std::to_string(c->job_id);
-      send_frame(*conn, err);
+      send_frame(*conn, error_msg(proto::ServiceError::kUnknownJob, 0,
+                                  "no live job " + std::to_string(c->job_id)));
     }
     // A successful cancel is acknowledged by the job's kSweepComplete
     // (was_cancelled) on the submitting stream.
@@ -356,12 +314,12 @@ void ServiceServer::handle_message(const std::shared_ptr<Connection>& conn,
   } else {
     // A response-typed message sent by a confused client: decodable but
     // not a request.
-    proto::ErrorMsg err;
-    err.code = static_cast<std::uint16_t>(proto::ServiceError::kBadRequest);
-    err.text = "message tag " +
-               std::to_string(static_cast<int>(proto::msg_type(msg))) +
-               " is not a request";
-    send_frame(*conn, err);
+    send_frame(*conn,
+               error_msg(proto::ServiceError::kBadRequest, 0,
+                         "message tag " +
+                             std::to_string(static_cast<int>(
+                                 proto::msg_type(msg))) +
+                             " is not a request"));
   }
 }
 

@@ -9,6 +9,8 @@
 
 namespace tac3d::service {
 
+namespace proto = protocol;
+
 namespace {
 
 /// Registry handles of the service's live-introspection metrics (the
@@ -43,8 +45,8 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 ///
 /// Lock protocol: scheduling state (state, next, active, counters) is
 /// guarded by the service-wide mu_; event emission is serialized by the
-/// per-job emit_mu so a job's kComplete can never overtake the last
-/// kResult even when two workers finish its final scenarios
+/// per-job emit_mu so a job's completion can never overtake its last
+/// result even when two workers finish its final scenarios
 /// concurrently. Lock order is always emit_mu before mu_.
 struct SweepService::Job {
   enum class State { kQueued, kRunning, kCancelled };
@@ -59,7 +61,7 @@ struct SweepService::Job {
   int active = 0;                  ///< workers currently inside a task
   std::uint32_t completed = 0, failed = 0, cancelled = 0;
   bool was_cancelled = false;
-  bool finalized = false;  ///< kComplete emitted; books already closed
+  bool finalized = false;  ///< completion emitted; books already closed
   EventFn on_event;
   std::mutex emit_mu;
   /// Telemetry timestamps (guarded by mu_ like the scheduling state).
@@ -87,7 +89,7 @@ SweepService::SweepService(ServiceOptions opts)
 
 SweepService::~SweepService() { stop(/*cancel_pending=*/true); }
 
-std::optional<SweepService::Ticket> SweepService::submit(
+std::optional<proto::SubmitAckMsg> SweepService::submit(
     std::vector<sim::Scenario> scenarios, int cores_requested,
     EventFn on_event) {
   auto job = std::make_shared<Job>();
@@ -106,7 +108,7 @@ std::optional<SweepService::Ticket> SweepService::submit(
                      return cost[a] > cost[b];
                    });
 
-  Ticket ticket;
+  proto::SubmitAckMsg ack;
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (draining_ || stopping_) return std::nullopt;
@@ -118,12 +120,11 @@ std::optional<SweepService::Ticket> SweepService::submit(
                              static_cast<int>(job->scenarios.size()))));
     queue_.push_back(job);
     try_admit_locked();
-    ticket.job_id = job->id;
-    ticket.admitted = job->state == Job::State::kRunning;
-    if (!ticket.admitted) {
+    ack.job_id = job->id;
+    ack.admitted = job->state == Job::State::kRunning;
+    if (!ack.admitted) {
       const auto it = std::find(queue_.begin(), queue_.end(), job);
-      ticket.queue_position =
-          static_cast<std::uint32_t>(it - queue_.begin());
+      ack.queue_position = static_cast<std::uint32_t>(it - queue_.begin());
     }
   }
   work_cv_.notify_all();
@@ -133,7 +134,7 @@ std::optional<SweepService::Ticket> SweepService::submit(
   if (job->scenarios.empty()) {
     std::lock_guard<std::mutex> em(job->emit_mu);
     bool finalize = false;
-    JobEvent ev;
+    proto::SweepCompleteMsg ev;
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (!job->finalized) {
@@ -143,7 +144,7 @@ std::optional<SweepService::Ticket> SweepService::submit(
     }
     if (finalize) emit(job, ev);
   }
-  return ticket;
+  return ack;
 }
 
 bool SweepService::cancel(std::uint32_t job_id) {
@@ -161,7 +162,7 @@ bool SweepService::cancel(std::uint32_t job_id) {
 
   std::lock_guard<std::mutex> em(job->emit_mu);
   bool finalize = false;
-  JobEvent ev;
+  proto::SweepCompleteMsg ev;
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (job->finalized) return true;
@@ -213,8 +214,8 @@ void SweepService::drain() {
   stop(/*cancel_pending=*/false);
 }
 
-ServiceStatus SweepService::status() const {
-  ServiceStatus st;
+proto::StatusMsg SweepService::status() const {
+  proto::StatusMsg st;
   {
     std::lock_guard<std::mutex> lk(mu_);
     st.active_jobs = static_cast<std::uint32_t>(running_.size());
@@ -250,7 +251,7 @@ void SweepService::try_admit_locked() {
   sm().cores_in_use.set(static_cast<double>(cores_in_use_));
 }
 
-JobEvent SweepService::finalize_locked(
+proto::SweepCompleteMsg SweepService::finalize_locked(
     const std::shared_ptr<Job>& job) {
   job->finalized = true;
   const auto it = std::find(running_.begin(), running_.end(), job);
@@ -264,8 +265,7 @@ JobEvent SweepService::finalize_locked(
   sm().queue_depth.set(static_cast<double>(queue_.size()));
   sm().active_jobs.set(static_cast<double>(running_.size()));
   sm().cores_in_use.set(static_cast<double>(cores_in_use_));
-  JobEvent ev;
-  ev.kind = JobEvent::Kind::kComplete;
+  proto::SweepCompleteMsg ev;
   ev.job_id = job->id;
   ev.completed = job->completed;
   ev.failed = job->failed;
@@ -275,7 +275,8 @@ JobEvent SweepService::finalize_locked(
   return ev;
 }
 
-void SweepService::emit(const std::shared_ptr<Job>& job, const JobEvent& ev) {
+void SweepService::emit(const std::shared_ptr<Job>& job,
+                        const proto::Message& ev) {
   // Caller holds job->emit_mu. A throwing sink (dead socket, broken
   // client) must not unwind through a worker.
   if (!job->on_event) return;
@@ -310,27 +311,26 @@ void SweepService::worker_loop() {
       ++job->active;
     }
 
-    JobEvent ev;
-    ev.kind = JobEvent::Kind::kResult;
-    ev.job_id = job->id;
-    ev.index = static_cast<std::uint32_t>(task);
+    proto::ScenarioResultMsg result;
+    result.job_id = job->id;
+    result.index = static_cast<std::uint32_t>(task);
     try {
       obs::TraceSpan job_span("sweep/job");
       sim::ScenarioInstance prepared = bank_->prepare(job->scenarios[task]);
       sim::SimulationSession session = prepared.session();
       session.run_to_end();
-      ev.metrics = session.metrics();
-      ev.ok = true;
+      result.metrics = session.metrics();
+      result.ok = 1;
       sim::publish_session(session, session.solver_stats());
     } catch (const std::exception& e) {
-      ev.error = e.what();
+      result.error = e.what();
     } catch (...) {
-      ev.error = "unknown error";
+      result.error = "unknown error";
     }
 
     std::unique_lock<std::mutex> em(job->emit_mu);
     bool finalize = false;
-    JobEvent complete;
+    proto::SweepCompleteMsg complete;
     {
       std::lock_guard<std::mutex> lk(mu_);
       --job->active;
@@ -338,7 +338,7 @@ void SweepService::worker_loop() {
         job->ttfr_recorded = true;
         sm().ttfr.record(ms_since(job->submitted));
       }
-      if (ev.ok) {
+      if (result.ok) {
         ++job->completed;
         ++done_total_;
         sm().done.add();
@@ -352,7 +352,7 @@ void SweepService::worker_loop() {
         finalize = true;
       }
     }
-    emit(job, ev);
+    emit(job, std::move(result));
     if (finalize) {
       emit(job, complete);
       em.unlock();

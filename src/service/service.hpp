@@ -18,7 +18,8 @@
 /// sweep runner's LPT cost model, steady-tier discounts included) on the
 /// job's granted cores, and every finished scenario is streamed to the
 /// job's event callback immediately — time-to-first-result does not wait
-/// for sweep end.
+/// for sweep end. The service speaks the wire messages themselves: its
+/// events, acks and status are the protocol structs a server frames.
 ///
 /// Robustness contract: a cancelled job (client disconnect) skips its
 /// pending scenarios but lets in-flight ones finish — other jobs are
@@ -32,10 +33,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <thread>
 #include <vector>
 
+#include "service/protocol.hpp"
 #include "sim/bank.hpp"
 #include "sim/experiment.hpp"
 
@@ -51,52 +52,15 @@ struct ServiceOptions {
   std::shared_ptr<sim::ScenarioBank> bank;
 };
 
-/// One streamed event of a job: a finished scenario or the job's end.
-struct JobEvent {
-  enum class Kind { kResult, kComplete };
-  Kind kind = Kind::kResult;
-  std::uint32_t job_id = 0;
-
-  // kResult
-  std::uint32_t index = 0;  ///< position in the submitted scenario list
-  bool ok = false;
-  sim::SimMetrics metrics;  ///< valid when ok
-  std::string error;        ///< non-empty when !ok
-
-  // kComplete
-  std::uint32_t completed = 0;
-  std::uint32_t failed = 0;
-  std::uint32_t cancelled = 0;
-  bool was_cancelled = false;
-};
-
-/// Point-in-time service counters (see protocol::StatusMsg).
-struct ServiceStatus {
-  std::uint32_t active_jobs = 0;
-  std::uint32_t queued_jobs = 0;
-  std::uint64_t scenarios_completed = 0;
-  std::uint64_t scenarios_failed = 0;
-  std::uint64_t scenarios_cancelled = 0;
-  std::uint32_t core_budget = 0;
-  std::uint32_t cores_in_use = 0;
-  bool draining = false;
-  sim::BankCounters bank;
-};
-
 class SweepService {
  public:
-  /// Job event sink. Invoked from worker threads; calls of one job are
-  /// serialized and ordered (every kResult strictly before the job's
-  /// kComplete), calls of different jobs may interleave. Exceptions
-  /// thrown by the callback are swallowed (a dead client must not take
-  /// the worker down).
-  using EventFn = std::function<void(const JobEvent&)>;
-
-  struct Ticket {
-    std::uint32_t job_id = 0;
-    bool admitted = false;         ///< false = waiting in admission queue
-    std::uint32_t queue_position = 0;  ///< 0-based, valid when !admitted
-  };
+  /// Job event sink: a protocol::ScenarioResultMsg per finished
+  /// scenario, then one protocol::SweepCompleteMsg. Invoked from worker
+  /// threads; calls of one job are serialized and ordered (every result
+  /// strictly before the job's completion), calls of different jobs may
+  /// interleave. Exceptions thrown by the callback are swallowed (a dead
+  /// client must not take the worker down).
+  using EventFn = std::function<void(const protocol::Message&)>;
 
   explicit SweepService(ServiceOptions opts = {});
   /// Cancels pending work (in-flight scenarios finish) and joins the
@@ -108,17 +72,19 @@ class SweepService {
 
   /// Queue a job of \p scenarios weighted as \p cores_requested cores
   /// (clamped to [1, core_budget] and to the scenario count). Returns
+  /// the job's ack with client_tag left 0 for the caller to fill, or
   /// nullopt when the service is draining — the caller maps that to a
   /// typed rejection. Empty scenario lists are rejected by the caller
   /// (protocol::ServiceError::kBadRequest); submitting one anyway yields
-  /// an immediate empty kComplete.
-  std::optional<Ticket> submit(std::vector<sim::Scenario> scenarios,
-                               int cores_requested, EventFn on_event);
+  /// an immediate empty completion.
+  std::optional<protocol::SubmitAckMsg> submit(
+      std::vector<sim::Scenario> scenarios, int cores_requested,
+      EventFn on_event);
 
   /// Cancel a job: a queued job completes immediately as fully
   /// cancelled; a running job skips its pending scenarios while
-  /// in-flight ones finish and stream normally. The job's kComplete
-  /// event carries was_cancelled. Returns false for unknown/finished
+  /// in-flight ones finish and stream normally. The job's completion
+  /// carries was_cancelled. Returns false for unknown/finished
   /// ids.
   bool cancel(std::uint32_t job_id);
 
@@ -127,7 +93,7 @@ class SweepService {
   /// the workers. Idempotent; concurrent callers all block until done.
   void drain();
 
-  ServiceStatus status() const;
+  protocol::StatusMsg status() const;
 
   const std::shared_ptr<sim::ScenarioBank>& bank() const { return bank_; }
   int core_budget() const { return budget_; }
@@ -139,10 +105,10 @@ class SweepService {
   /// Admit queued jobs while their grants fit the free budget (FIFO,
   /// head-of-line). Caller holds mu_.
   void try_admit_locked();
-  /// Release a finished/cancelled job's cores, erase it, fill its
-  /// kComplete event. Caller holds mu_ (and the job's emit_mu).
-  JobEvent finalize_locked(const std::shared_ptr<Job>& job);
-  void emit(const std::shared_ptr<Job>& job, const JobEvent& ev);
+  /// Release a finished/cancelled job's cores, erase it, return its
+  /// completion. Caller holds mu_ (and the job's emit_mu).
+  protocol::SweepCompleteMsg finalize_locked(const std::shared_ptr<Job>& job);
+  void emit(const std::shared_ptr<Job>& job, const protocol::Message& ev);
   void stop(bool cancel_pending);
 
   std::shared_ptr<sim::ScenarioBank> bank_;

@@ -122,11 +122,6 @@ ScenarioMatrix& ScenarioMatrix::workloads(
   return *this;
 }
 
-ScenarioMatrix& ScenarioMatrix::solvers(std::vector<sparse::SolverKind> v) {
-  solvers_ = std::move(v);
-  return *this;
-}
-
 ScenarioMatrix& ScenarioMatrix::seeds(std::vector<std::uint64_t> v) {
   seeds_ = std::move(v);
   return *this;
@@ -142,11 +137,6 @@ ScenarioMatrix& ScenarioMatrix::grid(thermal::GridOptions g) {
   return *this;
 }
 
-ScenarioMatrix& ScenarioMatrix::sim(SimulationConfig cfg) {
-  base_.sim = std::move(cfg);
-  return *this;
-}
-
 ScenarioMatrix& ScenarioMatrix::filter(
     std::function<bool(const Scenario&)> pred) {
   filters_.push_back(std::move(pred));
@@ -155,33 +145,30 @@ ScenarioMatrix& ScenarioMatrix::filter(
 
 std::vector<Scenario> ScenarioMatrix::build() const {
   require(!tiers_.empty() && !policies_.empty() && !workloads_.empty() &&
-              !solvers_.empty() && !seeds_.empty(),
+              !seeds_.empty(),
           "ScenarioMatrix: every sweep axis needs at least one value");
   std::vector<Scenario> out;
   out.reserve(tiers_.size() * policies_.size() * workloads_.size() *
-              solvers_.size() * seeds_.size());
+              seeds_.size());
   for (const int tiers : tiers_) {
     for (const PolicyKind policy : policies_) {
       for (const power::WorkloadKind workload : workloads_) {
-        for (const sparse::SolverKind solver : solvers_) {
-          for (const std::uint64_t seed : seeds_) {
-            Scenario s = base_;
-            s.tiers = tiers;
-            s.policy = policy;
-            s.workload = workload;
-            s.sim.solver = solver;
-            s.seed = seed;
-            bool keep = true;
-            for (const auto& pred : filters_) {
-              if (!pred(s)) {
-                keep = false;
-                break;
-              }
+        for (const std::uint64_t seed : seeds_) {
+          Scenario s = base_;
+          s.tiers = tiers;
+          s.policy = policy;
+          s.workload = workload;
+          s.seed = seed;
+          bool keep = true;
+          for (const auto& pred : filters_) {
+            if (!pred(s)) {
+              keep = false;
+              break;
             }
-            if (!keep) continue;
-            s.label = scenario_label(s);
-            out.push_back(std::move(s));
           }
+          if (!keep) continue;
+          s.label = scenario_label(s);
+          out.push_back(std::move(s));
         }
       }
     }

@@ -102,21 +102,20 @@ ScenarioInstance instantiate(const Scenario& spec);
 SimMetrics run_scenario(const Scenario& spec);
 
 /// Cartesian sweep builder over scenario axes. Expansion order is
-/// deterministic: tiers (outer) -> policies -> workloads -> solvers ->
-/// seeds (inner), filters applied last.
+/// deterministic: tiers (outer) -> policies -> workloads -> seeds
+/// (inner), filters applied last.
 class ScenarioMatrix {
  public:
-  /// Template for the non-swept fields (trace length, grid, sim config).
+  /// Template for the non-swept fields (trace length, grid, sim config
+  /// with its solver kind).
   ScenarioMatrix& base(Scenario s);
 
   ScenarioMatrix& tiers(std::vector<int> v);
   ScenarioMatrix& policies(std::vector<PolicyKind> v);
   ScenarioMatrix& workloads(std::vector<power::WorkloadKind> v);
-  ScenarioMatrix& solvers(std::vector<sparse::SolverKind> v);
   ScenarioMatrix& seeds(std::vector<std::uint64_t> v);
   ScenarioMatrix& trace_seconds(int seconds);
   ScenarioMatrix& grid(thermal::GridOptions g);
-  ScenarioMatrix& sim(SimulationConfig cfg);
 
   /// Keep only scenarios for which \p pred returns true (cumulative).
   ScenarioMatrix& filter(std::function<bool(const Scenario&)> pred);
@@ -133,7 +132,7 @@ class ScenarioMatrix {
   /// The paper's seven Fig. 6/7 stack x policy configurations:
   /// {2,4} tiers x {AC_LB, AC_TDVFS_LB, LC_LB, LC_FUZZY} minus the
   /// 4-tier AC_TDVFS_LB cell the paper does not evaluate. Sweep axes
-  /// for workloads/seeds/solvers can still be layered on top.
+  /// for workloads and seeds can still be layered on top.
   static ScenarioMatrix paper_fig67();
 
  private:
@@ -141,8 +140,6 @@ class ScenarioMatrix {
   std::vector<int> tiers_{2};
   std::vector<PolicyKind> policies_{PolicyKind::kLcFuzzy};
   std::vector<power::WorkloadKind> workloads_{power::WorkloadKind::kWebServer};
-  std::vector<sparse::SolverKind> solvers_{
-      sparse::SolverKind::kBicgstabIlu0};
   std::vector<std::uint64_t> seeds_{1};
   std::vector<std::function<bool(const Scenario&)>> filters_;
 };

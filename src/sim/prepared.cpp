@@ -5,39 +5,23 @@
 #include <sstream>
 
 #include "arch/niagara.hpp"
+#include "common/fnv.hpp"
 #include "power/workloads.hpp"
 
 namespace tac3d::sim {
 
 namespace {
 
-/// Exact textual encoding of a double (hex of its bit pattern): two
-/// fields compare equal iff the doubles are bitwise identical, which is
-/// the sharing contract of the bank tiers.
-std::string bits(double v) {
+std::string hex(std::uint64_t v) {
   std::ostringstream os;
-  os << std::hex << std::bit_cast<std::uint64_t>(v);
+  os << std::hex << v;
   return os.str();
 }
 
-/// Incremental FNV-1a over 64-bit words, rendered as hex (the key
-/// fingerprints below share it).
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ull;
-
-  void mix(std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-
-  std::string hex() const {
-    std::ostringstream os;
-    os << std::hex << h;
-    return os.str();
-  }
-};
+/// Exact textual encoding of a double (hex of its bit pattern): two
+/// fields compare equal iff the doubles are bitwise identical, which is
+/// the sharing contract of the bank tiers.
+std::string bits(double v) { return hex(std::bit_cast<std::uint64_t>(v)); }
 
 /// FNV-1a over the raw sample bits of an explicit trace. Keys by
 /// content, so the fingerprint is stable across separately built
@@ -45,15 +29,13 @@ struct Fnv1a {
 /// in its axes) and distinct for any custom trace that differs in a
 /// single bit.
 std::string trace_fingerprint(const power::UtilizationTrace& t) {
-  Fnv1a f;
-  f.mix(static_cast<std::uint64_t>(t.threads()));
-  f.mix(static_cast<std::uint64_t>(t.seconds()));
+  std::uint64_t h =
+      fnv1a(kFnvOffsetBasis, static_cast<std::uint64_t>(t.threads()));
+  h = fnv1a(h, static_cast<std::uint64_t>(t.seconds()));
   for (int th = 0; th < t.threads(); ++th) {
-    for (int s = 0; s < t.seconds(); ++s) {
-      f.mix(std::bit_cast<std::uint64_t>(t.at(th, s)));
-    }
+    for (int s = 0; s < t.seconds(); ++s) h = fnv1a(h, t.at(th, s));
   }
-  return f.hex();
+  return hex(h);
 }
 
 /// FNV-1a over only the t=0 sample column. The initial steady state
@@ -62,12 +44,10 @@ std::string trace_fingerprint(const power::UtilizationTrace& t) {
 /// coarser fingerprint: scenarios differing only in later trace content
 /// share the cached steady solve.
 std::string trace_t0_fingerprint(const power::UtilizationTrace& t) {
-  Fnv1a f;
-  f.mix(static_cast<std::uint64_t>(t.threads()));
-  for (int th = 0; th < t.threads(); ++th) {
-    f.mix(std::bit_cast<std::uint64_t>(t.sample(th, 0.0)));
-  }
-  return f.hex();
+  std::uint64_t h =
+      fnv1a(kFnvOffsetBasis, static_cast<std::uint64_t>(t.threads()));
+  for (int th = 0; th < t.threads(); ++th) h = fnv1a(h, t.sample(th, 0.0));
+  return hex(h);
 }
 
 }  // namespace

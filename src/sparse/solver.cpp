@@ -1,9 +1,9 @@
 #include "sparse/solver.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "sparse/banded_lu.hpp"
 #include "sparse/iterative.hpp"
 #include "sparse/preconditioner.hpp"
@@ -65,7 +65,7 @@ class BandedLuSolver final : public LinearSolver {
       }
       active_->lu.factor(a);
       extract_key(a, active_->key);
-      active_->hash = hash_key(active_->key);
+      active_->hash = fnv1a(kFnvOffsetBasis, active_->key);
       active_->valid = true;
       active_->base_tracked = true;
       active_->stamp = ++clock_;
@@ -92,7 +92,8 @@ class BandedLuSolver final : public LinearSolver {
       for (Slot& s : slots_) s.valid = false;
     }
     extract_key(a, cur_key_);
-    const std::uint64_t h = hash_key(cur_key_);
+    // The hash only pre-filters: the exact compare decides a hit.
+    const std::uint64_t h = fnv1a(kFnvOffsetBasis, cur_key_);
     for (Slot& s : slots_) {
       if (s.valid && s.hash == h && s.key.size() == cur_key_.size() &&
           std::equal(s.key.begin(), s.key.end(), cur_key_.begin())) {
@@ -156,18 +157,6 @@ class BandedLuSolver final : public LinearSolver {
     for (const std::int32_t r : tracked_rows_) {
       for (std::int32_t k = rp[r]; k < rp[r + 1]; ++k) out.push_back(v[k]);
     }
-  }
-
-  static std::uint64_t hash_key(const std::vector<double>& key) {
-    // FNV-1a over the raw value bits; collisions are resolved by the
-    // exact compare at the probe site.
-    std::uint64_t h = 1469598103934665603ull;
-    for (const double d : key) {
-      std::uint64_t bits;
-      std::memcpy(&bits, &d, sizeof bits);
-      h = (h ^ bits) * 1099511628211ull;
-    }
-    return h;
   }
 
   std::shared_ptr<const SymbolicStructure> structure_;

@@ -44,18 +44,14 @@ std::shared_ptr<const SymbolicStructure> analyze_structure(const CsrMatrix& a,
     }
   }
 
-  // Diagonal entry index per row (ILU(0) pivot map) and, when every
-  // row has one, the level schedule of the ILU(0) solves.
-  s->ilu_diag.assign(static_cast<std::size_t>(n), -1);
-  for (std::int32_t r = 0; r < n; ++r) {
-    for (std::int32_t k = rp[r]; k < rp[r + 1]; ++k) {
-      if (ci[k] == r) s->ilu_diag[r] = k;
-    }
+  // The level schedule of the ILU(0) solves, when every row has its
+  // diagonal entry (IluSchedule::diag then maps them).
+  bool every_diagonal = true;
+  for (std::int32_t r = 0; r < n && every_diagonal; ++r) {
+    every_diagonal = std::find(ci.begin() + rp[r], ci.begin() + rp[r + 1],
+                               r) != ci.begin() + rp[r + 1];
   }
-  if (std::find(s->ilu_diag.begin(), s->ilu_diag.end(), -1) ==
-      s->ilu_diag.end()) {
-    s->ilu_schedule = build_ilu_schedule(rp, ci);
-  }
+  if (every_diagonal) s->ilu_schedule = build_ilu_schedule(rp, ci);
   s->sliced = build_sliced_pattern(rp, ci);
   return s;
 }

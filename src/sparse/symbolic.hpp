@@ -6,7 +6,7 @@
 /// A design-space sweep instantiates one RC model per scenario, but
 /// scenarios with the same stack geometry produce bit-identical CSR
 /// patterns. The expensive symbolic work — RCM ordering, banded-LU band
-/// extents, the ILU(0) diagonal index map and level schedule, the
+/// extents, the ILU(0) level schedule with its diagonal index map, the
 /// sliced-ELL layout of the Krylov SpMVs — depends only on the pattern,
 /// so it can be computed once and handed out as a shared immutable
 /// SymbolicStructure to every solver on that pattern (a ScenarioBank's
@@ -36,8 +36,6 @@ struct SymbolicStructure {
   /// Band extents of the RCM-permuted pattern (banded LU storage).
   std::int32_t band_lower = 0;
   std::int32_t band_upper = 0;
-  /// Index into values() of the diagonal entry of each row (ILU(0)).
-  std::vector<std::int32_t> ilu_diag;
   /// Level schedule of the ILU(0) triangular solves and the scalar
   /// factors' chunk layout, shared by the scalar and batched
   /// preconditioners of every solver on this pattern (null when a

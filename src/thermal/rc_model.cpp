@@ -483,17 +483,6 @@ double RcModel::max_temperature(std::span<const double> temps) const {
   return best;
 }
 
-double RcModel::layer_max(std::span<const double> temps,
-                          int grid_layer) const {
-  double best = -1e300;
-  for (int r = 0; r < grid_.rows(); ++r) {
-    for (int c = 0; c < grid_.cols(); ++c) {
-      best = std::max(best, temps[grid_.cell_node(grid_layer, r, c)]);
-    }
-  }
-  return best;
-}
-
 double RcModel::cavity_outlet_temp(std::span<const double> temps,
                                    int cavity) const {
   const int l = cavity_grid_layer(cavity);

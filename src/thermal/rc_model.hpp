@@ -194,9 +194,6 @@ class RcModel {
   /// Maximum temperature over all grid cells (sink node excluded) [K].
   double max_temperature(std::span<const double> temps) const;
 
-  /// Maximum cell temperature within one grid layer [K].
-  double layer_max(std::span<const double> temps, int grid_layer) const;
-
   /// Flow-weighted outlet fluid temperature of a cavity [K].
   double cavity_outlet_temp(std::span<const double> temps, int cavity) const;
 

@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -437,9 +438,12 @@ TEST(ObsRegistry, ServicePublishesTheSessionCountersOfRunSweep) {
   service::SweepService service;
   std::promise<void> done;
   before = obs::snapshot();
-  ASSERT_TRUE(service.submit(scenarios, 1, [&](const service::JobEvent& ev) {
-    if (ev.kind == service::JobEvent::Kind::kComplete) done.set_value();
-  }).has_value());
+  const auto on_event = [&](const service::protocol::Message& ev) {
+    if (std::holds_alternative<service::protocol::SweepCompleteMsg>(ev)) {
+      done.set_value();
+    }
+  };
+  ASSERT_TRUE(service.submit(scenarios, 1, on_event).has_value());
   done.get_future().wait();
   EXPECT_EQ(session_counters(before), from_sweep);
 }

@@ -121,10 +121,10 @@ TEST(ServiceConcurrency, WarmBankServesRepeatSubmissionsFromCache) {
   const protocol::StatusMsg after_cold = first.query_status();
   // The cold sweep built each distinct steady state exactly once and
   // served the equal-keyed repeats from the tier.
-  EXPECT_EQ(after_cold.bank_steady_misses, steady_keys.size());
-  EXPECT_EQ(after_cold.bank_steady_hits,
+  EXPECT_EQ(after_cold.bank.steady_misses, steady_keys.size());
+  EXPECT_EQ(after_cold.bank.steady_hits,
             scenarios.size() - steady_keys.size());
-  EXPECT_EQ(after_cold.bank_model_misses, model_keys.size());
+  EXPECT_EQ(after_cold.bank.model_misses, model_keys.size());
 
   // A second client replaying the matrix must be served entirely from
   // the shared warm bank: steady hits grow by the scenario count, the
@@ -135,10 +135,10 @@ TEST(ServiceConcurrency, WarmBankServesRepeatSubmissionsFromCache) {
   ASSERT_EQ(warm.complete.failed, 0u);
 
   const protocol::StatusMsg after_warm = second.query_status();
-  EXPECT_EQ(after_warm.bank_steady_misses, after_cold.bank_steady_misses);
-  EXPECT_EQ(after_warm.bank_steady_hits,
-            after_cold.bank_steady_hits + scenarios.size());
-  EXPECT_EQ(after_warm.bank_model_misses, after_cold.bank_model_misses);
+  EXPECT_EQ(after_warm.bank.steady_misses, after_cold.bank.steady_misses);
+  EXPECT_EQ(after_warm.bank.steady_hits,
+            after_cold.bank.steady_hits + scenarios.size());
+  EXPECT_EQ(after_warm.bank.model_misses, after_cold.bank.model_misses);
   EXPECT_EQ(after_warm.scenarios_completed, 2 * scenarios.size());
 
   // Warm results stay bitwise identical to cold ones.

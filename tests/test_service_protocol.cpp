@@ -5,7 +5,9 @@
 // prefixes, unknown tags, version mismatches, out-of-range enums,
 // trailing garbage, random bytes — are rejected with the matching typed
 // DecodeError, never UB (this suite runs under ASan/UBSan in the
-// sanitize CI leg).
+// sanitize CI leg). Golden frames and a digest of decode outcomes pin
+// the wire format and the decoder's error precedence to committed
+// values.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -225,14 +227,14 @@ TEST(ServiceProtocol, RoundTripSweepCompleteStatusErrorDrain) {
     msg.core_budget = 8;
     msg.cores_in_use = 7;
     msg.draining = 1;
-    msg.bank_steady_hits = 42;
+    msg.bank.steady_hits = 42;
     const Decoded d = round_trip(msg);
     ASSERT_TRUE(d.ok()) << d.detail;
     const auto& out = std::get<StatusMsg>(d.msg);
     EXPECT_EQ(out.scenarios_completed, 1234567890123ull);
     EXPECT_EQ(out.queued_jobs, 5u);
     EXPECT_EQ(out.draining, 1);
-    EXPECT_EQ(out.bank_steady_hits, 42u);
+    EXPECT_EQ(out.bank.steady_hits, 42u);
   }
   {
     ErrorMsg msg;

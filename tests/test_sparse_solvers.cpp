@@ -16,7 +16,6 @@
 #include "sparse/rcm.hpp"
 #include "sparse/refresh.hpp"
 #include "sparse/solver.hpp"
-#include "sparse/tridiag.hpp"
 
 namespace tac3d::sparse {
 namespace {
@@ -57,24 +56,6 @@ double residual_inf(const CsrMatrix& a, const std::vector<double>& x,
     r = std::max(r, std::abs(ax[i] - b[i]));
   }
   return r;
-}
-
-TEST(Tridiagonal, SolvesKnownSystem) {
-  // 2x = [2, 4, 6] with identity-like tridiagonal.
-  const std::vector<double> lower{0, -1, -1};
-  const std::vector<double> diag{2, 2, 2};
-  const std::vector<double> upper{-1, -1, 0};
-  const std::vector<double> rhs{1, 0, 1};
-  const auto x = solve_tridiagonal(lower, diag, upper, rhs);
-  // Solution of the discrete Poisson problem: [1, 1, 1].
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 1.0, 1e-12);
-  EXPECT_NEAR(x[2], 1.0, 1e-12);
-}
-
-TEST(Tridiagonal, ThrowsOnSingular) {
-  const std::vector<double> z{0.0};
-  EXPECT_THROW(solve_tridiagonal(z, z, z, z), NumericalError);
 }
 
 TEST(Rcm, ReducesBandwidthOfALongPath) {
