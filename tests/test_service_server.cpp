@@ -144,7 +144,11 @@ TEST(ServiceServer, SubmitWhileDrainingIsRejectedDraining) {
   ASSERT_EQ(ack.admitted, 1);
   owner.request_drain();
   // The drain starts on its own thread; the job holds it open.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
   while (late.query_status().draining == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the drain never started";
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
