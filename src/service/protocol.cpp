@@ -140,14 +140,17 @@ class Reader {
     if (!take(sizeof(Wire))) return;
     v = static_cast<T>(load<Wire>());
   }
+  /// The range is checked on the wire value, before the cast, so a bool
+  /// field bounded (false, true) rejects 0x02 instead of reading it as
+  /// true. Every range's bounds are non-negative.
   template <class Wire, class T>
   void get(T& v, std::type_identity_t<T> lo, std::type_identity_t<T> hi) {
     if (!take(sizeof(Wire))) return;
-    const T t = static_cast<T>(load<Wire>());
-    if (t < lo || hi < t) {
+    const Wire w = load<Wire>();
+    if (w < static_cast<Wire>(lo) || static_cast<Wire>(hi) < w) {
       out_of_range_ = true;
     } else {
-      v = t;
+      v = static_cast<T>(w);
     }
   }
   template <class Wire>
@@ -197,7 +200,7 @@ void fields(IO& io, Field<IO, sim::Scenario>& s) {
   io.u64(s.seed);
   io.u16(s.grid.rows, kMinGridCells, kMaxGridCells);
   io.u16(s.grid.cols, kMinGridCells, kMaxGridCells);
-  io.u8(s.grid.discrete_channels);
+  io.u8(s.grid.discrete_channels, false, true);
   io.u16(s.grid.x_refine, 1, kMaxGridRefine);
   io.u16(s.grid.z_refine, 1, kMaxGridRefine);
   io.u8(s.sim.solver, sparse::SolverKind::kBandedLu,

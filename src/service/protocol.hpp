@@ -65,8 +65,8 @@ inline constexpr std::uint32_t kMaxStringBytes = 1u << 14;
 /// them decodes to DecodeError::kBadValue: the grid, the trace length,
 /// the control step count and the leakage fixed-point iterations set a
 /// scenario's memory and its time, so one hostile request could
-/// otherwise exhaust the server or pin a worker (cancel cannot stop a
-/// running scenario). So does a sim.solver_tolerance outside (0, 1),
+/// otherwise exhaust the server or hold a worker for hours (cancel stops
+/// a running scenario only at its next control interval). So does a sim.solver_tolerance outside (0, 1),
 /// the range thermal::TransientSolver accepts: a NaN, zero or negative
 /// tolerance can never be met.
 ///
@@ -91,7 +91,7 @@ enum class MsgType : std::uint8_t {
   kSubmitSweep = 1,    ///< run a batch of scenarios, stream the results
   kWhatIf = 2,         ///< single-scenario convenience submit
   kQueryStatus = 3,    ///< server/bank/admission counters
-  kCancel = 4,         ///< cancel one job (pending scenarios are skipped)
+  kCancel = 4,         ///< cancel one job (its scenarios stop or are skipped)
   kShutdownDrain = 5,  ///< finish accepted work, then shut down
   kQueryMetrics = 6,   ///< live registry snapshot (obs counters/histograms)
   // responses
@@ -118,7 +118,7 @@ enum class DecodeError : std::uint16_t {
 /// Service-level error codes (share the ErrorMsg::code space with
 /// DecodeError; decode codes are < 64, service codes >= 64).
 enum class ServiceError : std::uint16_t {
-  kRejectedDraining = 64,  ///< submit refused: server is draining
+  kRejectedDraining = 64,  ///< submit or connection refused: draining
   kBadRequest = 65,        ///< semantically invalid request (0 scenarios)
   kUnknownJob = 66,        ///< cancel/query of a job id never issued
 };
@@ -127,8 +127,9 @@ const char* decode_error_name(DecodeError e);
 
 // --- message bodies -------------------------------------------------------
 //
-// Flags travel as one byte and decode rejects any value above 1, so they
-// stay std::uint8_t: a bool could not tell 2 from 1.
+// Flags travel as one byte and decode rejects any value above 1. The
+// check reads the wire byte, so it bounds a bool field too (the
+// scenario's grid.discrete_channels).
 
 struct SubmitSweepMsg {
   static constexpr MsgType kType = MsgType::kSubmitSweep;

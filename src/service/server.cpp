@@ -114,16 +114,24 @@ void ServiceServer::accept_loop(int listen_fd) {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lk(mu_);
-    reap_finished_locked();
-    if (!accepting_) {
-      ::close(fd);
-      continue;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      reap_finished_locked();
+      if (accepting_) {
+        auto conn = std::make_shared<Connection>();
+        conn->fd = fd;
+        conns_.push_back(conn);
+        conn->reader = std::thread([this, conn] { connection_loop(conn); });
+        continue;
+      }
     }
-    auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
-    conns_.push_back(conn);
-    conn->reader = std::thread([this, conn] { connection_loop(conn); });
+    // Draining or stopping: say so, so the client can tell this server
+    // from a dead one, then close.
+    const std::vector<std::uint8_t> frame = proto::encode_frame(
+        error_msg(proto::ServiceError::kRejectedDraining, 0,
+                  "server is draining; not accepting new connections"));
+    send_all(fd, frame.data(), frame.size());
+    ::close(fd);
   }
 }
 
@@ -212,8 +220,8 @@ void ServiceServer::connection_loop(const std::shared_ptr<Connection>& conn) {
   }
 
   // Peer gone (or sockets shut down): cancel exactly this connection's
-  // jobs. In-flight scenarios finish, pending ones are skipped, other
-  // clients never notice.
+  // jobs. Running scenarios stop at their next control interval, pending
+  // ones are skipped, other clients never notice.
   cancel_connection_jobs(*conn);
   std::lock_guard<std::mutex> lk(mu_);
   conn->done = true;
@@ -448,9 +456,9 @@ void ServiceServer::stop() {
     return;
   }
   // Hard stop: kill the sockets; each reader cancels its connection's
-  // jobs on the way out (in-flight scenarios still finish). The
-  // SweepService stays alive for post-stop inspection; its destructor
-  // joins the workers.
+  // jobs on the way out (running scenarios stop at their next control
+  // interval). The SweepService stays alive for post-stop inspection;
+  // its destructor joins the workers.
   close_all_sockets();
   {
     std::lock_guard<std::mutex> lk(mu_);

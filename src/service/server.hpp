@@ -12,11 +12,13 @@
 ///     and the connection stays alive (oversized payloads are discarded
 ///     byte-for-byte to stay frame-aligned);
 ///   - a client disconnect (EOF, reset, failed write) cancels exactly
-///     that connection's jobs — in-flight scenarios finish, pending ones
-///     are skipped, other clients never notice;
+///     that connection's jobs — running scenarios stop at their next
+///     control interval, pending ones are skipped, other clients never
+///     notice;
 ///   - a drain request (or SIGTERM in tac3d_serve) stops admissions,
 ///     finishes all accepted work, answers kDrainComplete and only then
-///     shuts the sockets down.
+///     shuts the sockets down; a connection opened meanwhile gets a
+///     kRejectedDraining error and is closed.
 
 #include <cstdint>
 #include <memory>
@@ -38,7 +40,7 @@ struct ServerOptions {
 /// A running sweep server. start() binds and spawns the acceptor;
 /// request_drain() (idempotent) finishes accepted work then stops;
 /// wait() blocks until the server stopped; stop() is the hard variant
-/// (pending scenarios cancelled). The destructor stops hard.
+/// (every job cancelled). The destructor stops hard.
 class ServiceServer {
  public:
   explicit ServiceServer(ServerOptions opts = {});

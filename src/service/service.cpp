@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
+#include <memory>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -24,6 +27,8 @@ struct ServiceMetrics {
   obs::Counter done{"service/scenarios_done"};
   obs::Counter failed{"service/scenarios_failed"};
   obs::Counter cancelled{"service/scenarios_cancelled"};
+  obs::Counter lent{"service/scenarios_lent"};
+  obs::Counter reclaims{"service/reclaims"};
 };
 
 ServiceMetrics& sm() {
@@ -37,17 +42,31 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// A scenario in a worker's hands. Its instance and session are built on
+/// first claim and live on the heap, so a session one worker puts down
+/// resumes, unmoved, on whichever worker claims it next.
+struct Task {
+  struct Run {
+    explicit Run(sim::ScenarioInstance in)
+        : instance(std::move(in)), session(instance.session()) {}
+    sim::ScenarioInstance instance;
+    sim::SimulationSession session;
+  };
+  std::size_t index = 0;
+  std::unique_ptr<Run> run;  ///< null until started
+};
+
 }  // namespace
 
 /// One submitted request. Lifecycle: kQueued (admission FIFO) ->
 /// kRunning (cores granted, workers claim tasks in LPT order) ->
 /// kDone/kCancelled (finalized, erased from the service's books).
 ///
-/// Lock protocol: scheduling state (state, next, active, counters) is
-/// guarded by the service-wide mu_; event emission is serialized by the
-/// per-job emit_mu so a job's completion can never overtake its last
-/// result even when two workers finish its final scenarios
-/// concurrently. Lock order is always emit_mu before mu_.
+/// Lock protocol: scheduling state (state, next, parked, active,
+/// counters) is guarded by the service-wide mu_; event emission is
+/// serialized by the per-job emit_mu so a job's completion can never
+/// overtake its last result even when two workers finish its final
+/// scenarios concurrently. Lock order is always emit_mu before mu_.
 struct SweepService::Job {
   enum class State { kQueued, kRunning, kCancelled };
 
@@ -58,7 +77,8 @@ struct SweepService::Job {
   std::vector<sim::Scenario> scenarios;
   std::vector<std::size_t> order;  ///< task indices, longest-first (LPT)
   std::size_t next = 0;            ///< next unclaimed position in order
-  int active = 0;                  ///< workers currently inside a task
+  std::vector<Task> parked;        ///< put down mid-run; claimed first
+  int active = 0;  ///< workers inside a task, lent ones included
   std::uint32_t completed = 0, failed = 0, cancelled = 0;
   bool was_cancelled = false;
   bool finalized = false;  ///< completion emitted; books already closed
@@ -68,22 +88,23 @@ struct SweepService::Job {
   std::chrono::steady_clock::time_point submitted{};
   bool ttfr_recorded = false;
 
+  std::size_t pending() const { return parked.size() + order.size() - next; }
+  /// A pending scenario within the grant.
   bool claimable() const {
-    return state == State::kRunning && next < order.size() &&
+    return state == State::kRunning && pending() > 0 &&
            active < cores_granted;
   }
-  bool finished() const {
-    return next >= order.size() && active == 0;
-  }
+  bool finished() const { return pending() == 0 && active == 0; }
 };
 
 SweepService::SweepService(ServiceOptions opts)
     : bank_(opts.bank ? std::move(opts.bank)
                       : std::make_shared<sim::ScenarioBank>()),
-      budget_(std::max(1, sim::resolve_jobs(opts.core_budget))) {
-  workers_.reserve(static_cast<std::size_t>(budget_));
-  for (int i = 0; i < budget_; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+      budget_(std::max(1, sim::resolve_jobs(opts.core_budget))),
+      slots_(static_cast<std::size_t>(budget_)) {
+  workers_.reserve(slots_.size());
+  for (Worker& w : slots_) {
+    workers_.emplace_back([this, &w] { worker_loop(w); });
   }
 }
 
@@ -160,6 +181,7 @@ bool SweepService::cancel(std::uint32_t job_id) {
   }
   if (!job) return false;
 
+  std::vector<Task> dropped;  // freed after the locks are released
   std::lock_guard<std::mutex> em(job->emit_mu);
   bool finalize = false;
   proto::SweepCompleteMsg ev;
@@ -181,13 +203,17 @@ bool SweepService::cancel(std::uint32_t job_id) {
         break;
       }
       case Job::State::kRunning: {
-        const std::uint32_t skipped =
-            static_cast<std::uint32_t>(job->order.size() - job->next);
+        const auto skipped = static_cast<std::uint32_t>(job->pending());
         job->next = job->order.size();
+        dropped.swap(job->parked);
         job->cancelled += skipped;
         cancelled_total_ += skipped;
         job->state = Job::State::kCancelled;
         job->was_cancelled = true;
+        // In-flight scenarios stop at their next control interval.
+        for (Worker& w : slots_) {
+          if (w.job == job) w.stop.store(true, std::memory_order_relaxed);
+        }
         if (job->active == 0) {
           ev = finalize_locked(job);
           finalize = true;
@@ -235,6 +261,7 @@ void SweepService::try_admit_locked() {
   // FIFO with head-of-line blocking: a large request waits for cores
   // rather than being overtaken forever by small ones (and is never
   // refused — the admission queue is the backpressure).
+  bool admitted = false;
   while (!queue_.empty()) {
     const std::shared_ptr<Job>& head = queue_.front();
     const int grant = head->cores_requested;
@@ -245,10 +272,66 @@ void SweepService::try_admit_locked() {
     cores_in_use_ += grant;
     running_.push_back(head);
     queue_.erase(queue_.begin());
+    admitted = true;
   }
+  if (admitted) reclaim_locked();
   sm().queue_depth.set(static_cast<double>(queue_.size()));
   sm().active_jobs.set(static_cast<double>(running_.size()));
   sm().cores_in_use.set(static_cast<double>(cores_in_use_));
+}
+
+std::shared_ptr<SweepService::Job> SweepService::next_job_locked(
+    bool& lent) const {
+  for (const auto& j : running_) {
+    if (j->claimable()) return j;
+  }
+  // Nothing within a grant: lend to the oldest job with work left, unless
+  // a queued job is waiting for cores to be released.
+  if (!queue_.empty()) return nullptr;
+  for (const auto& j : running_) {
+    if (j->state == Job::State::kRunning && j->pending() > 0) {
+      lent = true;
+      return j;
+    }
+  }
+  return nullptr;
+}
+
+void SweepService::reclaim_locked() {
+  // Pending scenarios within their grants, less the workers that are
+  // free or already putting a scenario down: the rest need lent workers.
+  std::ptrdiff_t need = 0;
+  for (const auto& j : running_) {
+    if (j->state != Job::State::kRunning) continue;
+    need += static_cast<std::ptrdiff_t>(std::min<std::size_t>(
+        j->pending(),
+        static_cast<std::size_t>(std::max(0, j->cores_granted - j->active))));
+  }
+  for (const Worker& w : slots_) {
+    if (!w.job || w.stop.load(std::memory_order_relaxed)) --need;
+  }
+  // Stop the latest claims of jobs running beyond their grants: the
+  // scenarios that have run the least, so a job's earliest results are
+  // not the ones put down.
+  const auto beyond_grant = [&](const std::shared_ptr<Job>& j) {
+    int n = j->active - j->cores_granted;
+    for (const Worker& w : slots_) {
+      if (w.job == j && w.stop.load(std::memory_order_relaxed)) --n;
+    }
+    return n;
+  };
+  for (; need > 0; --need) {
+    Worker* latest = nullptr;
+    for (Worker& w : slots_) {
+      if (w.job && !w.stop.load(std::memory_order_relaxed) &&
+          beyond_grant(w.job) > 0 &&
+          (!latest || w.claimed > latest->claimed)) {
+        latest = &w;
+      }
+    }
+    if (!latest) return;
+    latest->stop.store(true, std::memory_order_relaxed);
+  }
 }
 
 proto::SweepCompleteMsg SweepService::finalize_locked(
@@ -286,42 +369,49 @@ void SweepService::emit(const std::shared_ptr<Job>& job,
   }
 }
 
-void SweepService::worker_loop() {
+void SweepService::worker_loop(Worker& self) {
   for (;;) {
     std::shared_ptr<Job> job;
-    std::size_t task = 0;
+    Task task;
     {
       std::unique_lock<std::mutex> lk(mu_);
+      bool lent = false;
       work_cv_.wait(lk, [&] {
-        if (stopping_) return true;
-        return std::any_of(running_.begin(), running_.end(),
-                           [](const auto& j) { return j->claimable(); });
+        job = next_job_locked(lent);
+        return job || stopping_;
       });
-      for (const auto& j : running_) {
-        if (j->claimable()) {
-          job = j;
-          break;
-        }
+      if (!job) return;
+      if (!job->parked.empty()) {
+        task = std::move(job->parked.back());
+        job->parked.pop_back();
+      } else {
+        task.index = job->order[job->next++];
       }
-      if (!job) {
-        if (stopping_) return;
-        continue;  // spurious wake or task claimed by a sibling
-      }
-      task = job->order[job->next++];
       ++job->active;
+      self.job = job;
+      self.claimed = ++claims_;
+      self.stop.store(false, std::memory_order_relaxed);
+      if (lent) sm().lent.add();
     }
 
     proto::ScenarioResultMsg result;
     result.job_id = job->id;
-    result.index = static_cast<std::uint32_t>(task);
+    result.index = static_cast<std::uint32_t>(task.index);
+    bool stopped = false;
     try {
       obs::TraceSpan job_span("sweep/job");
-      sim::ScenarioInstance prepared = bank_->prepare(job->scenarios[task]);
-      sim::SimulationSession session = prepared.session();
-      session.run_to_end();
-      result.metrics = session.metrics();
-      result.ok = 1;
-      sim::publish_session(session, session.solver_stats());
+      if (!task.run) {
+        task.run = std::make_unique<Task::Run>(
+            bank_->prepare(job->scenarios[task.index]));
+      }
+      sim::SimulationSession& session = task.run->session;
+      session.run_to_end(&self.stop);
+      stopped = !session.done();
+      if (!stopped) {
+        result.metrics = session.metrics();
+        result.ok = 1;
+        sim::publish_session(session, session.solver_stats());
+      }
     } catch (const std::exception& e) {
       result.error = e.what();
     } catch (...) {
@@ -334,30 +424,39 @@ void SweepService::worker_loop() {
     {
       std::lock_guard<std::mutex> lk(mu_);
       --job->active;
-      if (!job->ttfr_recorded) {
-        job->ttfr_recorded = true;
-        sm().ttfr.record(ms_since(job->submitted));
-      }
-      if (result.ok) {
-        ++job->completed;
-        ++done_total_;
-        sm().done.add();
+      self.job.reset();
+      if (stopped && job->state == Job::State::kRunning) {
+        // Reclaimed: the session waits at the head of its job's queue.
+        job->parked.push_back(std::move(task));
+        sm().reclaims.add();
+      } else if (stopped) {
+        // Cancelled mid-run: the scenario ends here, without a result.
+        ++job->cancelled;
+        ++cancelled_total_;
       } else {
-        ++job->failed;
-        ++failed_total_;
-        sm().failed.add();
+        if (!job->ttfr_recorded) {
+          job->ttfr_recorded = true;
+          sm().ttfr.record(ms_since(job->submitted));
+        }
+        if (result.ok) {
+          ++job->completed;
+          ++done_total_;
+          sm().done.add();
+        } else {
+          ++job->failed;
+          ++failed_total_;
+          sm().failed.add();
+        }
       }
       if (job->finished() && !job->finalized) {
         complete = finalize_locked(job);
         finalize = true;
       }
     }
-    emit(job, std::move(result));
-    if (finalize) {
-      emit(job, complete);
-      em.unlock();
-      work_cv_.notify_all();
-    }
+    if (!stopped) emit(job, std::move(result));
+    if (finalize) emit(job, complete);
+    em.unlock();
+    if (finalize || stopped) work_cv_.notify_all();
   }
 }
 

@@ -416,11 +416,11 @@ int SimulationSession::run_until(double t_sim) {
   return taken;
 }
 
-int SimulationSession::run_to_end() {
+int SimulationSession::run_to_end(const std::atomic<bool>* stop) {
   int taken = 0;
   while (!done()) {
     taken += replay_fast_forward();
-    if (done()) break;
+    if (done() || (stop && stop->load(std::memory_order_relaxed))) break;
     step();
     ++taken;
   }

@@ -9,6 +9,7 @@
 /// and resume), while simulate() remains the one-shot convenience wrapper
 /// that runs a session to completion.
 
+#include <atomic>
 #include <limits>
 #include <memory>
 #include <span>
@@ -211,7 +212,13 @@ class SimulationSession {
   int run_until(double t_sim);
 
   /// Step to the end of the run. \return number of steps taken.
-  int run_to_end();
+  /// A non-null \p stop is loaded (relaxed) once per loop turn, after
+  /// the replay fast-forward and before the next step(): once it reads
+  /// true the call returns early, !done(), at a control-interval
+  /// boundary. Calling run_to_end again resumes the run with the same
+  /// calls in the same order, so a stopped and resumed run is bitwise
+  /// the uninterrupted one, on whichever thread it resumes.
+  int run_to_end(const std::atomic<bool>* stop = nullptr);
 
   /// Limit-cycle fast-forward (sim/replay.hpp): when the session is
   /// locked on a verified cycle and sits at a verified boundary, replay

@@ -2,16 +2,19 @@
 // that detects an exactly-periodic closed loop and replays journaled
 // cycles (sim/replay.hpp) must finish with bitwise the metrics and the
 // temperature field of the step-everything run — across solver kinds
-// (only banded LU arms replay), the sweep runner, and run_until calls
-// that land mid control interval or mid replay cycle. The trace
+// (only banded LU arms replay), the sweep runner, run_until calls that
+// land mid control interval or mid replay cycle, and run_to_end calls
+// that a stop flag ends at a boundary and another thread resumes. The trace
 // periodicity probe (power::UtilizationTrace::period_hint) that arms
 // the machinery is covered here too.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "power/trace.hpp"
@@ -212,6 +215,42 @@ TEST_P(ReplayParityTest, RunUntilMidIntervalAndMidCycleResumesBitwise) {
   EXPECT_EQ(ma.lost_work, mb.lost_work);
   EXPECT_EQ(ma.migrations, mb.migrations);
   EXPECT_EQ(ma.core_hot_time, mb.core_hot_time);
+}
+
+TEST_P(ReplayParityTest, RunToEndStopFlagPausesAtBoundariesBitwise) {
+  const Scenario s = periodic_scenario(GetParam());
+  const RunOutcome ref = run_full(s);
+
+  ScenarioInstance inst = instantiate(s);
+  SimulationSession session = inst.session();
+  // A raised flag returns before the first step.
+  const std::atomic<bool> stop{true};
+  EXPECT_EQ(session.run_to_end(&stop), 0);
+  EXPECT_EQ(session.steps_done(), 0);
+
+  // Each turn resumes on a fresh thread: run_to_end fast-forwards what
+  // replay allows and stops at the next boundary, then one step moves
+  // past it. Put down and picked up at every boundary, the run is
+  // bitwise the straight one.
+  int taken = 0;
+  while (!session.done()) {
+    std::thread([&] {
+      taken += session.run_to_end(&stop);
+      if (session.done()) return;
+      session.step();
+      ++taken;
+    }).join();
+  }
+  EXPECT_EQ(taken, session.steps_done());
+  EXPECT_EQ(session.replay_steps() > 0,
+            GetParam() == sparse::SolverKind::kBandedLu);
+  const auto t = session.temperatures();
+  expect_same_outcome({session.metrics(),
+                       {t.begin(), t.end()},
+                       session.replay_cycles(),
+                       session.replay_steps(),
+                       session.replay_solves_skipped()},
+                      ref, "stopped at every boundary vs straight");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,18 +2,31 @@
 // one server over loopback get results bitwise identical to a direct
 // run_sweep of the same scenarios, the shared warm bank serves every
 // repeat submission from its cached tiers, acks always precede the
-// job's streamed results, and admission respects the core budget.
+// job's streamed results, and admission respects the core budget. The
+// ServiceScheduling cases drive a SweepService directly: an idle worker
+// is lent to a running job beyond its grant and reclaimed for a newly
+// admitted one, the session it puts down resumes bitwise on another
+// worker, and cancel stops running scenarios (the TSan CI job repeats
+// these).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
+#include "service/service.hpp"
 #include "sim/bank.hpp"
 #include "sim/prepared.hpp"
 #include "sim/sweep.hpp"
@@ -212,6 +225,250 @@ TEST(ServiceConcurrency, WhatIfTakesItsOwnAckBehindAPipelinedSweep) {
   EXPECT_THROW(client.what_if(endless), Error);
 
   server.stop();
+}
+
+// --- scheduling: lending, reclaim and cancel ------------------------------
+
+namespace proto = protocol;
+
+/// A 4-tier scenario long enough (some 60 ms on a 4-core Xeon VM) to
+/// still be running while a test acts on it.
+sim::Scenario long_scenario(std::uint64_t seed) {
+  sim::Scenario s;
+  s.tiers = 4;
+  s.policy = sim::PolicyKind::kLcFuzzy;
+  s.workload = power::WorkloadKind::kWebServer;
+  s.trace_seconds = 120;
+  s.seed = seed;
+  s.grid = thermal::GridOptions{10, 10};
+  return s;
+}
+
+/// A 16-step 2-tier scenario, tens of times shorter than long_scenario.
+sim::Scenario short_scenario(std::uint64_t seed) {
+  sim::Scenario s = long_scenario(seed);
+  s.tiers = 2;
+  s.trace_seconds = 5;
+  return s;
+}
+
+ServiceOptions two_cores() {
+  ServiceOptions opts;
+  opts.core_budget = 2;
+  return opts;
+}
+
+/// Two long scenarios: the sweep the lending tests submit.
+const std::vector<sim::Scenario>& long_pair() {
+  static const std::vector<sim::Scenario> pair = {long_scenario(1),
+                                                  long_scenario(2)};
+  return pair;
+}
+
+/// run_scenario of long_pair(), computed once per process: the TSan CI
+/// job repeats these cases.
+const sim::SimMetrics& long_pair_reference(std::size_t i) {
+  static const std::vector<sim::SimMetrics> reference = [] {
+    std::vector<sim::SimMetrics> v;
+    for (const sim::Scenario& s : long_pair()) {
+      v.push_back(sim::run_scenario(s));
+    }
+    return v;
+  }();
+  return reference.at(i);
+}
+
+/// Turns metric recording on for one test (the lending counters are
+/// read through the registry).
+class MetricsOn {
+ public:
+  MetricsOn() { obs::set_metrics_enabled(true); }
+  ~MetricsOn() { obs::set_metrics_enabled(was_); }
+
+ private:
+  bool was_ = obs::metrics_enabled();
+};
+
+std::uint64_t counter(const char* name) {
+  const obs::Snapshot snap = obs::snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+/// Blocks until \p done() holds; fails the test after a minute.
+template <class Pred>
+void wait_until(Pred done, const char* what) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!done()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << what;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// A SweepService event sink that keeps every event in arrival order.
+class EventLog {
+ public:
+  SweepService::EventFn sink() {
+    return [this](const proto::Message& m) {
+      std::lock_guard<std::mutex> lk(mu_);
+      events_.push_back(m);
+      if (std::holds_alternative<proto::SweepCompleteMsg>(m)) ++completions_;
+      cv_.notify_all();
+    };
+  }
+  /// The events once \p jobs completions have arrived.
+  std::vector<proto::Message> wait(int jobs) {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return completions_ >= jobs; });
+    return events_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<proto::Message> events_;
+  int completions_ = 0;
+};
+
+/// The results of \p job_id among \p log, in arrival order.
+std::vector<std::pair<std::size_t, const proto::ScenarioResultMsg*>>
+results_of(const std::vector<proto::Message>& log, std::uint32_t job_id) {
+  std::vector<std::pair<std::size_t, const proto::ScenarioResultMsg*>> out;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const auto* r = std::get_if<proto::ScenarioResultMsg>(&log[i]);
+    if (r && r->job_id == job_id) out.emplace_back(i, r);
+  }
+  return out;
+}
+
+const proto::SweepCompleteMsg& completion_of(
+    const std::vector<proto::Message>& log, std::uint32_t job_id) {
+  for (const proto::Message& m : log) {
+    const auto* c = std::get_if<proto::SweepCompleteMsg>(&m);
+    if (c && c->job_id == job_id) return *c;
+  }
+  throw Error("no completion for job " + std::to_string(job_id));
+}
+
+TEST(ServiceScheduling, IdleWorkerIsLentToAOneCoreJobBitwise) {
+  MetricsOn metrics;
+  const std::vector<sim::Scenario>& sweep = long_pair();
+  SweepService service(two_cores());
+  EventLog events;
+  const std::uint64_t lent = counter("service/scenarios_lent");
+  const auto ack = service.submit(sweep, 1, events.sink());
+  ASSERT_TRUE(ack && ack->admitted);
+  const std::vector<proto::Message> log = events.wait(1);
+
+  // The one-core job ran its second scenario on the idle second worker.
+  EXPECT_EQ(counter("service/scenarios_lent") - lent, 1u);
+  EXPECT_EQ(completion_of(log, ack->job_id).completed, sweep.size());
+  const auto results = results_of(log, ack->job_id);
+  ASSERT_EQ(results.size(), sweep.size());
+  for (const auto& [at, r] : results) {
+    ASSERT_TRUE(r->ok) << r->error;
+    expect_bitwise_equal(r->metrics, long_pair_reference(r->index),
+                         "scenario " + std::to_string(r->index));
+  }
+}
+
+TEST(ServiceScheduling, WhatIfReclaimsTheLentWorkerAndThePutDownRunResumes) {
+  MetricsOn metrics;
+  const std::vector<sim::Scenario>& sweep = long_pair();
+  SweepService service(two_cores());
+  EventLog events;
+  const std::uint64_t lent = counter("service/scenarios_lent");
+  const std::uint64_t reclaims = counter("service/reclaims");
+  const auto ack = service.submit(sweep, 1, events.sink());
+  ASSERT_TRUE(ack && ack->admitted);
+  ASSERT_NO_FATAL_FAILURE(
+      wait_until([&] { return counter("service/scenarios_lent") > lent; },
+                 "no worker was lent to the one-core job"));
+
+  // Both workers run the sweep, so the what-if's grant has no free
+  // worker: one of the sweep's sessions is put down for it.
+  const auto what_if = service.submit({short_scenario(3)}, 1, events.sink());
+  ASSERT_TRUE(what_if && what_if->admitted);
+  const std::vector<proto::Message> log = events.wait(2);
+  EXPECT_EQ(counter("service/reclaims") - reclaims, 1u);
+
+  // The what-if answers before either sweep scenario, the put-down one
+  // included, and every result is bitwise the direct run's.
+  const auto quick = results_of(log, what_if->job_id);
+  const auto slow = results_of(log, ack->job_id);
+  ASSERT_EQ(quick.size(), 1u);
+  ASSERT_EQ(slow.size(), sweep.size());
+  ASSERT_TRUE(quick[0].second->ok) << quick[0].second->error;
+  expect_bitwise_equal(quick[0].second->metrics,
+                       sim::run_scenario(short_scenario(3)), "what-if");
+  for (const auto& [at, r] : slow) {
+    EXPECT_LT(quick[0].first, at) << "sweep scenario " << r->index;
+    ASSERT_TRUE(r->ok) << r->error;
+    expect_bitwise_equal(r->metrics, long_pair_reference(r->index),
+                         "sweep scenario " + std::to_string(r->index));
+  }
+}
+
+TEST(ServiceScheduling, QueuedOrWholeBudgetJobsNeverLend) {
+  MetricsOn metrics;
+  SweepService service(two_cores());
+  EventLog events;
+  const std::uint64_t lent = counter("service/scenarios_lent");
+
+  // A job granted the whole budget has every worker within its grant.
+  const auto whole = service.submit(
+      {short_scenario(1), short_scenario(2), short_scenario(3)}, 2,
+      events.sink());
+  ASSERT_TRUE(whole && whole->admitted);
+  events.wait(1);
+  EXPECT_EQ(counter("service/scenarios_lent"), lent);
+
+  // While the two-core job queues behind the one-core one, the second
+  // worker stays idle: no worker is lent while a job queues.
+  const auto first = service.submit(long_pair(), 2, events.sink());
+  const auto one_core = service.submit({short_scenario(4), short_scenario(5)},
+                                       1, events.sink());
+  // Two scenarios: a grant is clamped to the job's scenario count.
+  const auto queued = service.submit({short_scenario(6), short_scenario(7)},
+                                     2, events.sink());
+  ASSERT_TRUE(first && one_core && queued);
+  ASSERT_TRUE(first->admitted);
+  ASSERT_FALSE(one_core->admitted);
+  ASSERT_FALSE(queued->admitted);
+  const std::vector<proto::Message> log = events.wait(4);
+  EXPECT_EQ(counter("service/scenarios_lent"), lent);
+  EXPECT_EQ(completion_of(log, one_core->job_id).completed, 2u);
+  EXPECT_EQ(completion_of(log, queued->job_id).completed, 2u);
+}
+
+TEST(ServiceScheduling, CancelStopsRunningScenarios) {
+  const std::vector<sim::Scenario> sweep = {
+      long_scenario(1), long_scenario(2), long_scenario(3)};
+  SweepService service(two_cores());
+  EventLog events;
+  const auto ack = service.submit(sweep, 1, events.sink());
+  ASSERT_TRUE(ack && ack->admitted);
+  // A worker fills the steady tier only once it prepares a scenario to
+  // run it.
+  ASSERT_NO_FATAL_FAILURE(wait_until(
+      [&] {
+        const sim::BankCounters bank = service.status().bank;
+        return bank.steady_hits + bank.steady_misses > 0;
+      },
+      "no scenario started"));
+  EXPECT_TRUE(service.cancel(ack->job_id));
+
+  // The running scenarios stop at their next control interval: no
+  // result, every scenario counted as cancelled.
+  const std::vector<proto::Message> log = events.wait(1);
+  ASSERT_EQ(log.size(), 1u);
+  const proto::SweepCompleteMsg& done = completion_of(log, ack->job_id);
+  EXPECT_EQ(done.was_cancelled, 1);
+  EXPECT_EQ(done.completed, 0u);
+  EXPECT_EQ(done.failed, 0u);
+  EXPECT_EQ(done.cancelled, sweep.size());
+  EXPECT_EQ(service.status().scenarios_cancelled, sweep.size());
 }
 
 }  // namespace

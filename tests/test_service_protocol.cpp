@@ -444,6 +444,37 @@ TEST(ServiceProtocol, OutOfRangeEnumsAreBadValue) {
   EXPECT_EQ(d.error, DecodeError::kBadValue) << d.detail;
 }
 
+TEST(ServiceProtocol, DiscreteChannelsFlagAboveOneIsBadValue) {
+  // grid.discrete_channels is a bool: decode bounds its wire byte to
+  // (0, 1) like every other flag, instead of reading 0x02 or 0xFF as
+  // true.
+  WhatIfMsg msg;
+  msg.client_tag = 1;
+  msg.scenario = sample_scenario();
+  ASSERT_FALSE(msg.scenario.grid.discrete_channels);
+  const std::vector<std::uint8_t> good = payload_of(msg);
+  WhatIfMsg other = msg;
+  other.scenario.grid.discrete_channels = true;
+  const std::vector<std::uint8_t> alt = payload_of(other);
+  ASSERT_EQ(good.size(), alt.size());
+  std::size_t at = 0;
+  while (at < good.size() && good[at] == alt[at]) ++at;
+  ASSERT_LT(at, good.size());
+  ASSERT_EQ(good[at], 0);
+  ASSERT_EQ(alt[at], 1);
+
+  Decoded d = decode(alt);
+  ASSERT_TRUE(d.ok()) << d.detail;
+  EXPECT_TRUE(std::get<WhatIfMsg>(d.msg).scenario.grid.discrete_channels);
+  for (const std::uint8_t value : {0x02, 0xFF}) {
+    std::vector<std::uint8_t> evil = good;
+    evil[at] = value;
+    d = decode(evil);
+    EXPECT_EQ(d.error, DecodeError::kBadValue) << "byte " << int{value};
+    EXPECT_EQ(d.client_tag, 1u) << "byte " << int{value};
+  }
+}
+
 TEST(ServiceProtocol, ScenarioSizesPastTheirLimitsAreBadValue) {
   WhatIfMsg msg;
   msg.client_tag = 1;
@@ -887,8 +918,8 @@ TEST(ServiceProtocol, DecodeOutcomesMatchTheirDigest) {
     h = fnv1a_bytes(h, frame.data(), frame.size());
   }
   EXPECT_EQ(corpus.size(), 5074u);
-  EXPECT_EQ(decoded_ok, 1978u);
-  EXPECT_EQ(h, 0x273f89cb1afd1d7full);
+  EXPECT_EQ(decoded_ok, 1972u);
+  EXPECT_EQ(h, 0x53d3f4722d0f51d1ull);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Server paths a hostile or confused client reaches, driven through a
 // real ServiceServer on loopback: malformed and oversized frames, empty
-// and late submits, a response sent as a request, cancellation and the
-// live metrics query. Each case asserts the typed answer and that the
+// and late submits, a connection opened during a drain, a response sent
+// as a request, cancellation and the live metrics query. Each case asserts the typed answer and that the
 // connection keeps serving afterwards (the TSan CI job runs this suite
 // too).
 #include <gtest/gtest.h>
@@ -136,7 +136,7 @@ TEST(ServiceServer, SubmitWhileDrainingIsRejectedDraining) {
   server.start();
   ServiceClient owner;
   owner.connect("127.0.0.1", server.port());
-  // A drain closes new connections, so the late client connects first.
+  // A drain refuses new connections, so the late client connects first.
   ServiceClient late;
   late.connect("127.0.0.1", server.port());
 
@@ -160,6 +160,36 @@ TEST(ServiceServer, SubmitWhileDrainingIsRejectedDraining) {
                5);
 
   // Cancelling the job lets the drain finish.
+  EXPECT_TRUE(owner.cancel(ack.job_id));
+  EXPECT_EQ(owner.collect(ack.job_id).complete.was_cancelled, 1);
+  owner.wait_drain_complete();
+  server.wait();
+  EXPECT_FALSE(server.running());
+}
+
+TEST(ServiceServer, ConnectionDuringADrainIsRejectedDraining) {
+  ServiceServer server(one_core());
+  server.start();
+  ServiceClient owner;
+  owner.connect("127.0.0.1", server.port());
+  const proto::SubmitAckMsg ack = owner.submit_sweep(long_sweep(), 1);
+  ASSERT_EQ(ack.admitted, 1);
+  owner.request_drain();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (owner.query_status().draining == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the drain never started";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // The job holds the drain open: a new connection is answered with a
+  // typed refusal before it is closed, not closed silently.
+  ServiceClient late;
+  late.connect("127.0.0.1", server.port());
+  expect_error(late.read_message(), proto::ServiceError::kRejectedDraining,
+               0);
+
   EXPECT_TRUE(owner.cancel(ack.job_id));
   EXPECT_EQ(owner.collect(ack.job_id).complete.was_cancelled, 1);
   owner.wait_drain_complete();
@@ -215,9 +245,13 @@ TEST(ServiceServer, QueryMetricsStreamsTheServiceEntries) {
     if (e.name == "service/queue_depth") {
       EXPECT_EQ(e.kind, proto::MetricEntryMsg::kGauge);
     }
+    if (e.name == "service/scenarios_lent" || e.name == "service/reclaims") {
+      EXPECT_EQ(e.kind, proto::MetricEntryMsg::kCounter);
+    }
   }
-  for (const char* name : {"service/ttfr_ms", "service/scenarios_done",
-                           "service/queue_depth"}) {
+  for (const char* name :
+       {"service/ttfr_ms", "service/scenarios_done", "service/queue_depth",
+        "service/scenarios_lent", "service/reclaims"}) {
     EXPECT_TRUE(service_entries.contains(name)) << name;
   }
   expect_next_is_status(client);
