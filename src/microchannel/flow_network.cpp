@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/error.hpp"
+#include "sparse/banded_lu.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/iterative.hpp"
-#include "sparse/preconditioner.hpp"
 
 namespace tac3d::microchannel {
 
@@ -46,26 +46,38 @@ NetworkSolution HydraulicNetwork::solve() const {
   const std::int32_t n = node_count();
   require(n > 0, "HydraulicNetwork::solve: empty network");
 
-  // Map interior nodes to unknown indices.
+  // Union-find over the edges: an interior node must share a component
+  // with a fixed-pressure node, or its pressure is undetermined (the
+  // component's Laplacian block is singular).
+  std::vector<std::int32_t> root(static_cast<std::size_t>(n));
+  std::iota(root.begin(), root.end(), 0);
+  const auto find = [&](std::int32_t i) {
+    while (root[i] != i) i = root[i] = root[root[i]];
+    return i;
+  };
+  for (const Edge& e : edges_) root[find(e.a)] = find(e.b);
+  std::vector<bool> grounded(static_cast<std::size_t>(n), false);
+  for (std::int32_t i = 0; i < n; ++i) {
+    if (fixed_[i]) grounded[find(i)] = true;
+  }
+
+  // Fixed pressures, and unknown indices for the interior nodes.
   std::vector<std::int32_t> unknown_of(static_cast<std::size_t>(n), -1);
   std::int32_t n_unknown = 0;
-  for (std::int32_t i = 0; i < n; ++i) {
-    if (!fixed_[i]) unknown_of[i] = n_unknown++;
-  }
-  require(n_unknown < n || std::any_of(fixed_.begin(), fixed_.end(),
-                                       [](bool f) { return f; }) ||
-              n_unknown == 0,
-          "HydraulicNetwork::solve: network needs at least one fixed node");
-
   NetworkSolution sol;
   sol.pressures.assign(static_cast<std::size_t>(n), 0.0);
   for (std::int32_t i = 0; i < n; ++i) {
-    if (fixed_[i]) sol.pressures[i] = fixed_pressure_[i];
+    if (fixed_[i]) {
+      sol.pressures[i] = fixed_pressure_[i];
+    } else {
+      require(grounded[find(i)],
+              "HydraulicNetwork::solve: interior node without a path to a "
+              "fixed-pressure node");
+      unknown_of[i] = n_unknown++;
+    }
   }
 
   if (n_unknown > 0) {
-    require(std::any_of(fixed_.begin(), fixed_.end(), [](bool f) { return f; }),
-            "HydraulicNetwork::solve: floating network (no fixed pressure)");
     std::vector<sparse::Triplet> trips;
     std::vector<double> rhs(static_cast<std::size_t>(n_unknown), 0.0);
     for (std::int32_t i = 0; i < n; ++i) {
@@ -85,19 +97,14 @@ NetworkSolution HydraulicNetwork::solve() const {
         rhs[ub] += e.g * fixed_pressure_[e.a];
       }
     }
-    const auto laplacian =
-        sparse::CsrMatrix::from_triplets(n_unknown, n_unknown, std::move(trips));
-    std::vector<double> x(static_cast<std::size_t>(n_unknown), 0.0);
-    sparse::JacobiPreconditioner precond(laplacian);
-    sparse::IterativeOptions opts;
-    opts.rel_tolerance = 1e-12;
-    opts.max_iterations = 10000;
-    const auto res = sparse::cg(laplacian, rhs, x, precond, opts);
-    if (!res.converged) {
-      throw NumericalError("HydraulicNetwork::solve: CG did not converge");
-    }
+    // Every component grounded, the Laplacian is an irreducibly
+    // diagonally dominant M-matrix per component, so LU without
+    // pivoting is stable: one direct solve, no tolerance to meet.
+    sparse::BandedLu(sparse::CsrMatrix::from_triplets(n_unknown, n_unknown,
+                                                      std::move(trips)))
+        .solve(rhs, rhs);
     for (std::int32_t i = 0; i < n; ++i) {
-      if (!fixed_[i]) sol.pressures[i] = x[unknown_of[i]];
+      if (!fixed_[i]) sol.pressures[i] = rhs[unknown_of[i]];
     }
   }
 

@@ -47,7 +47,11 @@ class HydraulicNetwork {
     return static_cast<std::int32_t>(edges_.size());
   }
 
-  /// Solve mass conservation for all interior pressures.
+  /// Solve mass conservation for all interior pressures: one direct
+  /// banded-LU solve of the interior Laplacian, exact up to rounding (no
+  /// tolerance, no iteration cap). Throws InvalidArgument when the
+  /// network is empty or an interior node has no path to a
+  /// fixed-pressure node, whose pressure would be undetermined.
   NetworkSolution solve() const;
 
  private:

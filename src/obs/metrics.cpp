@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <mutex>
 
 namespace tac3d::obs {
@@ -143,28 +142,19 @@ constexpr std::size_t kMaxCounters = 128;
 constexpr std::size_t kMaxGauges = 64;
 constexpr std::size_t kMaxHists = 64;
 
-/// Per-thread counter slab: one relaxed slot per registered counter.
-/// Owned by the registry (so retired threads' totals survive until the
-/// next snapshot folds them) and linked to at most one live thread.
-struct Slab {
-  std::atomic<std::uint64_t> v[kMaxCounters] = {};
-  bool live = false;
-};
-
 struct Registry {
   std::mutex mu;
   std::vector<std::string> counter_names;
   std::vector<std::string> gauge_names;
   std::vector<std::string> hist_names;
-  std::vector<std::unique_ptr<Slab>> slabs;
-  std::uint64_t retired[kMaxCounters] = {};
+  std::atomic<std::uint64_t> counters[kMaxCounters] = {};
   std::atomic<double> gauges[kMaxGauges] = {};
   Histogram hists[kMaxHists];
   std::atomic<bool> enabled{true};
 };
 
-/// Leaked singleton: immortal, so thread-exit hooks and atexit-ordered
-/// destructors can never observe a destroyed registry.
+/// Leaked singleton: immortal, so atexit-ordered destructors can never
+/// observe a destroyed registry.
 Registry& reg() {
   static Registry* r = new Registry;
   return *r;
@@ -191,34 +181,6 @@ std::uint32_t register_name(std::vector<std::string>& names,
   return static_cast<std::uint32_t>(names.size() - 1);
 }
 
-/// Thread-local handle: registers a registry-owned slab on first use,
-/// folds it into the retired accumulator when the thread exits.
-struct ThreadSlab {
-  Slab* slab = nullptr;
-  ThreadSlab() {
-    Registry& r = reg();
-    std::lock_guard<std::mutex> lock(r.mu);
-    auto owned = std::make_unique<Slab>();
-    owned->live = true;
-    slab = owned.get();
-    r.slabs.push_back(std::move(owned));
-  }
-  ~ThreadSlab() {
-    Registry& r = reg();
-    std::lock_guard<std::mutex> lock(r.mu);
-    for (std::size_t i = 0; i < kMaxCounters; ++i)
-      r.retired[i] += slab->v[i].load(std::memory_order_relaxed);
-    auto it = std::find_if(r.slabs.begin(), r.slabs.end(),
-                           [&](const auto& s) { return s.get() == slab; });
-    if (it != r.slabs.end()) r.slabs.erase(it);
-  }
-};
-
-Slab* thread_slab() {
-  thread_local ThreadSlab tls;
-  return tls.slab;
-}
-
 }  // namespace
 
 bool metrics_enabled() {
@@ -235,9 +197,7 @@ Counter::Counter(const char* name)
 
 void Counter::add(std::uint64_t n) {
   if (id_ == kInvalidId || !metrics_enabled()) return;
-  std::atomic<std::uint64_t>& slot = thread_slab()->v[id_];
-  slot.store(slot.load(std::memory_order_relaxed) + n,
-             std::memory_order_relaxed);
+  reg().counters[id_].fetch_add(n, std::memory_order_relaxed);
 }
 
 Gauge::Gauge(const char* name)
@@ -262,12 +222,9 @@ Snapshot snapshot() {
   Registry& r = reg();
   std::lock_guard<std::mutex> lock(r.mu);
   Snapshot snap;
-  for (std::size_t i = 0; i < r.counter_names.size(); ++i) {
-    std::uint64_t total = r.retired[i];
-    for (const auto& slab : r.slabs)
-      total += slab->v[i].load(std::memory_order_relaxed);
-    snap.counters[r.counter_names[i]] = total;
-  }
+  for (std::size_t i = 0; i < r.counter_names.size(); ++i)
+    snap.counters[r.counter_names[i]] =
+        r.counters[i].load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < r.gauge_names.size(); ++i)
     snap.gauges[r.gauge_names[i]] =
         r.gauges[i].load(std::memory_order_relaxed);

@@ -5,16 +5,16 @@
 ///
 /// Handles (Counter/Gauge/HistogramMetric) are registered by name —
 /// usually as function-local statics at the instrumentation site — and
-/// resolve to dense ids. Counter increments land in a per-thread slab
-/// (one relaxed atomic slot per counter, no shared cache line, no
-/// lock), so hot paths pay a load+store; gauges are last-write-wins
-/// process globals; histogram records take the registry mutex and are
-/// meant for per-job/per-request paths, not per-step loops.
+/// resolve to dense ids. A counter is one process-wide atomic slot that
+/// add() bumps with a relaxed fetch_add, no lock; gauges are
+/// last-write-wins process globals; histogram records take the registry
+/// mutex. All three are meant for per-scenario, per-job and per-request
+/// paths, not per-step loops: a session publishes its step counts once,
+/// when it completes.
 ///
-/// snapshot() folds live thread slabs plus the retired-thread
-/// accumulator into a name-keyed Snapshot; Snapshot::since() gives the
-/// delta between two snapshots so benches can attribute counts to one
-/// measured leg.
+/// snapshot() reads every metric into a name-keyed Snapshot;
+/// Snapshot::since() gives the delta between two snapshots so benches
+/// can attribute counts to one measured leg.
 ///
 /// Publication is process-gated: TAC3D_METRICS=0 (or
 /// set_metrics_enabled(false)) turns every record into an early
@@ -103,7 +103,7 @@ bool metrics_enabled();
 void set_metrics_enabled(bool on);
 
 /// Monotone counter. Register once (function-local static), add from
-/// any thread without contention.
+/// any thread without a lock.
 class Counter {
  public:
   explicit Counter(const char* name);
@@ -146,7 +146,7 @@ struct Snapshot {
   Snapshot since(const Snapshot& base) const;
 };
 
-/// Merge the retired-thread accumulator and all live thread slabs.
+/// Read every registered metric.
 Snapshot snapshot();
 
 /// Steady-clock stopwatch — the one clock source shared by the obs
@@ -165,19 +165,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Adds the scope's elapsed seconds to *out on destruction.
-class ScopedSeconds {
- public:
-  explicit ScopedSeconds(double* out) : out_(out) {}
-  ~ScopedSeconds() { *out_ += sw_.seconds(); }
-  ScopedSeconds(const ScopedSeconds&) = delete;
-  ScopedSeconds& operator=(const ScopedSeconds&) = delete;
-
- private:
-  double* out_;
-  Stopwatch sw_;
 };
 
 }  // namespace tac3d::obs

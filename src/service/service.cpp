@@ -285,9 +285,8 @@ std::shared_ptr<SweepService::Job> SweepService::next_job_locked(
   for (const auto& j : running_) {
     if (j->claimable()) return j;
   }
-  // Nothing within a grant: lend to the oldest job with work left, unless
-  // a queued job is waiting for cores to be released.
-  if (!queue_.empty()) return nullptr;
+  // Nothing within a grant: lend to the oldest job with work left. A
+  // queued job waits for grants, not workers: admitting it reclaims.
   for (const auto& j : running_) {
     if (j->state == Job::State::kRunning && j->pending() > 0) {
       lent = true;

@@ -22,14 +22,14 @@
 /// status are the protocol structs a server frames.
 ///
 /// Work conservation: a grant is a job's guaranteed share, not its cap.
-/// A worker with no scenario to claim within any grant, while the
-/// admission queue is empty, is lent to the oldest running job that has
-/// a pending scenario. When a newly admitted job finds no free worker,
-/// lent workers, latest claims first, give their cores back at their
-/// session's next control interval: the session is put down at the head
-/// of its job's pending scenarios and resumes, bitwise unchanged, on
-/// whichever worker claims it next (SimulationSession::run_to_end's stop
-/// flag).
+/// A worker with no scenario to claim within any grant is lent to the
+/// oldest running job that has a pending scenario, also while a job
+/// queues: a queued job waits for grants, not for workers. When a newly
+/// admitted job finds no free worker, lent workers, latest claims first,
+/// give their cores back at their session's next control interval: the
+/// session is put down at the head of its job's pending scenarios and
+/// resumes, bitwise unchanged, on whichever worker claims it next
+/// (SimulationSession::run_to_end's stop flag).
 ///
 /// Robustness contract: a cancelled job (client disconnect) skips its
 /// pending scenarios and stops its in-flight ones at their next control
@@ -127,9 +127,9 @@ class SweepService {
 
   void worker_loop(Worker& self);
   /// The job a free worker serves next: the first running job with a
-  /// pending scenario within its grant; else, while the admission queue
-  /// is empty, the oldest running job with a pending scenario (\p lent
-  /// is set). Null when there is none. Caller holds mu_.
+  /// pending scenario within its grant; else the oldest running job with
+  /// a pending scenario (\p lent is set). Null when there is none.
+  /// Caller holds mu_.
   std::shared_ptr<Job> next_job_locked(bool& lent) const;
   /// Admit queued jobs while their grants fit the free budget (FIFO,
   /// head-of-line), then reclaim lent workers for them. Caller holds

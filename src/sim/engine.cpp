@@ -156,6 +156,8 @@ SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
   thermal_->set_state(init->temperatures);
 
   m_.core_hot_time.assign(n_cores_, 0.0);
+  offered_.assign(n_cores_, 0.0);
+  lost_.assign(n_cores_, 0.0);
 
   // Persistent control-tail buffers: the per-step loop reuses these, so
   // steady-state stepping performs no heap allocation.
@@ -263,8 +265,8 @@ void SimulationSession::tail_apply() {
     const double executed = std::min(demand, capacity);
     cores_[c].vf_level = act_.vf_levels[c];
     cores_[c].busy = capacity > 0.0 ? executed / capacity : 0.0;
-    m_.offered_work += demand * cfg_.control_dt;
-    m_.lost_work += (demand - executed) * cfg_.control_dt;
+    offered_[c] = demand * cfg_.control_dt;
+    lost_[c] = (demand - executed) * cfg_.control_dt;
   }
 }
 
@@ -283,58 +285,28 @@ void SimulationSession::tail_power_dynamic() {
 }
 
 void SimulationSession::finish_metrics() {
-  // 5. Metrics, from the post-solve sensor gather.
-  bool any_hot = false;
-  for (int c = 0; c < n_cores_; ++c) {
-    const double t_core = in_.core_temps[c];
-    m_.peak_temp = std::max(m_.peak_temp, t_core);
-    if (t_core > cfg_.hot_threshold_k) {
-      m_.core_hot_time[c] += cfg_.control_dt;
-      any_hot = true;
-    }
+  // 5. Metrics: the work addends tail_apply() left, the post-solve
+  //    sensor gather, and this interval's energies.
+  IntervalAddends a;
+  a.offered = offered_;
+  a.lost = lost_;
+  a.tcore = in_.core_temps;
+  a.chip = soc_.model().total_power() * cfg_.control_dt;
+  a.pump_on = liquid_ && pump_level_ >= 0;
+  if (a.pump_on) {
+    a.pump = cfg_.pump.power(pump_level_, soc_.model().n_cavities()) *
+             cfg_.control_dt;
+    a.flow = cfg_.pump.flow_per_cavity(pump_level_) / cfg_.pump.q_max();
   }
-  if (any_hot) m_.any_hot_time += cfg_.control_dt;
-
-  m_.chip_energy += soc_.model().total_power() * cfg_.control_dt;
-  if (liquid_ && pump_level_ >= 0) {
-    m_.pump_energy += cfg_.pump.power(pump_level_, soc_.model().n_cavities()) *
-                      cfg_.control_dt;
-    flow_fraction_acc_ +=
-        cfg_.pump.flow_per_cavity(pump_level_) / cfg_.pump.q_max();
-  }
-  m_.duration += cfg_.control_dt;
+  add_interval(m_, a, cfg_.control_dt, cfg_.hot_threshold_k,
+               flow_fraction_acc_);
   ++steps_done_;
-  if (replay_.armed()) replay_post_step();
+  if (replay_.armed()) replay_post_step(a);
 }
 
-void SimulationSession::replay_post_step() {
+void SimulationSession::replay_post_step(const IntervalAddends& a) {
   replay_.note_real_step();
-  if (replay_.journaling()) {
-    // Record this interval's metric addends. Every value is recomputed
-    // from buffers the step left untouched (core_demand_, act_, the
-    // sensed temps, the committed element powers), by the same
-    // expressions tail_apply/finish_metrics evaluated — so the journal
-    // holds bitwise the addends the accumulators just received.
-    CycleStepRecord rec = replay_.journal_step_record();
-    for (int c = 0; c < n_cores_; ++c) {
-      const double capacity = soc_.chip().vf.speed_scale(act_.vf_levels[c]);
-      const double demand = core_demand_[c];
-      const double executed = std::min(demand, capacity);
-      rec.offered[c] = demand * cfg_.control_dt;
-      rec.lost[c] = (demand - executed) * cfg_.control_dt;
-      rec.tcore[c] = in_.core_temps[c];
-    }
-    *rec.chip = soc_.model().total_power() * cfg_.control_dt;
-    const bool pump_on = liquid_ && pump_level_ >= 0;
-    *rec.pump_on = pump_on ? 1 : 0;
-    *rec.pump = pump_on ? cfg_.pump.power(pump_level_,
-                                          soc_.model().n_cavities()) *
-                              cfg_.control_dt
-                        : 0.0;
-    *rec.flow = pump_on ? cfg_.pump.flow_per_cavity(pump_level_) /
-                              cfg_.pump.q_max()
-                        : 0.0;
-  }
+  if (replay_.journaling()) replay_.journal_interval(a);
   if (steps_done_ % replay_.period_steps() != 0) return;
   const int second =
       static_cast<int>(std::llround(steps_done_ * cfg_.control_dt));

@@ -177,7 +177,8 @@ class SimulationSession {
   void mark_sensed() { sensed_fresh_ = true; }
   /// Policy decision into policy_actions().
   void tail_decide();
-  /// Apply the decision: pump level, execution model, work accounting.
+  /// Apply the decision: pump level, execution model, and the
+  /// interval's per-core work addends (finish_metrics() adds them).
   void tail_apply();
   /// Power update: dynamic + leakage + RHS commit (the scalar tail).
   void tail_power();
@@ -185,8 +186,9 @@ class SimulationSession {
   /// model's element_powers_writable(); the batched path follows with
   /// the lane-fused leakage + scatter kernels.
   void tail_power_dynamic();
-  /// Metrics accumulation from the sensed temperatures; commits the
-  /// interval (advances steps_done()).
+  /// Metrics accumulation: the interval's IntervalAddends (work from
+  /// tail_apply(), the sensed temperatures, the energies) go through
+  /// add_interval(); commits the interval (advances steps_done()).
   void finish_metrics();
 
   /// Persistent policy I/O of the tail stages (one control interval).
@@ -299,6 +301,9 @@ class SimulationSession {
   std::vector<arch::CoreState> cores_;
   std::unique_ptr<thermal::TransientSolver> thermal_;
   SimMetrics m_;
+  /// Per-core offered and lost work of the interval in progress.
+  std::vector<double> offered_;
+  std::vector<double> lost_;
   int pump_level_ = -1;
   double flow_fraction_acc_ = 0.0;
   // Persistent control-tail state (the per-step loop is allocation-free).
@@ -312,9 +317,10 @@ class SimulationSession {
   /// FNV-1a fingerprint of all auxiliary closed-loop state (everything
   /// beyond the temperature field that feeds future arithmetic).
   std::uint64_t replay_fingerprint() const;
-  /// Journal recording + boundary detection, called by finish_metrics()
-  /// after each committed interval while replay is armed.
-  void replay_post_step();
+  /// Journal recording of \p a + boundary detection, called by
+  /// finish_metrics() after each committed interval while replay is
+  /// armed.
+  void replay_post_step(const IntervalAddends& a);
 };
 
 /// Run \p trace through \p policy on \p soc and collect metrics.

@@ -4,7 +4,9 @@
 /// hot-spot residency (Fig. 6), energy split and performance
 /// degradation (Fig. 7), peak temperatures (Section IV-A text).
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace tac3d::sim {
@@ -45,5 +47,48 @@ struct SimMetrics {
   /// Fraction of offered work that missed its interval (Fig. 7 "% delay").
   double perf_degradation() const;
 };
+
+/// One control interval's addends to SimMetrics: per core the offered
+/// work, the lost work and the sensed temperature; per interval the chip
+/// energy and, while the pump runs, the pump energy and the commanded
+/// flow fraction. A stepped interval fills one from its own buffers; the
+/// limit-cycle journal (sim/replay.hpp) copies it and re-adds the copy
+/// through the same add_interval(), so a replayed cycle advances every
+/// accumulator bitwise as the stepped one did.
+struct IntervalAddends {
+  std::span<const double> offered;  ///< per core [work-s]
+  std::span<const double> lost;     ///< per core [work-s]
+  std::span<const double> tcore;    ///< per core sensed temperature [K]
+  double chip = 0.0;                ///< chip energy [J]
+  bool pump_on = false;             ///< pump and flow addends live?
+  double pump = 0.0;                ///< pump energy [J]
+  double flow = 0.0;                ///< flow as a fraction of maximum
+};
+
+/// Add one control interval of \p dt seconds to \p m: each accumulator
+/// receives its addends in core order. \p flow_fraction_acc sums the
+/// flow fractions avg_flow_fraction is averaged from.
+inline void add_interval(SimMetrics& m, const IntervalAddends& a, double dt,
+                         double hot_threshold_k, double& flow_fraction_acc) {
+  for (std::size_t c = 0; c < a.offered.size(); ++c) {
+    m.offered_work += a.offered[c];
+    m.lost_work += a.lost[c];
+  }
+  bool any_hot = false;
+  for (std::size_t c = 0; c < a.tcore.size(); ++c) {
+    m.peak_temp = std::max(m.peak_temp, a.tcore[c]);
+    if (a.tcore[c] > hot_threshold_k) {
+      m.core_hot_time[c] += dt;
+      any_hot = true;
+    }
+  }
+  if (any_hot) m.any_hot_time += dt;
+  m.chip_energy += a.chip;
+  if (a.pump_on) {
+    m.pump_energy += a.pump;
+    flow_fraction_acc += a.flow;
+  }
+  m.duration += dt;
+}
 
 }  // namespace tac3d::sim

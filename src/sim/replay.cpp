@@ -48,21 +48,20 @@ void LimitCycleReplay::save_prev(std::span<const double> temps,
   prev_valid_ = true;
 }
 
-CycleStepRecord LimitCycleReplay::journal_step_record() {
-  require(phase_ == Phase::kJournaling && journal_.steps < period_steps_,
-          "LimitCycleReplay: journal_step_record outside journaling");
-  const std::size_t s = static_cast<std::size_t>(journal_.steps);
-  const std::size_t nc = static_cast<std::size_t>(journal_.n_cores);
-  ++journal_.steps;
-  CycleStepRecord rec;
-  rec.offered = std::span<double>(journal_.offered).subspan(s * nc, nc);
-  rec.lost = std::span<double>(journal_.lost).subspan(s * nc, nc);
-  rec.tcore = std::span<double>(journal_.tcore).subspan(s * nc, nc);
-  rec.chip = &journal_.chip[s];
-  rec.pump = &journal_.pump[s];
-  rec.flow = &journal_.flow[s];
-  rec.pump_on = &journal_.pump_on[s];
-  return rec;
+void LimitCycleReplay::journal_interval(const IntervalAddends& a) {
+  require(phase_ == Phase::kJournaling && journal_.steps < period_steps_ &&
+              a.offered.size() == static_cast<std::size_t>(journal_.n_cores),
+          "LimitCycleReplay::journal_interval: not journaling, or wrong core "
+          "count");
+  const std::size_t s = static_cast<std::size_t>(journal_.steps++);
+  const std::size_t at = s * a.offered.size();
+  std::copy(a.offered.begin(), a.offered.end(), journal_.offered.begin() + at);
+  std::copy(a.lost.begin(), a.lost.end(), journal_.lost.begin() + at);
+  std::copy(a.tcore.begin(), a.tcore.end(), journal_.tcore.begin() + at);
+  journal_.chip[s] = a.chip;
+  journal_.pump_on[s] = a.pump_on ? 1 : 0;
+  journal_.pump[s] = a.pump;
+  journal_.flow[s] = a.flow;
 }
 
 void LimitCycleReplay::on_boundary(std::span<const double> temps,
@@ -121,32 +120,18 @@ void LimitCycleReplay::on_boundary(std::span<const double> temps,
 void LimitCycleReplay::apply_cycle(SimMetrics& m, double dt,
                                    double hot_threshold_k,
                                    double& flow_fraction_acc) const {
-  // Mirror of tail_apply + finish_metrics accumulation, fed from the
-  // journal: per step, per core in core order, the identical addends the
-  // real steps applied — so every accumulator advances bitwise equally.
-  const int nc = journal_.n_cores;
-  for (int s = 0; s < journal_.steps; ++s) {
-    const std::size_t base = static_cast<std::size_t>(s) * nc;
-    for (int c = 0; c < nc; ++c) {
-      m.offered_work += journal_.offered[base + c];
-      m.lost_work += journal_.lost[base + c];
-    }
-    bool any_hot = false;
-    for (int c = 0; c < nc; ++c) {
-      const double t_core = journal_.tcore[base + c];
-      m.peak_temp = std::max(m.peak_temp, t_core);
-      if (t_core > hot_threshold_k) {
-        m.core_hot_time[c] += dt;
-        any_hot = true;
-      }
-    }
-    if (any_hot) m.any_hot_time += dt;
-    m.chip_energy += journal_.chip[static_cast<std::size_t>(s)];
-    if (journal_.pump_on[static_cast<std::size_t>(s)]) {
-      m.pump_energy += journal_.pump[static_cast<std::size_t>(s)];
-      flow_fraction_acc += journal_.flow[static_cast<std::size_t>(s)];
-    }
-    m.duration += dt;
+  const std::size_t nc = static_cast<std::size_t>(journal_.n_cores);
+  for (std::size_t s = 0; s < static_cast<std::size_t>(journal_.steps);
+       ++s) {
+    IntervalAddends a;
+    a.offered = std::span<const double>(journal_.offered).subspan(s * nc, nc);
+    a.lost = std::span<const double>(journal_.lost).subspan(s * nc, nc);
+    a.tcore = std::span<const double>(journal_.tcore).subspan(s * nc, nc);
+    a.chip = journal_.chip[s];
+    a.pump_on = journal_.pump_on[s] != 0;
+    a.pump = journal_.pump[s];
+    a.flow = journal_.flow[s];
+    add_interval(m, a, dt, hot_threshold_k, flow_fraction_acc);
   }
 }
 

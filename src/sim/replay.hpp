@@ -53,9 +53,9 @@
 
 namespace tac3d::sim {
 
-/// Journal of one closed-loop cycle: every value the metric
-/// accumulators receive per step, re-addable value-for-value in order,
-/// plus the cycle's scheduler-migration delta.
+/// Journal of one closed-loop cycle: a copy of every step's
+/// IntervalAddends, re-addable value-for-value in order, plus the
+/// cycle's scheduler-migration delta.
 struct CycleJournal {
   int n_cores = 0;
   int steps = 0;  ///< recorded so far (== period once complete)
@@ -67,18 +67,6 @@ struct CycleJournal {
   std::vector<double> flow;     ///< [step] flow-fraction addend
   std::vector<std::uint8_t> pump_on;  ///< [step] pump/flow addends live?
   std::int64_t migrations_delta = 0;  ///< migrations over the cycle
-};
-
-/// One step's journal slots (pointers into the CycleJournal arrays,
-/// valid until the next append).
-struct CycleStepRecord {
-  std::span<double> offered;  ///< n_cores entries
-  std::span<double> lost;
-  std::span<double> tcore;
-  double* chip = nullptr;
-  double* pump = nullptr;
-  double* flow = nullptr;
-  std::uint8_t* pump_on = nullptr;
 };
 
 /// The limit-cycle detector + journal owned by one SimulationSession.
@@ -94,7 +82,6 @@ class LimitCycleReplay {
   void arm(int period_steps, int period_seconds, int n_cores,
            std::size_t state_size);
 
-  void disarm() { phase_ = Phase::kDisarmed; }
   bool armed() const { return phase_ != Phase::kDisarmed; }
   bool journaling() const { return phase_ == Phase::kJournaling; }
   bool locked() const { return phase_ == Phase::kLocked; }
@@ -105,9 +92,9 @@ class LimitCycleReplay {
   /// Second the journaled cycle's window starts at (trace re-verify key).
   int journal_base_second() const { return journal_base_second_; }
 
-  /// Append one step to the journal (journaling() only) and return its
-  /// slots for the session to fill.
-  CycleStepRecord journal_step_record();
+  /// Copy one stepped interval's addends into the journal
+  /// (journaling() only).
+  void journal_interval(const IntervalAddends& a);
 
   /// A real (non-replayed) step executed: the session is no longer at a
   /// verified cycle boundary until the next on_boundary match.
@@ -126,9 +113,9 @@ class LimitCycleReplay {
     return phase_ == Phase::kLocked && verified_;
   }
 
-  /// Re-accumulate one journaled cycle into the metrics: the identical
-  /// addends in the identical order the real steps applied them, so the
-  /// accumulators advance bitwise exactly as if the cycle were stepped.
+  /// Re-accumulate one journaled cycle into the metrics: add_interval()
+  /// of each journaled step in order, so the accumulators advance bitwise
+  /// exactly as if the cycle were stepped.
   void apply_cycle(SimMetrics& m, double dt, double hot_threshold_k,
                    double& flow_fraction_acc) const;
 

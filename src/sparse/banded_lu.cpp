@@ -189,12 +189,13 @@ void BandedLu::solve(std::span<const double> b, std::span<double> x) const {
                static_cast<std::size_t>(k_lo - i + kl_)];
     y[i] -= dot8(row, y.data() + k_lo, i - k_lo);
   }
-  // Back substitution with U.
+  // Back substitution with U. Pointer arithmetic, not data_[]: with no
+  // upper band (ku_ == 0) the last row's segment starts one past the end.
   for (std::int32_t i = n_ - 1; i >= 0; --i) {
     const std::int32_t j_hi = std::min(n_ - 1, i + ku_);
-    const double* row =
-        &data_[static_cast<std::size_t>(i) * stride_ +
-               static_cast<std::size_t>(kl_) + 1];
+    const double* row = data_.data() +
+                        static_cast<std::size_t>(i) * stride_ +
+                        static_cast<std::size_t>(kl_) + 1;
     const double acc = y[i] - dot8(row, y.data() + i + 1, j_hi - i);
     y[i] = acc / band(i, i);
   }

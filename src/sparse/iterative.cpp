@@ -16,64 +16,6 @@ void KrylovWorkspace::resize(std::size_t n) {
   }
 }
 
-IterativeResult cg(const CsrMatrix& a, std::span<const double> b,
-                   std::span<double> x, const Preconditioner& m,
-                   const IterativeOptions& opts, KrylovWorkspace& ws) {
-  const std::size_t n = b.size();
-  require(a.rows() == a.cols() &&
-              static_cast<std::size_t>(a.rows()) == n && x.size() == n,
-          "cg: size mismatch");
-  ws.resize(n);
-  auto& r = ws.r;
-  auto& z = ws.ph;
-  auto& p = ws.p;
-  auto& ap = ws.v;
-
-  double bb = 0.0;
-  double rr = residual_norms(a, x, b, r, &bb);
-
-  const double bnorm = std::max(std::sqrt(bb), 1e-300);
-  IterativeResult res;
-  res.residual_norm = std::sqrt(rr);
-  if (res.residual_norm / bnorm <= opts.rel_tolerance) {
-    res.converged = true;
-    return res;
-  }
-
-  m.apply(r, z);
-  std::copy(z.begin(), z.end(), p.begin());
-  double rz = dot(r, z);
-
-  for (std::int32_t it = 1; it <= opts.max_iterations; ++it) {
-    const double pap = spmv_dot(a, p, ap, p);
-    if (pap <= 0.0) {
-      throw NumericalError("cg: matrix is not positive definite");
-    }
-    const double alpha = rz / pap;
-    axpy(alpha, p, x);
-    axpy(-alpha, ap, r);
-    res.iterations = it;
-    res.residual_norm = norm2(r);
-    if (res.residual_norm / bnorm <= opts.rel_tolerance) {
-      res.converged = true;
-      return res;
-    }
-    m.apply(r, z);
-    const double rz_new = dot(r, z);
-    const double beta = rz_new / rz;
-    rz = rz_new;
-    xpby(z, beta, p);
-  }
-  return res;
-}
-
-IterativeResult cg(const CsrMatrix& a, std::span<const double> b,
-                   std::span<double> x, const Preconditioner& m,
-                   const IterativeOptions& opts) {
-  KrylovWorkspace ws;
-  return cg(a, b, x, m, opts, ws);
-}
-
 IterativeResult bicgstab(const SlicedMatrix& a, std::span<const double> b,
                          std::span<double> x, const Ilu0Preconditioner& m,
                          const IterativeOptions& opts, KrylovWorkspace& ws) {

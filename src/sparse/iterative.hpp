@@ -1,12 +1,12 @@
 #pragma once
 /// \file iterative.hpp
-/// \brief Krylov solvers: preconditioned CG (symmetric systems) and
-/// BiCGSTAB (the advection-coupled, non-symmetric RC systems).
+/// \brief The Krylov solver: ILU(0)-preconditioned BiCGSTAB for the
+/// advection-coupled, non-symmetric RC systems.
 ///
-/// Both solvers exist in two forms: the workspace overloads run fully
+/// The solver exists in two forms: the workspace overload runs fully
 /// allocation-free against a caller-owned KrylovWorkspace (the transient
 /// thermal loop binds one per solver at construction), and the plain
-/// overloads allocate a scratch workspace internally for one-off solves.
+/// overload allocates a scratch workspace internally for one-off solves.
 ///
 /// BiCGSTAB forms s = r - alpha v in a plain vector pass and sums ||s||²
 /// inside the forward sweep of the M^{-1}s it needs next
@@ -39,13 +39,13 @@ struct IterativeResult {
   double residual_norm = 0.0;
 };
 
-/// Options shared by the Krylov solvers.
+/// Options of the Krylov solver.
 struct IterativeOptions {
   double rel_tolerance = 1e-10;    ///< on ||r||_2 / ||b||_2
   std::int32_t max_iterations = 2000;
 };
 
-/// Preallocated scratch vectors for cg()/bicgstab(). resize() is a no-op
+/// Preallocated scratch vectors for bicgstab(). resize() is a no-op
 /// when the size already matches, so a workspace bound once keeps the
 /// solver hot path free of heap allocations.
 class KrylovWorkspace {
@@ -60,17 +60,6 @@ class KrylovWorkspace {
  private:
   std::size_t n_ = 0;
 };
-
-/// Preconditioned conjugate gradient; requires A symmetric positive
-/// definite. \p x holds the initial guess on entry and the solution on
-/// exit. The workspace overload performs no heap allocations once \p ws
-/// is sized.
-IterativeResult cg(const CsrMatrix& a, std::span<const double> b,
-                   std::span<double> x, const Preconditioner& m,
-                   const IterativeOptions& opts, KrylovWorkspace& ws);
-IterativeResult cg(const CsrMatrix& a, std::span<const double> b,
-                   std::span<double> x, const Preconditioner& m,
-                   const IterativeOptions& opts = {});
 
 /// ILU(0)-preconditioned BiCGSTAB for general square systems, on the
 /// sliced-ELL copy of A (sliced.hpp: bitwise the CSR products, without

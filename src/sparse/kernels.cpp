@@ -1,7 +1,5 @@
 #include "sparse/kernels.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace tac3d::sparse {
@@ -58,63 +56,12 @@ double spmv_dot(const CsrMatrix& a, std::span<const double> x,
   return acc_dot;
 }
 
-double residual_norms(const CsrMatrix& a, std::span<const double> x,
-                      std::span<const double> b, std::span<double> r,
-                      double* bb) {
-  check(static_cast<std::int32_t>(x.size()) == a.cols() &&
-            static_cast<std::int32_t>(r.size()) == a.rows() &&
-            b.size() == r.size() && bb != nullptr,
-        "residual_norms: size mismatch");
-  const std::int32_t* __restrict rp = a.row_ptr().data();
-  const std::int32_t* __restrict ci = a.col_idx().data();
-  const double* __restrict v = a.values().data();
-  const double* __restrict xs = x.data();
-  const double* __restrict bs = b.data();
-  double* __restrict rs = r.data();
-  const std::int32_t n = a.rows();
-  double acc_rr = 0.0;
-  double acc_bb = 0.0;
-  for (std::int32_t row = 0; row < n; ++row) {
-    double acc = 0.0;
-    for (std::int32_t k = rp[row]; k < rp[row + 1]; ++k) {
-      acc += v[k] * xs[ci[k]];
-    }
-    const double bi = bs[row];
-    const double res = bi - acc;
-    rs[row] = res;
-    acc_rr += res * res;
-    acc_bb += bi * bi;
-  }
-  *bb = acc_bb;
-  return acc_rr;
-}
-
-double dot(std::span<const double> a, std::span<const double> b) {
-  check(a.size() == b.size(), "dot: size mismatch");
-  const double* __restrict as = a.data();
-  const double* __restrict bs = b.data();
-  double acc = 0.0;
-  const std::size_t n = a.size();
-  for (std::size_t i = 0; i < n; ++i) acc += as[i] * bs[i];
-  return acc;
-}
-
-double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
-
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   check(x.size() == y.size(), "axpy: size mismatch");
   const double* __restrict xs = x.data();
   double* __restrict ys = y.data();
   const std::size_t n = x.size();
   for (std::size_t i = 0; i < n; ++i) ys[i] += alpha * xs[i];
-}
-
-void xpby(std::span<const double> x, double beta, std::span<double> y) {
-  check(x.size() == y.size(), "xpby: size mismatch");
-  const double* __restrict xs = x.data();
-  double* __restrict ys = y.data();
-  const std::size_t n = x.size();
-  for (std::size_t i = 0; i < n; ++i) ys[i] = xs[i] + beta * ys[i];
 }
 
 void waxpy(std::span<double> w, std::span<const double> x, double alpha,
@@ -125,17 +72,6 @@ void waxpy(std::span<double> w, std::span<const double> x, double alpha,
   const double* __restrict ys = y.data();
   const std::size_t n = w.size();
   for (std::size_t i = 0; i < n; ++i) ws[i] = xs[i] + alpha * ys[i];
-}
-
-void axpy_product(double alpha, std::span<const double> a,
-                  std::span<const double> b, std::span<double> y) {
-  check(a.size() == y.size() && b.size() == y.size(),
-        "axpy_product: size mismatch");
-  const double* __restrict as = a.data();
-  const double* __restrict bs = b.data();
-  double* __restrict ys = y.data();
-  const std::size_t n = y.size();
-  for (std::size_t i = 0; i < n; ++i) ys[i] += alpha * as[i] * bs[i];
 }
 
 void bicgstab_p_update(std::span<const double> r, double beta, double omega,

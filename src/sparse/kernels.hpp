@@ -7,8 +7,8 @@
 /// dot products and vector updates. These kernels work on raw contiguous
 /// arrays (no virtual dispatch, no bounds checks beyond a debug-style
 /// require at the span level in callers), fuse passes that the naive
-/// formulation would run separately (SpMV + dot, residual = b - A x,
-/// the BiCGSTAB final update + residual), and never allocate — callers
+/// formulation would run separately (SpMV + dot, the BiCGSTAB final
+/// update + residual), and never allocate — callers
 /// provide every output buffer. Inner loops are written so the compiler
 /// can auto-vectorize them.
 
@@ -25,32 +25,12 @@ void spmv(const CsrMatrix& a, std::span<const double> x, std::span<double> y);
 double spmv_dot(const CsrMatrix& a, std::span<const double> x,
                 std::span<double> y, std::span<const double> w);
 
-/// r = b - A x, returning dot(r, r) and setting *bb = dot(b, b), all in
-/// one pass (a Krylov solve needs ||b|| for its relative tolerance).
-double residual_norms(const CsrMatrix& a, std::span<const double> x,
-                      std::span<const double> b, std::span<double> r,
-                      double* bb);
-
-/// dot(a, b).
-double dot(std::span<const double> a, std::span<const double> b);
-
-/// ||a||_2.
-double norm2(std::span<const double> a);
-
 /// y += alpha * x.
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
-
-/// y = x + beta * y.
-void xpby(std::span<const double> x, double beta, std::span<double> y);
 
 /// w = x + alpha * y.
 void waxpy(std::span<double> w, std::span<const double> x, double alpha,
            std::span<const double> y);
-
-/// y += alpha * a[i] * b[i] (element-wise product accumulate; the
-/// backward-Euler RHS build y = P + (C/dt) T_n uses it with alpha = 1).
-void axpy_product(double alpha, std::span<const double> a,
-                  std::span<const double> b, std::span<double> y);
 
 /// BiCGSTAB direction update p = r + beta * (p - omega * v).
 void bicgstab_p_update(std::span<const double> r, double beta, double omega,

@@ -5,34 +5,6 @@
 
 namespace tac3d::sparse {
 
-JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a) {
-  inv_diag_.assign(static_cast<std::size_t>(a.rows()), 0.0);
-  refactor(a);
-}
-
-void JacobiPreconditioner::refactor(const CsrMatrix& a) {
-  require(static_cast<std::size_t>(a.rows()) == inv_diag_.size(),
-          "JacobiPreconditioner::refactor: size mismatch");
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto v = a.values();
-  for (std::int32_t r = 0; r < a.rows(); ++r) {
-    double d = 0.0;
-    for (std::int32_t k = rp[r]; k < rp[r + 1]; ++k) {
-      if (ci[k] == r) d = v[k];
-    }
-    require(d != 0.0, "JacobiPreconditioner: zero diagonal entry");
-    inv_diag_[r] = 1.0 / d;
-  }
-}
-
-void JacobiPreconditioner::apply(std::span<const double> r,
-                                 std::span<double> z) const {
-  require(r.size() == inv_diag_.size() && z.size() == inv_diag_.size(),
-          "JacobiPreconditioner: size mismatch");
-  for (std::size_t i = 0; i < r.size(); ++i) z[i] = r[i] * inv_diag_[i];
-}
-
 Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a,
                                        const SymbolicStructure* structure) {
   require(a.rows() == a.cols(), "Ilu0Preconditioner: matrix must be square");

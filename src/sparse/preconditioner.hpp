@@ -1,14 +1,13 @@
 #pragma once
 /// \file preconditioner.hpp
-/// \brief Jacobi and ILU(0) preconditioners for the iterative solvers.
+/// \brief The ILU(0) preconditioner of the Krylov solver.
 ///
-/// Both preconditioners allocate all storage at construction and
-/// refresh in place via refactor() when the bound matrix's values change
-/// on the same sparsity pattern — the solver hot path never allocates.
+/// All storage is allocated at construction and refreshed in place via
+/// refactor() when the bound matrix's values change on the same sparsity
+/// pattern — the solver hot path never allocates.
 
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "sparse/aligned.hpp"
 #include "sparse/csr.hpp"
@@ -18,28 +17,6 @@ namespace tac3d::sparse {
 
 struct SymbolicStructure;
 
-/// Applies z = M^{-1} r for some approximation M of A.
-class Preconditioner {
- public:
-  virtual ~Preconditioner() = default;
-  virtual void apply(std::span<const double> r, std::span<double> z) const = 0;
-};
-
-/// Diagonal (Jacobi) preconditioner.
-class JacobiPreconditioner final : public Preconditioner {
- public:
-  explicit JacobiPreconditioner(const CsrMatrix& a);
-
-  /// Recompute the inverse diagonal in place for new values on the same
-  /// pattern (no allocation).
-  void refactor(const CsrMatrix& a);
-
-  void apply(std::span<const double> r, std::span<double> z) const override;
-
- private:
-  std::vector<double> inv_diag_;
-};
-
 /// Zero-fill incomplete LU factorization; the factors live on the
 /// sparsity pattern of A. Stable for the diagonally dominant RC systems.
 /// The triangular solves walk the pattern's level schedule
@@ -47,7 +24,7 @@ class JacobiPreconditioner final : public Preconditioner {
 /// its row-after-row dependency chain. The factors are stored once,
 /// chunk-major in a 64-byte-aligned array, and the applies solve each
 /// full chunk with the AVX-512 kernel when the library has it.
-class Ilu0Preconditioner final : public Preconditioner {
+class Ilu0Preconditioner {
  public:
   /// \p structure optionally supplies the precomputed level schedule
   /// (see symbolic.hpp); without it the pattern is analyzed here.
@@ -58,7 +35,8 @@ class Ilu0Preconditioner final : public Preconditioner {
   /// (no allocation).
   void refactor(const CsrMatrix& a);
 
-  void apply(std::span<const double> r, std::span<double> z) const override;
+  /// z = M^{-1} r.
+  void apply(std::span<const double> r, std::span<double> z) const;
 
   /// apply(), also returning dot(r, r) summed in natural row order from
   /// inside the forward sweep (BiCGSTAB's ||s||², off the critical

@@ -161,7 +161,7 @@ class SlicedMatrix {
 };
 
 /// r = b - A x, returning dot(r, r) and setting *bb = dot(b, b), all in
-/// one pass (the sliced twin of the CSR residual_norms).
+/// one pass (a Krylov solve needs ||b|| for its relative tolerance).
 double residual_norms(const SlicedMatrix& a, std::span<const double> x,
                       std::span<const double> b, std::span<double> r,
                       double* bb);

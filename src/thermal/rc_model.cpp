@@ -319,7 +319,6 @@ void RcModel::apply_cavity_flow(int cavity) {
       rhs_flow_[e.node] = a * t_in;
     }
   }
-  ++version_;
   ++cavity_state_[cavity];
 }
 

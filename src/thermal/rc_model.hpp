@@ -110,13 +110,6 @@ class RcModel {
     return cavity_share_[cavity];
   }
 
-  /// Monotone counter bumped whenever the system matrix changes (any
-  /// cavity's flow rate or column profile). A coarse change counter for
-  /// external observers; the staleness contract of the solver path is
-  /// the per-cavity cavity_flow_state() below (which identifies *which*
-  /// cavities changed, see thermal::ThermalOperator::update_flow).
-  std::uint64_t version() const { return version_; }
-
   /// Monotone per-cavity counter bumped when that cavity's flow rate or
   /// column profile changes; mirrors of the advection values (see
   /// thermal::ThermalOperator) use it to sync only the changed cavities.
@@ -228,7 +221,6 @@ class RcModel {
   std::vector<std::vector<double>> cavity_share_;  ///< per-column flow share
   std::vector<std::uint64_t> cavity_state_;
   std::vector<std::uint64_t> cavity_profile_;
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace tac3d::thermal

@@ -244,6 +244,22 @@ TEST(FlowNetwork, RejectsFloatingNetworkAndBadEdges) {
   EXPECT_THROW(net.add_edge(a, b, -1.0), InvalidArgument);
 }
 
+TEST(FlowNetwork, RejectsAFloatingPairBesideAGroundedBranch) {
+  // The grounded branch alone is well posed; the pair beside it has no
+  // path to a fixed pressure, so its pressures are undetermined.
+  HydraulicNetwork net;
+  const auto in = net.add_fixed_node(100.0);
+  const auto mid = net.add_node();
+  const auto out = net.add_fixed_node(0.0);
+  net.add_edge(in, mid, 1.0);
+  net.add_edge(mid, out, 1.0);
+  EXPECT_NEAR(net.solve().pressures[mid], 50.0, 1e-9);
+  const auto a = net.add_node();
+  const auto b = net.add_node();
+  net.add_edge(a, b, 1.0);
+  EXPECT_THROW(net.solve(), InvalidArgument);
+}
+
 TEST(FlowNetwork, ChannelConductanceMatchesPressureDrop) {
   const RectDuct duct{um(50.0), um(100.0)};
   const Coolant w = water27();

@@ -247,7 +247,7 @@ TEST(ObsRegistry, DisabledPublicationIsANoOp) {
   EXPECT_EQ(delta.counters.at("test/obs_disabled_counter"), 0u);
 }
 
-TEST(ObsRegistry, RetiredThreadCountsFoldIntoSnapshot) {
+TEST(ObsRegistry, ConcurrentAddsFromExitedThreadsAllCount) {
   obs::set_metrics_enabled(true);
   static obs::Counter counter("test/obs_thread_counter");
   const obs::Snapshot before = obs::snapshot();
@@ -257,7 +257,7 @@ TEST(ObsRegistry, RetiredThreadCountsFoldIntoSnapshot) {
       for (int i = 0; i < 1000; ++i) counter.add();
     });
   }
-  for (auto& w : workers) w.join();  // slabs retire with the threads
+  for (auto& w : workers) w.join();
   const obs::Snapshot delta = obs::snapshot().since(before);
   EXPECT_EQ(delta.counters.at("test/obs_thread_counter"), 4000u);
 }

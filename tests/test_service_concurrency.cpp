@@ -410,7 +410,7 @@ TEST(ServiceScheduling, WhatIfReclaimsTheLentWorkerAndThePutDownRunResumes) {
   }
 }
 
-TEST(ServiceScheduling, QueuedOrWholeBudgetJobsNeverLend) {
+TEST(ServiceScheduling, LendsWhileAJobQueuesButNotPastAWholeBudget) {
   MetricsOn metrics;
   SweepService service(two_cores());
   EventLog events;
@@ -424,11 +424,12 @@ TEST(ServiceScheduling, QueuedOrWholeBudgetJobsNeverLend) {
   events.wait(1);
   EXPECT_EQ(counter("service/scenarios_lent"), lent);
 
-  // While the two-core job queues behind the one-core one, the second
-  // worker stays idle: no worker is lent while a job queues.
+  // Once the first job ends, the one-core job runs and the two-core job
+  // queues behind it. A queued job waits for grants, not workers: the
+  // idle second worker is lent to the one-core job, and the two-core job
+  // still starts only once the one-core job has released its grant.
   const auto first = service.submit(long_pair(), 2, events.sink());
-  const auto one_core = service.submit({short_scenario(4), short_scenario(5)},
-                                       1, events.sink());
+  const auto one_core = service.submit(long_pair(), 1, events.sink());
   // Two scenarios: a grant is clamped to the job's scenario count.
   const auto queued = service.submit({short_scenario(6), short_scenario(7)},
                                      2, events.sink());
@@ -437,9 +438,17 @@ TEST(ServiceScheduling, QueuedOrWholeBudgetJobsNeverLend) {
   ASSERT_FALSE(one_core->admitted);
   ASSERT_FALSE(queued->admitted);
   const std::vector<proto::Message> log = events.wait(4);
-  EXPECT_EQ(counter("service/scenarios_lent"), lent);
+  EXPECT_EQ(counter("service/scenarios_lent") - lent, 1u);
   EXPECT_EQ(completion_of(log, one_core->job_id).completed, 2u);
   EXPECT_EQ(completion_of(log, queued->job_id).completed, 2u);
+  std::size_t one_core_done = log.size();
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const auto* c = std::get_if<proto::SweepCompleteMsg>(&log[i]);
+    if (c && c->job_id == one_core->job_id) one_core_done = i;
+  }
+  const auto queued_results = results_of(log, queued->job_id);
+  ASSERT_FALSE(queued_results.empty());
+  EXPECT_LT(one_core_done, queued_results.front().first);
 }
 
 TEST(ServiceScheduling, CancelStopsRunningScenarios) {

@@ -481,7 +481,7 @@ struct ReferenceResult {
 ReferenceResult reference_bicgstab(const CsrMatrix& a,
                                    const std::vector<double>& b,
                                    std::vector<double>& x,
-                                   const Preconditioner& m, double tol,
+                                   const Ilu0Preconditioner& m, double tol,
                                    std::int32_t max_iterations) {
   const std::int32_t n = a.rows();
   std::vector<double> r(n), r0(n), p(n, 0.0), v(n, 0.0), s(n), t(n), ph(n),

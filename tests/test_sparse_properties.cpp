@@ -234,45 +234,29 @@ TEST(Kernels, FusedOperationsMatchNaiveFormulations) {
   spmv(a, x, y);
   EXPECT_EQ(max_diff(y, ax), 0.0);
 
+  double yy_naive = 0.0, wy_naive = 0.0;
+  for (std::int32_t i = 0; i < n; ++i) {
+    yy_naive += ax[i] * ax[i];
+    wy_naive += w[i] * ax[i];
+  }
+
   std::vector<double> y2(n);
   const double wy = spmv_dot(a, x, y2, w);
   EXPECT_EQ(max_diff(y2, ax), 0.0);
-  EXPECT_NEAR(wy, dot(w, ax), 1e-9 * std::abs(wy) + 1e-12);
+  EXPECT_NEAR(wy, wy_naive, 1e-9 * std::abs(wy) + 1e-12);
 
   // The sliced kernel sums its dots in natural row order: exact.
   std::vector<double> y3(n);
   double wy2 = 0.0;
   const double yy = spmv_dot2(SlicedMatrix(a), x, y3, w, &wy2);
   EXPECT_EQ(max_diff(y3, ax), 0.0);
-  double yy_naive = 0.0, wy_naive = 0.0;
-  for (std::int32_t i = 0; i < n; ++i) {
-    yy_naive += ax[i] * ax[i];
-    wy_naive += w[i] * ax[i];
-  }
   EXPECT_EQ(yy, yy_naive);
   EXPECT_EQ(wy2, wy_naive);
-
-  std::vector<double> r(n);
-  double bb = 0.0;
-  const double rr = residual_norms(a, x, b, r, &bb);
-  double rr_naive = 0.0;
-  for (std::int32_t i = 0; i < n; ++i) {
-    const double ri = b[i] - ax[i];
-    EXPECT_DOUBLE_EQ(r[i], ri);
-    rr_naive += ri * ri;
-  }
-  EXPECT_NEAR(rr, rr_naive, 1e-9 * rr_naive + 1e-12);
 
   std::vector<double> s(n);
   waxpy(s, b, -0.5, x);
   for (std::int32_t i = 0; i < n; ++i) {
     EXPECT_DOUBLE_EQ(s[i], b[i] - 0.5 * x[i]);
-  }
-
-  std::vector<double> acc = b;
-  axpy_product(2.0, w, x, acc);
-  for (std::int32_t i = 0; i < n; ++i) {
-    EXPECT_DOUBLE_EQ(acc[i], b[i] + 2.0 * w[i] * x[i]);
   }
 }
 
@@ -310,15 +294,16 @@ TEST(Kernels, WorkspaceReuseAcrossSizesAndSolves) {
   // The same workspace drives repeated solves correctly.
   Rng rng(77);
   const CsrMatrix a = random_dd(25, 0.2, /*symmetric=*/false, rng);
+  const SlicedMatrix sliced(a);
   Ilu0Preconditioner m(a);
   for (int trial = 0; trial < 3; ++trial) {
     const std::vector<double> b = random_vec(25, rng);
     std::vector<double> x(25, 0.0);
-    const auto res = bicgstab(SlicedMatrix(a), b, x, m, {1e-12, 2000}, ws);
+    const auto res = bicgstab(sliced, b, x, m, {1e-12, 2000}, ws);
     EXPECT_TRUE(res.converged);
     std::vector<double> r(25);
     double bb = 0.0;
-    EXPECT_LT(std::sqrt(residual_norms(a, x, b, r, &bb)), 1e-6);
+    EXPECT_LT(std::sqrt(residual_norms(sliced, x, b, r, &bb)), 1e-6);
   }
 }
 

@@ -136,20 +136,6 @@ TEST_P(SolverSweep, BicgstabIlu0ResidualSmall) {
   EXPECT_LT(residual_inf(a, x, b), 1e-6);
 }
 
-TEST_P(SolverSweep, CgConvergesOnSymmetricSystems) {
-  const auto p = GetParam();
-  if (!p.symmetric) GTEST_SKIP() << "CG requires symmetry";
-  Rng rng(2042 + p.n);
-  const CsrMatrix a = random_dd(p.n, p.density, true, rng);
-  std::vector<double> b(p.n);
-  for (auto& v : b) v = rng.uniform(-10.0, 10.0);
-  std::vector<double> x(p.n, 0.0);
-  JacobiPreconditioner m(a);
-  const auto res = cg(a, b, x, m, {1e-12, 2000});
-  EXPECT_TRUE(res.converged);
-  EXPECT_LT(residual_inf(a, x, b), 1e-6);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     RandomSystems, SolverSweep,
     ::testing::Values(SolverCase{10, 0.3, true}, SolverCase{10, 0.3, false},
