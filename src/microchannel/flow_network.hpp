@@ -51,7 +51,9 @@ class HydraulicNetwork {
   /// banded-LU solve of the interior Laplacian, exact up to rounding (no
   /// tolerance, no iteration cap). Throws InvalidArgument when the
   /// network is empty or an interior node has no path to a
-  /// fixed-pressure node, whose pressure would be undetermined.
+  /// fixed-pressure node, whose pressure would be undetermined, and when
+  /// the Laplacian is singular in floating point (a zero LU pivot: a
+  /// branch grounded only through conductances that round away).
   NetworkSolution solve() const;
 
  private:

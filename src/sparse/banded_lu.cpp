@@ -100,22 +100,24 @@ void BandedLu::load(const CsrMatrix& a, std::int32_t first_row) {
 }
 
 void BandedLu::eliminate(std::int32_t first_row) {
-  for (std::int32_t i = std::max(std::int32_t{1}, first_row); i < n_; ++i) {
+  for (std::int32_t i = first_row; i < n_; ++i) {
     const std::int32_t k_lo = std::max(std::int32_t{0}, i - kl_);
     for (std::int32_t k = k_lo; k < i; ++k) {
-      const double pivot = band(k, k);
       double& lik = band(i, k);
       if (lik == 0.0) continue;
-      require(pivot != 0.0 && std::isfinite(pivot),
-              "BandedLu: zero pivot (matrix singular or not diagonally "
-              "dominant)");
-      const double l = lik / pivot;
+      const double l = lik / band(k, k);
       lik = l;
       const std::int32_t j_hi = std::min(n_ - 1, k + ku_);
       for (std::int32_t j = k + 1; j <= j_hi; ++j) {
         band(i, j) -= l * band(k, j);
       }
     }
+    // Row i is final: check its pivot here, the last row's included,
+    // since solve() divides by every one of them.
+    const double pivot = band(i, i);
+    require(pivot != 0.0 && std::isfinite(pivot),
+            "BandedLu: zero pivot (matrix singular or not diagonally "
+            "dominant)");
   }
 }
 

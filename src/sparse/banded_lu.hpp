@@ -19,7 +19,8 @@ namespace tac3d::sparse {
 
 struct SymbolicStructure;
 
-/// LU = P A P^T factorization in banded storage.
+/// LU = P A P^T factorization in banded storage. Factoring throws
+/// InvalidArgument on a zero or non-finite pivot.
 class BandedLu {
  public:
   /// Analyze the pattern of \p a (using RCM unless \p perm is supplied)

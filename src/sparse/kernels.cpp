@@ -74,6 +74,17 @@ void waxpy(std::span<double> w, std::span<const double> x, double alpha,
   for (std::size_t i = 0; i < n; ++i) ws[i] = xs[i] + alpha * ys[i];
 }
 
+void axpy_product(double alpha, std::span<const double> a,
+                  std::span<const double> b, std::span<double> y) {
+  check(a.size() == y.size() && b.size() == y.size(),
+        "axpy_product: size mismatch");
+  const double* __restrict as = a.data();
+  const double* __restrict bs = b.data();
+  double* __restrict ys = y.data();
+  const std::size_t n = y.size();
+  for (std::size_t i = 0; i < n; ++i) ys[i] += alpha * as[i] * bs[i];
+}
+
 void bicgstab_p_update(std::span<const double> r, double beta, double omega,
                        std::span<const double> v, std::span<double> p) {
   check(r.size() == p.size() && v.size() == p.size(),

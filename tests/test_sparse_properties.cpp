@@ -258,6 +258,12 @@ TEST(Kernels, FusedOperationsMatchNaiveFormulations) {
   for (std::int32_t i = 0; i < n; ++i) {
     EXPECT_DOUBLE_EQ(s[i], b[i] - 0.5 * x[i]);
   }
+
+  std::vector<double> acc = b;
+  axpy_product(2.0, w, x, acc);
+  for (std::int32_t i = 0; i < n; ++i) {
+    EXPECT_DOUBLE_EQ(acc[i], b[i] + 2.0 * w[i] * x[i]);
+  }
 }
 
 TEST(Kernels, SolverArraysStartOnACacheLine) {
