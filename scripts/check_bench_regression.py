@@ -23,9 +23,8 @@ container while the gate runs on CI-class hardware:
    per-step control tail rather than the thermal solves), both emitted
    by bench_sweep_throughput, are fractions, so they are machine-
    independent already. The ScenarioBank drives the cached setup
-   fraction toward 0 and the lane-fused batched tail drives the tail
-   fraction down; a fresh value above baseline * (1 + threshold) + 0.05
-   means the amortized cost crept back in and fails.
+   fraction toward 0; a fresh value above baseline * (1 + threshold) +
+   0.05 means the amortized cost crept back in and fails.
 
 Everything else numeric is reported informationally.
 

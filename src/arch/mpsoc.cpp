@@ -59,12 +59,6 @@ std::vector<double> Mpsoc3D::element_powers(
 void Mpsoc3D::element_powers_into(std::span<const CoreState> cores,
                                   std::span<const double> temps,
                                   std::span<double> out) const {
-  element_powers_dynamic_into(cores, out);
-  add_leakage_into(temps, out);
-}
-
-void Mpsoc3D::element_powers_dynamic_into(std::span<const CoreState> cores,
-                                          std::span<double> out) const {
   require(static_cast<int>(cores.size()) == n_cores(),
           "Mpsoc3D::element_powers: need one CoreState per core");
   const auto& grid = model_->grid();
@@ -100,13 +94,7 @@ void Mpsoc3D::element_powers_dynamic_into(std::span<const CoreState> cores,
     out[m] = chip_.powers.misc / misc_elements_.size() *
              (0.3 + 0.7 * mean_busy);
   }
-}
 
-void Mpsoc3D::add_leakage_into(std::span<const double> temps,
-                               std::span<double> out) const {
-  const auto& grid = model_->grid();
-  require(static_cast<int>(out.size()) == grid.element_count(),
-          "Mpsoc3D::add_leakage_into: output size mismatch");
   // Leakage on every element, from the previous-step temperatures.
   for (int e = 0; e < grid.element_count(); ++e) {
     const double t = temps.empty()

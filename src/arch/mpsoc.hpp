@@ -50,8 +50,6 @@ class Mpsoc3D {
   int n_cores() const { return chip_.n_cores; }
   int core_element(int core) const { return core_elements_[core]; }
   int l2_element(int bank) const { return l2_elements_[bank]; }
-  /// All core element ids in core order (for batched sensor gathers).
-  std::span<const int> core_element_ids() const { return core_elements_; }
 
   /// Maximum cell temperature of core \p core [K].
   double core_temp(std::span<const double> temps, int core) const;
@@ -68,22 +66,11 @@ class Mpsoc3D {
 
   /// Allocation-free element_powers into a caller-owned vector (size
   /// grid().element_count()): dynamic power then leakage, identical FP
-  /// chain to element_powers(). Used by the per-step control tail.
+  /// chain to element_powers(). Used by the per-step control tail. An
+  /// empty \p temps evaluates leakage at its reference temperature.
   void element_powers_into(std::span<const CoreState> cores,
                            std::span<const double> temps,
                            std::span<double> out) const;
-
-  /// Just the activity-driven dynamic power (the first half of
-  /// element_powers_into): zeroes \p out, fills core/L2/uncore watts.
-  void element_powers_dynamic_into(std::span<const CoreState> cores,
-                                   std::span<double> out) const;
-
-  /// Just the leakage term (the second half): adds temperature-
-  /// dependent leakage for every element onto \p out. Split out so a
-  /// lane-fused batched kernel (power/batched_power.hpp) can replace
-  /// this one traversal while the dynamic half stays per lane.
-  void add_leakage_into(std::span<const double> temps,
-                        std::span<double> out) const;
 
   /// Total chip power [W] for the same inputs (sum of element_powers).
   double chip_power(std::span<const CoreState> cores,

@@ -123,60 +123,4 @@ double FuzzyController::evaluate(std::span<const double> inputs,
   return den > 0.0 ? num / den : 0.5 * (lo + hi);
 }
 
-void FuzzyController::evaluate_lanes(std::span<const double> inputs_lane_major,
-                                     int lanes, std::span<double> out,
-                                     int resolution) const {
-  require(!output_.empty(), "FuzzyController: no output variable");
-  require(lanes >= 1, "FuzzyController::evaluate_lanes: need lanes");
-  require(static_cast<int>(inputs_lane_major.size()) ==
-              lanes * input_count(),
-          "FuzzyController::evaluate_lanes: input size mismatch");
-  require(static_cast<int>(out.size()) == lanes,
-          "FuzzyController::evaluate_lanes: output size mismatch");
-  require(resolution >= 3, "FuzzyController::evaluate_lanes: resolution");
-
-  const LinguisticVariable& outv = output_[0];
-  const int n_sets = outv.set_count();
-
-  // Per-lane rule activations — same expressions as evaluate().
-  lane_activation_.assign(static_cast<std::size_t>(lanes) * n_sets, 0.0);
-  for (int l = 0; l < lanes; ++l) {
-    const double* in = inputs_lane_major.data() + l * input_count();
-    double* act = lane_activation_.data() + static_cast<std::size_t>(l) * n_sets;
-    for (const FuzzyRule& rule : rules_) {
-      double a = 1.0;
-      for (const auto& [var, set] : rule.antecedents) {
-        a = std::min(a, inputs_[var].membership(set, in[var]));
-      }
-      a *= rule.weight;
-      act[rule.output_set] = std::max(act[rule.output_set], a);
-    }
-  }
-
-  // Shared centroid sweep: sample every output-set membership once per
-  // x, then clip/aggregate per lane in the same i-order as evaluate().
-  const double lo = outv.lo();
-  const double hi = outv.hi();
-  num_.assign(lanes, 0.0);
-  den_.assign(lanes, 0.0);
-  set_mu_.assign(n_sets, 0.0);
-  for (int s = 0; s < resolution; ++s) {
-    const double x = lo + (hi - lo) * s / (resolution - 1);
-    for (int i = 0; i < n_sets; ++i) set_mu_[i] = outv.membership(i, x);
-    for (int l = 0; l < lanes; ++l) {
-      const double* act =
-          lane_activation_.data() + static_cast<std::size_t>(l) * n_sets;
-      double mu = 0.0;
-      for (int i = 0; i < n_sets; ++i) {
-        mu = std::max(mu, std::min(act[i], set_mu_[i]));
-      }
-      num_[l] += mu * x;
-      den_[l] += mu;
-    }
-  }
-  for (int l = 0; l < lanes; ++l) {
-    out[l] = den_[l] > 0.0 ? num_[l] / den_[l] : 0.5 * (lo + hi);
-  }
-}
-
 }  // namespace tac3d::control

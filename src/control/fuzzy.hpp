@@ -125,27 +125,12 @@ class FuzzyController {
     return evaluate(std::span<const double>(inputs), resolution);
   }
 
-  /// Lane-batched Mamdani inference: \p lanes independent input tuples
-  /// (lane-major — lane l's inputs at [l * input_count(), ...)), one
-  /// defuzzified output per lane. Rule activation runs per lane, but
-  /// the centroid sweep samples each output-set membership once per x
-  /// and shares it across every lane (it depends only on x) — that
-  /// sampling is the hottest part of a scalar evaluate(). Per lane the
-  /// arithmetic is expression-for-expression evaluate(), so results
-  /// are bitwise identical. Allocation-free after the first call.
-  void evaluate_lanes(std::span<const double> inputs_lane_major, int lanes,
-                      std::span<double> out, int resolution = 101) const;
-
  private:
   std::vector<LinguisticVariable> inputs_;
   std::vector<LinguisticVariable> output_;
   std::vector<FuzzyRule> rules_;
-  // Persistent inference workspaces (sized on first use, reused after).
-  mutable std::vector<double> activation_;       ///< set_count
-  mutable std::vector<double> lane_activation_;  ///< lanes * set_count
-  mutable std::vector<double> set_mu_;           ///< set_count
-  mutable std::vector<double> num_;              ///< lanes
-  mutable std::vector<double> den_;              ///< lanes
+  // Persistent inference workspace (sized on first use, reused after).
+  mutable std::vector<double> activation_;  ///< set_count
 };
 
 }  // namespace tac3d::control

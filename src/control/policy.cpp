@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/fnv.hpp"
@@ -122,13 +123,12 @@ FuzzyFlowDvfsPolicy::FuzzyFlowDvfsPolicy(int n_cores,
 
 FuzzyFlowDvfsPolicy::~FuzzyFlowDvfsPolicy() = default;
 
-void FuzzyFlowDvfsPolicy::check_inputs(const PolicyInputs& in) const {
+void FuzzyFlowDvfsPolicy::decide_into(const PolicyInputs& in,
+                                      PolicyActions& out) {
   require(static_cast<int>(in.core_temps.size()) == n_cores_ &&
               static_cast<int>(in.core_demands.size()) == n_cores_,
           "FuzzyFlowDvfsPolicy: input size mismatch");
-}
 
-double FuzzyFlowDvfsPolicy::prepare_eval(const PolicyInputs& in, double* ev) {
   double max_temp = -1e300;
   for (double t : in.core_temps) max_temp = std::max(max_temp, t);
   const double margin = threshold_ - max_temp;
@@ -140,13 +140,9 @@ double FuzzyFlowDvfsPolicy::prepare_eval(const PolicyInputs& in, double* ev) {
   // Exponential smoothing: ignore single-step transients after a pump
   // adjustment, react to sustained drifts.
   trend_ema_ = 0.7 * trend_ema_ + 0.3 * raw_trend;
-  ev[0] = margin;
-  ev[1] = trend_ema_;
-  return margin;
-}
+  const double ev[2] = {margin, trend_ema_};
+  last_flow_ = fuzzy_->evaluate(std::span<const double>(ev, 2));
 
-void FuzzyFlowDvfsPolicy::finish_decide(double margin, const PolicyInputs& in,
-                                        PolicyActions& out) {
   int target = static_cast<int>(std::lround(last_flow_ * (pump_levels_ - 1)));
   target = std::clamp(target, 0, pump_levels_ - 1);
   // Slew-limit the pump (2 settings/interval up, 1 down) to damp the
@@ -170,43 +166,6 @@ void FuzzyFlowDvfsPolicy::finish_decide(double margin, const PolicyInputs& in,
     out.vf_levels[i] = margin <= 0.0
                            ? vf_.max_level()
                            : vf_.level_for_demand(in.core_demands[i], 0.08);
-  }
-}
-
-void FuzzyFlowDvfsPolicy::decide_into(const PolicyInputs& in,
-                                      PolicyActions& out) {
-  check_inputs(in);
-  double ev[2];
-  const double margin = prepare_eval(in, ev);
-  last_flow_ = fuzzy_->evaluate(std::span<const double>(ev, 2));
-  finish_decide(margin, in, out);
-}
-
-void FuzzyFlowDvfsPolicy::decide_batch(
-    std::span<FuzzyFlowDvfsPolicy* const> policies,
-    std::span<const PolicyInputs* const> in,
-    std::span<PolicyActions* const> out, std::span<double> eval_scratch,
-    std::span<double> flow_scratch) {
-  const int k = static_cast<int>(policies.size());
-  require(k >= 1, "FuzzyFlowDvfsPolicy::decide_batch: need lanes");
-  require(static_cast<int>(in.size()) == k &&
-              static_cast<int>(out.size()) == k,
-          "FuzzyFlowDvfsPolicy::decide_batch: lane count mismatch");
-  require(static_cast<int>(eval_scratch.size()) == 2 * k &&
-              static_cast<int>(flow_scratch.size()) == k,
-          "FuzzyFlowDvfsPolicy::decide_batch: scratch size mismatch");
-  // Validate every lane before mutating any lane's controller state, so
-  // a size error here leaves all lanes clean for per-lane fallback.
-  for (int l = 0; l < k; ++l) policies[l]->check_inputs(*in[l]);
-
-  for (int l = 0; l < k; ++l) {
-    policies[l]->prepare_eval(*in[l], &eval_scratch[2 * l]);
-  }
-  policies[0]->fuzzy_->evaluate_lanes(eval_scratch, k, flow_scratch);
-  for (int l = 0; l < k; ++l) {
-    policies[l]->last_flow_ = flow_scratch[l];
-    // eval_scratch[2l] still holds lane l's margin.
-    policies[l]->finish_decide(eval_scratch[2 * l], *in[l], *out[l]);
   }
 }
 

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -108,32 +107,7 @@ class FuzzyFlowDvfsPolicy final : public ThermalPolicy {
   /// Normalized flow command of the last decision, in [0, 1] (test hook).
   double last_flow_fraction() const { return last_flow_; }
 
-  /// Lane-batched decide for K same-class fuzzy policies (the batched
-  /// control tail): per-lane margin/trend state updates, one shared
-  /// FuzzyController::evaluate_lanes inference (every FuzzyFlowDvfsPolicy
-  /// builds the identical rule base, so policies[0]'s controller speaks
-  /// for all), then per-lane slew limiting and DVFS. Bitwise identical
-  /// to calling decide_into on each lane in order. \p eval_scratch must
-  /// hold 2*K doubles and \p flow_scratch K doubles (caller-persistent
-  /// so the tail stays allocation-free). All lanes' input sizes are
-  /// validated before any lane's controller state mutates, so on a
-  /// validation throw the caller can fall back to per-lane decide_into
-  /// without double-stepping the trend EMA.
-  static void decide_batch(std::span<FuzzyFlowDvfsPolicy* const> policies,
-                           std::span<const PolicyInputs* const> in,
-                           std::span<PolicyActions* const> out,
-                           std::span<double> eval_scratch,
-                           std::span<double> flow_scratch);
-
  private:
-  void check_inputs(const PolicyInputs& in) const;
-  /// First half of decide: sensor fold + trend EMA update; writes
-  /// {margin, trend} into \p ev and returns the margin.
-  double prepare_eval(const PolicyInputs& in, double* ev);
-  /// Second half: pump slew limit + utilization DVFS from last_flow_.
-  void finish_decide(double margin, const PolicyInputs& in,
-                     PolicyActions& out);
-
   power::VfTable vf_;
   int n_cores_;
   int pump_levels_;

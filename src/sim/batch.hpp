@@ -3,28 +3,26 @@
 /// \brief BatchSession: K bank-prepared scenarios stepped in lockstep by
 /// one core, with the thermal solves batched per matrix traversal.
 ///
-/// When K scenarios share a sparsity pattern and a floorplan (same
-/// stack/grid — the ScenarioBank's model tier guarantees it) and solve
-/// with BiCGSTAB+ILU(0), BatchSession advances all K thermal systems
-/// through one thermal::BatchedTransientSolver, so a single traversal of
-/// the shared CSR pattern steps every lane (see sparse/batched.hpp for
-/// why that is both faster and bitwise-neutral per lane).
+/// When K scenarios share a sparsity pattern (same stack/grid — the
+/// ScenarioBank's model tier guarantees it) and solve with
+/// BiCGSTAB+ILU(0), BatchSession advances all K thermal systems through
+/// one thermal::BatchedTransientSolver, so a single traversal of the
+/// shared CSR pattern steps every lane (see sparse/batched.hpp for why
+/// that is bitwise-neutral per lane). The batched solve reads only each
+/// lane's own matrix and right-hand side, so lanes need not share a
+/// floorplan.
 ///
-/// The per-step control tail (sensor gathers, policy decisions, the
-/// power/leakage update, metrics) is fused the same way: the leakage +
-/// RHS-scatter traversals and the core-temperature gathers run
-/// lane-fused over the shared element->cell weights
-/// (power/batched_power.hpp), and same-class fuzzy policies share one
-/// FuzzyController::evaluate_lanes inference per step. Each lane's
-/// floating-point chain is the scalar chain, so per-lane results stay
-/// bitwise identical.
+/// The control tail around the solve (sensor gathers, policy decisions,
+/// the power/leakage update, metrics) runs as each lane's own
+/// SimulationSession stages, one stage at a time across the lanes, so
+/// every lane does exactly the arithmetic of a scalar step().
 ///
 /// Lanes are isolated: a lane whose construction, policy loop or linear
 /// solve throws is recorded (lane_error) and deactivated; the remaining
 /// lanes keep stepping to completion. Lanes that cannot batch (direct
-/// solver, mismatched pattern, floorplan or kind, or a single lane) fall
-/// back to per-lane scalar stepping — still lockstep, still the exact
-/// scalar arithmetic.
+/// solver, mismatched pattern or kind, or a single lane) fall back to
+/// per-lane scalar stepping — still lockstep, still the exact scalar
+/// arithmetic.
 
 #include <cstdint>
 #include <memory>
@@ -51,8 +49,8 @@ class BatchSession {
 
   int lanes() const { return static_cast<int>(prepared_.size()); }
 
-  /// Did the thermal solves batch and the control tail fuse across
-  /// lanes (false: scalar-fallback lockstep)?
+  /// Did the thermal solves batch across lanes (false: scalar-fallback
+  /// lockstep)?
   bool thermal_batched() const { return batched_ != nullptr; }
 
   /// Wall-clock seconds spent in the control tail and in the thermal
@@ -111,16 +109,12 @@ class BatchSession {
   }
 
  private:
-  struct TailPlan;  // fused control-tail geometry + persistent scratch
-
-  void build_tail_plan();
-  void step_batched_fused();
+  void step_batched();
 
   std::vector<ScenarioInstance> prepared_;
   std::vector<std::optional<SimulationSession>> sessions_;
   std::vector<std::string> errors_;
   std::unique_ptr<thermal::BatchedTransientSolver> batched_;
-  std::unique_ptr<TailPlan> tail_;
   std::vector<int> lane_of_;  ///< batched lane index -> prepared_ index
   std::vector<std::uint8_t> stepping_, failed_;  ///< step() scratch masks
   double tail_seconds_ = 0.0;   ///< batch-level control-tail time

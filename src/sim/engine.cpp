@@ -74,7 +74,7 @@ InitialThermalState compute_initial_state(
   require(trace.threads() == soc.chip().hardware_threads(),
           "compute_initial_state: trace thread count must match the chip");
   Scheduler scheduler(trace.threads(), soc.n_cores(),
-                      soc.chip().threads_per_core, cfg.lb_imbalance);
+                      soc.chip().threads_per_core);
   std::vector<double> thread_demand(trace.threads());
   std::vector<double> core_demand;
   const std::vector<arch::CoreState> cores =
@@ -106,8 +106,7 @@ SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
       liquid_(soc.cooling() == arch::CoolingKind::kLiquidCooled),
       n_cores_(soc.n_cores()),
       total_steps_(count_steps(cfg, trace)),
-      scheduler_(trace.threads(), n_cores_, soc.chip().threads_per_core,
-                 cfg.lb_imbalance),
+      scheduler_(trace.threads(), n_cores_, soc.chip().threads_per_core),
       thread_demand_(trace.threads()),
       core_demand_() {
   require(trace_.threads() == soc_.chip().hardware_threads(),
@@ -196,31 +195,22 @@ SimulationSession::SimulationSession(SimulationSession&&) noexcept = default;
 
 void SimulationSession::step() {
   const auto t0 = std::chrono::steady_clock::now();
-  if (!step_prepare()) return;
-  const auto t1 = std::chrono::steady_clock::now();
-  thermal_->step();
-  const auto t2 = std::chrono::steady_clock::now();
-  step_finish();
-  const auto t3 = std::chrono::steady_clock::now();
-  tail_seconds_ += seconds_between(t0, t1) + seconds_between(t2, t3);
-  solve_seconds_ += seconds_between(t1, t2);
-}
-
-bool SimulationSession::step_prepare() {
-  if (!tail_begin()) return false;
-  // The step_finish() of the previous interval already sensed the
-  // current field (it does not change between steps), so the gather is
+  if (!tail_begin()) return;
+  // The previous interval already sensed the current field after its
+  // solve (the field does not change between steps), so the gather is
   // only needed on the very first interval.
   if (!sensed_fresh_) sense_current();
   tail_decide();
   tail_apply();
   tail_power();
-  return true;
-}
-
-void SimulationSession::step_finish() {
+  const auto t1 = std::chrono::steady_clock::now();
+  thermal_->step();
+  const auto t2 = std::chrono::steady_clock::now();
   sense_current();
   finish_metrics();
+  const auto t3 = std::chrono::steady_clock::now();
+  tail_seconds_ += seconds_between(t0, t1) + seconds_between(t2, t3);
+  solve_seconds_ += seconds_between(t1, t2);
 }
 
 bool SimulationSession::tail_begin() {
@@ -272,16 +262,10 @@ void SimulationSession::tail_apply() {
 
 void SimulationSession::tail_power() {
   // 4. Power (leakage from the current temperature field); the thermal
-  //    step itself runs between step_prepare and step_finish.
-  tail_power_dynamic();
-  soc_.add_leakage_into(thermal_->temperatures(),
-                        soc_.model().element_powers_writable());
+  //    step follows.
+  soc_.element_powers_into(cores_, thermal_->temperatures(),
+                           soc_.model().element_powers_writable());
   soc_.model().commit_element_powers();
-}
-
-void SimulationSession::tail_power_dynamic() {
-  soc_.element_powers_dynamic_into(cores_,
-                                   soc_.model().element_powers_writable());
 }
 
 void SimulationSession::finish_metrics() {
@@ -298,8 +282,7 @@ void SimulationSession::finish_metrics() {
              cfg_.control_dt;
     a.flow = cfg_.pump.flow_per_cavity(pump_level_) / cfg_.pump.q_max();
   }
-  add_interval(m_, a, cfg_.control_dt, cfg_.hot_threshold_k,
-               flow_fraction_acc_);
+  add_interval(m_, a, cfg_.control_dt, flow_fraction_acc_);
   ++steps_done_;
   if (replay_.armed()) replay_post_step(a);
 }
@@ -365,8 +348,7 @@ int SimulationSession::replay_fast_forward(double t_limit) {
   obs::TraceSpan span("session/replay");
   int taken = 0;
   do {
-    replay_.apply_cycle(m_, cfg_.control_dt, cfg_.hot_threshold_k,
-                        flow_fraction_acc_);
+    replay_.apply_cycle(m_, cfg_.control_dt, flow_fraction_acc_);
     scheduler_.credit_migrations(replay_.journal_migrations());
     thermal_->advance_time_steps(period_steps);
     steps_done_ += period_steps;

@@ -66,8 +66,6 @@ struct SimulationConfig {
   double control_dt = 0.25;   ///< control & thermal step [s]
   double duration = 0.0;      ///< 0 = full trace length (see control_steps)
   microchannel::PumpModel pump = microchannel::PumpModel::table1(16);
-  double hot_threshold_k = 273.15 + 85.0;  ///< hot-spot threshold [K]
-  double lb_imbalance = 0.25;
   /// Fixed-point iterations when computing the leakage-consistent
   /// initial steady state.
   int init_iterations = 4;
@@ -138,74 +136,49 @@ class SimulationSession {
   ~SimulationSession();
   SimulationSession(SimulationSession&&) noexcept;
 
-  /// Advance one control interval. No-op once done().
-  void step();
-
-  /// Lockstep phase API (used by BatchSession to batch the thermal
-  /// solve across sessions): step() is exactly
-  ///   step_prepare() + thermal_solver().step() + step_finish().
-  /// step_prepare() runs load balancing, the policy decision, the
-  /// execution/power model and leaves the thermal solver ready to
-  /// advance (false = already done(), nothing to step); after the
-  /// thermal step — scalar or one lane of a thermal::
-  /// BatchedTransientSolver — step_finish() accumulates the metrics and
-  /// commits the interval. Callers must pair them exactly.
-  bool step_prepare();
-  void step_finish();
-
-  /// Control-tail stages: step_prepare() is exactly
+  /// Advance one control interval. No-op once done(). step() is exactly
   ///   tail_begin() + (sense_current() unless sensed_fresh())
   ///   + tail_decide() + tail_apply() + tail_power()
-  /// and step_finish() is sense_current() + finish_metrics().
-  /// BatchSession drives the stages individually so the sensor gather,
-  /// the fuzzy-policy inference and the power/leakage update can each
-  /// run lane-fused across a whole batch (see power/batched_power.hpp);
-  /// a stage that substitutes a fused kernel must leave exactly the
-  /// state its scalar counterpart would (bitwise).
-  /// tail_begin(): workload demand sampling + load balancing into
-  /// policy_inputs() (false = already done()).
+  ///   + thermal_solver().step() + sense_current() + finish_metrics().
+  void step();
+
+  /// Control-tail stages, in the order step() runs them. BatchSession
+  /// runs them lane by lane around its batched thermal solve, and a
+  /// caller can time each one; a caller driving them must keep step()'s
+  /// order.
+  /// tail_begin(): workload demand sampling + load balancing (false =
+  /// already done()).
   bool tail_begin();
-  /// Gather the per-core temperature sensors from the current field
-  /// into policy_inputs() and mark them fresh. step_finish() senses the
-  /// post-solve field for the metrics; the field does not change again
-  /// before the next step_prepare(), so that gather doubles as the next
-  /// interval's policy input (sensed_fresh() says it is still valid).
+  /// Gather the per-core temperature sensors from the current field and
+  /// mark them fresh. step() senses the post-solve field for the metrics;
+  /// the field does not change again before the next interval, so that
+  /// gather doubles as the next interval's policy input (sensed_fresh()
+  /// says it is still valid).
   void sense_current();
   bool sensed_fresh() const { return sensed_fresh_; }
-  /// A batched sensor gather that wrote policy_inputs().core_temps
-  /// itself calls this instead of sense_current().
-  void mark_sensed() { sensed_fresh_ = true; }
-  /// Policy decision into policy_actions().
+  /// Policy decision from the sensed temperatures and balanced demands.
   void tail_decide();
   /// Apply the decision: pump level, execution model, and the
   /// interval's per-core work addends (finish_metrics() adds them).
   void tail_apply();
-  /// Power update: dynamic + leakage + RHS commit (the scalar tail).
+  /// Power update: dynamic + leakage from the current field, committed
+  /// into the model's power RHS.
   void tail_power();
-  /// Just the per-lane dynamic half of tail_power(), written into the
-  /// model's element_powers_writable(); the batched path follows with
-  /// the lane-fused leakage + scatter kernels.
-  void tail_power_dynamic();
   /// Metrics accumulation: the interval's IntervalAddends (work from
   /// tail_apply(), the sensed temperatures, the energies) go through
   /// add_interval(); commits the interval (advances steps_done()).
   void finish_metrics();
 
-  /// Persistent policy I/O of the tail stages (one control interval).
-  control::PolicyInputs& policy_inputs() { return in_; }
-  control::PolicyActions& policy_actions() { return act_; }
-  control::ThermalPolicy& policy() { return policy_; }
-
-  /// Wall-clock seconds step() spent in the control tail (prepare +
-  /// finish) and in the thermal solve, accumulated over the run. Only
-  /// step() itself is instrumented; callers driving the lockstep
-  /// phase API (BatchSession) time their own stages.
+  /// Wall-clock seconds step() spent in the control tail and in the
+  /// thermal solve, accumulated over the run. Only step() itself is
+  /// instrumented; callers driving the stages (BatchSession) time their
+  /// own.
   double tail_seconds() const { return tail_seconds_; }
   double solve_seconds() const { return solve_seconds_; }
 
   /// The transient thermal solver this session steps (the lane handle a
-  /// BatchedTransientSolver drives between step_prepare and
-  /// step_finish).
+  /// BatchedTransientSolver drives between tail_power() and the
+  /// post-solve sense_current()).
   thermal::TransientSolver& thermal_solver() { return *thermal_; }
   const thermal::TransientSolver& thermal_solver() const { return *thermal_; }
 

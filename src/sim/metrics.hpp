@@ -9,6 +9,9 @@
 #include <span>
 #include <vector>
 
+#include "arch/calibration.hpp"
+#include "common/units.hpp"
+
 namespace tac3d::sim {
 
 /// Results of one simulation run.
@@ -66,10 +69,13 @@ struct IntervalAddends {
 };
 
 /// Add one control interval of \p dt seconds to \p m: each accumulator
-/// receives its addends in core order. \p flow_fraction_acc sums the
-/// flow fractions avg_flow_fraction is averaged from.
+/// receives its addends in core order, and a core is hot above
+/// arch::calib::kHotSpotThresholdC (85 C). \p flow_fraction_acc sums
+/// the flow fractions avg_flow_fraction is averaged from.
 inline void add_interval(SimMetrics& m, const IntervalAddends& a, double dt,
-                         double hot_threshold_k, double& flow_fraction_acc) {
+                         double& flow_fraction_acc) {
+  constexpr double threshold_k =
+      celsius_to_kelvin(arch::calib::kHotSpotThresholdC);
   for (std::size_t c = 0; c < a.offered.size(); ++c) {
     m.offered_work += a.offered[c];
     m.lost_work += a.lost[c];
@@ -77,7 +83,7 @@ inline void add_interval(SimMetrics& m, const IntervalAddends& a, double dt,
   bool any_hot = false;
   for (std::size_t c = 0; c < a.tcore.size(); ++c) {
     m.peak_temp = std::max(m.peak_temp, a.tcore[c]);
-    if (a.tcore[c] > hot_threshold_k) {
+    if (a.tcore[c] > threshold_k) {
       m.core_hot_time[c] += dt;
       any_hot = true;
     }

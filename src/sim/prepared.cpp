@@ -105,8 +105,7 @@ std::string scenario_steady_key(const Scenario& s) {
                 trace_t0_fingerprint(*s.trace)
           : scenario_trace_key(s);
   return "steady:" + scenario_model_key(s) + "|" + trace_part +
-         "|q=" + flow + "|init=" + std::to_string(s.sim.init_iterations) +
-         "|imb=" + bits(s.sim.lb_imbalance);
+         "|q=" + flow + "|init=" + std::to_string(s.sim.init_iterations);
 }
 
 }  // namespace tac3d::sim

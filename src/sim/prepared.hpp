@@ -11,7 +11,7 @@
 ///   model tier   (tiers, cooling, grid)
 ///   steady tier  (model key, t=0 demand fingerprint [attached traces]
 ///                 or trace key [synthesis axes], initial flow,
-///                 init iterations, LB imbalance)
+///                 init iterations)
 ///
 /// Anything outside a key (policy, solver kind, pump power table, trace
 /// duration actually simulated, ...) must not affect that artifact —
@@ -46,10 +46,10 @@ std::string scenario_model_key(const Scenario& s);
 /// its fingerprint and scenarios differing only in later trace content
 /// share the solve; synthesis-bound scenarios keep the full trace key)
 /// plus the policy-independent initial conditions (maximum pump flow per
-/// cavity on liquid stacks, fixed-point iteration count, LB imbalance
-/// threshold). Deliberately excludes the solver kind: the steady solve
-/// always runs BiCGSTAB+ILU0, so scenarios differing only in the
-/// stepping solver share their start.
+/// cavity on liquid stacks, fixed-point iteration count). Deliberately
+/// excludes the solver kind: the steady solve always runs
+/// BiCGSTAB+ILU0, so scenarios differing only in the stepping solver
+/// share their start.
 std::string scenario_steady_key(const Scenario& s);
 
 }  // namespace tac3d::sim

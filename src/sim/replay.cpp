@@ -118,7 +118,6 @@ void LimitCycleReplay::on_boundary(std::span<const double> temps,
 }
 
 void LimitCycleReplay::apply_cycle(SimMetrics& m, double dt,
-                                   double hot_threshold_k,
                                    double& flow_fraction_acc) const {
   const std::size_t nc = static_cast<std::size_t>(journal_.n_cores);
   for (std::size_t s = 0; s < static_cast<std::size_t>(journal_.steps);
@@ -131,7 +130,7 @@ void LimitCycleReplay::apply_cycle(SimMetrics& m, double dt,
     a.pump_on = journal_.pump_on[s] != 0;
     a.pump = journal_.pump[s];
     a.flow = journal_.flow[s];
-    add_interval(m, a, dt, hot_threshold_k, flow_fraction_acc);
+    add_interval(m, a, dt, flow_fraction_acc);
   }
 }
 

@@ -116,8 +116,7 @@ class LimitCycleReplay {
   /// Re-accumulate one journaled cycle into the metrics: add_interval()
   /// of each journaled step in order, so the accumulators advance bitwise
   /// exactly as if the cycle were stepped.
-  void apply_cycle(SimMetrics& m, double dt, double hot_threshold_k,
-                   double& flow_fraction_acc) const;
+  void apply_cycle(SimMetrics& m, double dt, double& flow_fraction_acc) const;
 
   /// The applied cycle's migration delta (the session credits it to its
   /// scheduler).

@@ -218,7 +218,7 @@ class SweepReport {
 
   /// Fraction of instrumented stepping time spent in the control tail:
   /// tail / (tail + solve), 0 for an empty report. Machine-independent
-  /// like setup_fraction; the lane-fused batched tail drives it down.
+  /// like setup_fraction.
   double tail_fraction() const;
 
   /// Per-worker busy time [s] (sum of scenario walls, jobs_used entries);

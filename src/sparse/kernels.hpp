@@ -32,11 +32,6 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y);
 void waxpy(std::span<double> w, std::span<const double> x, double alpha,
            std::span<const double> y);
 
-/// y += alpha * a[i] * b[i] (element-wise product accumulate; the
-/// backward-Euler RHS build y = P + (C/dt) T_n uses it with alpha = 1).
-void axpy_product(double alpha, std::span<const double> a,
-                  std::span<const double> b, std::span<double> y);
-
 /// BiCGSTAB direction update p = r + beta * (p - omega * v).
 void bicgstab_p_update(std::span<const double> r, double beta, double omega,
                        std::span<const double> v, std::span<double> p);

@@ -73,18 +73,11 @@ class RcModel {
   /// In-place power update without a staging copy: write watts directly
   /// into this span (size element_count()), then call
   /// commit_element_powers() to scatter them into the solver RHS. Used
-  /// by the allocation-free control tail; the two-phase contract lets a
-  /// lane-fused kernel fill many models' vectors before committing.
+  /// by the allocation-free control tail.
   std::span<double> element_powers_writable() { return element_power_; }
 
   /// Rebuild the per-node power RHS from element_powers_writable().
   void commit_element_powers();
-
-  /// The per-node power RHS itself (size node_count()). Exposed so a
-  /// batched commit can scatter all lanes in one traversal of the shared
-  /// element->cell weights; contents must match what
-  /// commit_element_powers() would produce from element_powers().
-  std::span<double> power_rhs_writable() { return power_rhs_; }
 
   // --- coolant flow ----------------------------------------------------
   /// Set the volumetric flow of one cavity [m^3/s]. Flow starts at 0.

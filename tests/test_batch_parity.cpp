@@ -112,9 +112,8 @@ TEST_P(BatchParityTest, LanesMatchScalarPathBitwise) {
   std::vector<ScenarioInstance> prepared;
   for (const Scenario& s : lanes) prepared.push_back(bank.prepare(s));
   BatchSession batch(std::move(prepared));
-  // BiCGSTAB+ILU(0) batches the thermal solves and fuses the tail; the
-  // direct solver falls back to scalar lockstep — and must be just as
-  // invisible.
+  // BiCGSTAB+ILU(0) batches the thermal solves; the direct solver falls
+  // back to scalar lockstep — and must be just as invisible.
   EXPECT_EQ(batch.thermal_batched(),
             kind != sparse::SolverKind::kBandedLu);
   batch.run_to_end();
@@ -183,10 +182,11 @@ ScenarioInstance on_scaled_chip(const Scenario& s, double core_scale) {
   return p;
 }
 
-TEST(BatchSession, MismatchedFloorplansFallBackToScalar) {
-  // The fused tail walks one shared element -> cell geometry, so lanes
-  // whose floorplans differ must not batch even when their matrices
-  // share the pattern: scalar lockstep, each lane its own scalar run.
+TEST(BatchSession, MismatchedFloorplansBatchTheSolveBitwise) {
+  // The batched solve reads only each lane's own matrix and right-hand
+  // side, and every lane runs its own control tail, so lanes whose
+  // floorplans differ still batch when their matrices share the
+  // pattern, each lane bitwise its own scalar run.
   const std::vector<Scenario> lanes = {
       lane_scenario(PolicyKind::kLcFuzzy, power::WorkloadKind::kWebServer, 1),
       lane_scenario(PolicyKind::kLcLb, power::WorkloadKind::kDatabase, 2),
@@ -206,7 +206,7 @@ TEST(BatchSession, MismatchedFloorplansFallBackToScalar) {
   ASSERT_TRUE(thermal::BatchedTransientSolver::compatible(
       batch.session(0).thermal_solver(), batch.session(1).thermal_solver()))
       << "the lanes must share the matrix pattern";
-  EXPECT_FALSE(batch.thermal_batched());
+  EXPECT_TRUE(batch.thermal_batched());
   batch.run_to_end();
   for (int l = 0; l < batch.lanes(); ++l) {
     expect_lane_matches(batch, l, refs[static_cast<std::size_t>(l)],
@@ -249,8 +249,8 @@ TEST(BatchSession, ThrowingLaneLeavesOtherLanesIntact) {
   prepared[1].policy =
       std::make_unique<ThrowAfterPolicy>(std::move(prepared[1].policy), 5);
   BatchSession batch(std::move(prepared));
-  // The wrapped lane is not a FuzzyFlowDvfsPolicy, so it decides on the
-  // per-lane path inside the fused tail — batching itself stays on.
+  // The wrapped policy throws inside its lane's own decision stage —
+  // batching itself stays on.
   EXPECT_TRUE(batch.thermal_batched());
   batch.run_to_end();
   EXPECT_TRUE(batch.done());
@@ -263,10 +263,10 @@ TEST(BatchSession, ThrowingLaneLeavesOtherLanesIntact) {
   }
 }
 
-TEST(BatchSession, AirCooledLanesFuseTailAndMatchScalar) {
+TEST(BatchSession, AirCooledLanesBatchAndMatchScalar) {
   // Air-cooled stacks take the no-pump branches of the tail (no flow
-  // application, no pump energy); the fused tail must still be bitwise
-  // the scalar path there.
+  // application, no pump energy); a batched air-cooled lane must still
+  // be bitwise the scalar path there.
   std::vector<Scenario> lanes = {
       lane_scenario(PolicyKind::kAcLb, power::WorkloadKind::kWebServer, 1),
       lane_scenario(PolicyKind::kAcTdvfsLb, power::WorkloadKind::kDatabase,
@@ -290,10 +290,10 @@ TEST(BatchSession, AirCooledLanesFuseTailAndMatchScalar) {
   }
 }
 
-TEST(BatchSession, AllFuzzyBatchSharesInferenceBitwise) {
-  // Every lane is LC_FUZZY, so the fused tail routes all of them through
-  // FuzzyFlowDvfsPolicy::decide_batch — one shared Mamdani inference
-  // pass per step — which must not move a bit on any lane.
+TEST(BatchSession, AllFuzzyBatchMatchesScalarBitwise) {
+  // Every lane is LC_FUZZY: each carries its own Mamdani inference and
+  // flow-modulated operator through the batched solve, which must not
+  // move a bit on any lane.
   std::vector<Scenario> lanes = {
       lane_scenario(PolicyKind::kLcFuzzy, power::WorkloadKind::kWebServer, 1),
       lane_scenario(PolicyKind::kLcFuzzy, power::WorkloadKind::kDatabase, 2),

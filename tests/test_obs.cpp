@@ -347,7 +347,7 @@ TEST(ObsTrace, BatchedSweepTraceIsWellFormedAndNested) {
     ASSERT_TRUE(report.all_ok());
     EXPECT_EQ(report.at(0).batch_lanes, 2);
     // One scalar scenario so the per-step solver phases (refresh /
-    // Krylov) show on the timeline next to the fused batched tail,
+    // Krylov) show on the timeline next to the batched tail stages,
     // plus a limit-cycle-locking scenario for the replay span.
     sim::SweepOptions scalar;
     scalar.jobs = 1;

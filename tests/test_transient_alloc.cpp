@@ -5,8 +5,9 @@
 //
 // The same hook also guards the simulation layer above the solver: a
 // SimulationSession's per-step control tail (sampling, load balancing,
-// policy, power/leakage, sensors, metrics) and a BatchSession's
-// lane-fused batched tail must both run allocation-free once warm.
+// policy, power/leakage, sensors, metrics) and a BatchSession's batched
+// step (each lane's tail stages around one batched solve) must both run
+// allocation-free once warm.
 //
 // Set-up footprint: building a session must make resident only what it
 // simulates. A periodic trace is stored once per period, and the banded
@@ -214,7 +215,7 @@ TEST(SessionAlloc, ScalarStepLoopIsAllocationFree) {
       << "SimulationSession::step() must not allocate once warm";
 }
 
-TEST(SessionAlloc, BatchedFusedTailIsAllocationFree) {
+TEST(SessionAlloc, BatchedStepIsAllocationFree) {
 #if !TAC3D_ALLOC_HOOK
   GTEST_SKIP() << "allocation hook disabled under sanitizers";
 #endif
@@ -232,7 +233,7 @@ TEST(SessionAlloc, BatchedFusedTailIsAllocationFree) {
   for (int i = 0; i < 10; ++i) batch.step();
   const long long allocs = AllocCounter::stop();
   EXPECT_EQ(allocs, 0)
-      << "the lane-fused batched tail must not allocate once warm";
+      << "BatchSession::step() must not allocate once warm";
 }
 
 TEST(SessionAlloc, WarmReplayJournalAndFastForwardAreAllocationFree) {
